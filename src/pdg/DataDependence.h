@@ -8,9 +8,12 @@
 /// Register flow (def-use) dependences computed with a classic reaching-
 /// definitions dataflow over the linearized ILOC. These are the data
 /// dependence edges of the PDG (paper §2.2, Figure 1 — including the cyclic
-/// self-dependence of `i = i + 1` inside a loop). Register allocation does
-/// not consume them directly (it uses liveness), but they complete the PDG
-/// as a program representation and feed the DOT export.
+/// self-dependence of `i = i + 1` inside a loop). Register allocation reads
+/// flow dependences one register at a time: RAP's spill insertion asks
+/// RefInfo::flowDeps (regalloc/AllocSupport.h), which derives them from the
+/// register's def/use positions without a dataflow solve. This
+/// whole-function solve is that query's reference (tests/flow_deps_test.cpp)
+/// and feeds the DOT export.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,13 +52,6 @@ public:
 
   /// All flow dependences, sorted by (def, use).
   const std::vector<FlowDep> &flowDeps() const { return Flows; }
-
-  /// The flow dependences of the single register \p R, sorted by (def, use).
-  /// Runs the reaching-definitions fixpoint over just R's definitions, so a
-  /// caller interested in one register (RAP's outside-the-region spill
-  /// fixup) avoids the whole-function solve.
-  static std::vector<FlowDep> flowDepsFor(const LinearCode &Code,
-                                          const Cfg &G, Reg R);
 
   /// The definition positions reaching the use of \p R at \p UsePos.
   std::vector<unsigned> reachingDefs(unsigned UsePos, Reg R) const;

@@ -70,10 +70,8 @@ static bool anyWithin(PosSpan Sorted, unsigned Begin, unsigned End) {
 }
 
 static bool allWithin(PosSpan Sorted, unsigned Begin, unsigned End) {
-  for (unsigned P : Sorted)
-    if (P < Begin || P >= End)
-      return false;
-  return true;
+  return Sorted.empty() ||
+         (*Sorted.begin() >= Begin && *(Sorted.end() - 1) < End);
 }
 
 bool RefInfo::allRefsWithin(Reg R, unsigned Begin, unsigned End) const {
@@ -87,6 +85,63 @@ bool RefInfo::usedWithin(Reg R, unsigned Begin, unsigned End) const {
 
 bool RefInfo::definedWithin(Reg R, unsigned Begin, unsigned End) const {
   return anyWithin(defPositions(R), Begin, End);
+}
+
+std::vector<FlowDep> RefInfo::flowDeps(Reg R, const Cfg &G) const {
+  std::vector<FlowDep> Out;
+  PosSpan Defs = defPositions(R);
+  PosSpan Uses = usePositions(R);
+  if (Defs.empty() || Uses.empty())
+    return Out;
+
+  // The last definition of R in [Begin, End), or null.
+  auto LastDefIn = [&](unsigned Begin, unsigned End) -> const unsigned * {
+    const unsigned *It = std::lower_bound(Defs.begin(), Defs.end(), End);
+    return It != Defs.begin() && *(It - 1) >= Begin ? It - 1 : nullptr;
+  };
+
+  // Definitions reaching the entry of the current block: every path back
+  // from the entry ends at the first block defining R, whose last
+  // definition is the one that reaches. Mark[B] == Walk means block B was
+  // visited by the current walk.
+  std::vector<unsigned> EntryDefs, Work, Mark;
+  unsigned Walk = 0, EntryBlock = ~0u;
+  auto WalkBack = [&](unsigned B) {
+    if (Mark.empty())
+      Mark.assign(G.numBlocks(), 0);
+    ++Walk;
+    EntryDefs.clear();
+    Work.assign(G.block(B).Preds.begin(), G.block(B).Preds.end());
+    while (!Work.empty()) {
+      unsigned P = Work.back();
+      Work.pop_back();
+      if (Mark[P] == Walk)
+        continue;
+      Mark[P] = Walk;
+      const BasicBlock &PB = G.block(P);
+      if (const unsigned *D = LastDefIn(PB.Begin, PB.End))
+        EntryDefs.push_back(*D);
+      else
+        Work.insert(Work.end(), PB.Preds.begin(), PB.Preds.end());
+    }
+  };
+
+  for (unsigned U : Uses) {
+    unsigned B = G.blockOf(U);
+    // A use reads its operands before its own definition takes effect.
+    if (const unsigned *D = LastDefIn(G.block(B).Begin, U)) {
+      Out.push_back(FlowDep{*D, U, R});
+      continue;
+    }
+    if (B != EntryBlock) {
+      WalkBack(B);
+      EntryBlock = B;
+    }
+    for (unsigned D : EntryDefs)
+      Out.push_back(FlowDep{D, U, R});
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,8 +28,7 @@ namespace rap {
 /// Linearization + CFG + liveness of one function. Invalidated by any code
 /// edit; allocators rebuild it after each spill round — passing the stale
 /// CodeInfo so the liveness fixpoint warm-starts from the previous solution
-/// instead of solving from scratch (see Liveness). Flow dependences are
-/// computed lazily on first use and cached for the CodeInfo's lifetime.
+/// instead of solving from scratch (see Liveness).
 struct CodeInfo {
   LinearCode Code;
   Cfg Graph;
@@ -42,15 +41,7 @@ struct CodeInfo {
   explicit CodeInfo(IlocFunction &F, CodeInfo *Prev = nullptr)
       : Code(relinearized(F, Prev)), Graph(Code),
         Live(timedLiveness(*this, F.numVRegs(),
-                           Prev ? &Prev->Live : nullptr)),
-        NumVRegs(F.numVRegs()) {}
-
-  /// The flow (def-use) dependences of Code, built on first request.
-  const DataDependence &dataDeps() const {
-    if (!DD)
-      DD = std::make_unique<DataDependence>(Code, Graph, NumVRegs);
-    return *DD;
-  }
+                           Prev ? &Prev->Live : nullptr)) {}
 
 private:
   static Liveness timedLiveness(CodeInfo &CI, unsigned NumVRegs,
@@ -62,9 +53,6 @@ private:
     linearize(F, Out);
     return Out;
   }
-
-  unsigned NumVRegs;
-  mutable std::unique_ptr<DataDependence> DD;
 };
 
 /// A view of consecutive linear positions (ascending) in RefInfo's flat
@@ -98,7 +86,7 @@ public:
 
   /// True if every reference of \p R lies in the linear range
   /// [\p Begin, \p End) — i.e. R is *local* to the region covering that
-  /// range (paper §3.1).
+  /// range (paper §3.1). Checks only the ends of the sorted spans.
   bool allRefsWithin(Reg R, unsigned Begin, unsigned End) const;
 
   /// True if some use/def of \p R lies in [\p Begin, \p End).
@@ -107,6 +95,16 @@ public:
   bool referencedWithin(Reg R, unsigned Begin, unsigned End) const {
     return usedWithin(R, Begin, End) || definedWithin(R, Begin, End);
   }
+
+  /// The flow dependences of \p R over \p G (the CFG of the linearization
+  /// this RefInfo indexes), sorted by (def, use): exactly the entries for
+  /// \p R of DataDependence::flowDeps(). A use reached by a definition
+  /// earlier in its own block depends on the last such definition alone;
+  /// otherwise a backward walk over predecessor blocks collects each
+  /// block's last definition of \p R, walking past blocks that define
+  /// none. No dataflow solve, and no scan of code that does not define or
+  /// use \p R.
+  std::vector<FlowDep> flowDeps(Reg R, const Cfg &G) const;
 
 private:
   /// CSR layout: positions of register R occupy [Start[R], Start[R+1]) of

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <sstream>
 
 using namespace rap;
@@ -108,8 +107,8 @@ void InterferenceGraph::addRegToNode(unsigned Id, Reg R) {
              "adding register to a dead node");
   allocCheck(nodeOf(R) < 0, AllocErrorKind::InvariantViolation,
              "register already present in the graph");
-  Nodes[Id].VRegs.push_back(R);
-  std::sort(Nodes[Id].VRegs.begin(), Nodes[Id].VRegs.end());
+  auto &VR = Nodes[Id].VRegs;
+  VR.insert(std::lower_bound(VR.begin(), VR.end(), R), R);
   mapReg(R, Id);
 }
 
@@ -145,15 +144,23 @@ size_t InterferenceGraph::memoryBytes() const {
 
 InterferenceGraph InterferenceGraph::combinedByColor() const {
   InterferenceGraph Out;
-  std::map<int, unsigned> NodeOfColor;
+  // Size the reg -> node map once, for the largest member register.
+  size_t MapSize = 0;
+  for (const Node &N : Nodes)
+    if (N.Alive)
+      MapSize = std::max<size_t>(MapSize, N.VRegs.back() + size_t(1));
+  Out.NodeOfReg.assign(MapSize, -1);
+  std::vector<int> NodeOfColor; // color -> Out node id, -1 = none yet
   for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
     const Node &N = Nodes[I];
     if (!N.Alive)
       continue;
     allocCheck(N.Color >= 0, AllocErrorKind::InvariantViolation,
                "combining an uncolored graph");
-    auto It = NodeOfColor.find(N.Color);
-    if (It == NodeOfColor.end()) {
+    unsigned C = static_cast<unsigned>(N.Color);
+    if (C >= NodeOfColor.size())
+      NodeOfColor.resize(C + 1, -1);
+    if (NodeOfColor[C] < 0) {
       unsigned NewId = Out.getOrCreateNode(N.VRegs.front());
       for (size_t V = 1; V < N.VRegs.size(); ++V) {
         Out.Nodes[NewId].VRegs.push_back(N.VRegs[V]);
@@ -161,9 +168,9 @@ InterferenceGraph InterferenceGraph::combinedByColor() const {
       }
       Out.Nodes[NewId].Global = N.Global;
       Out.Nodes[NewId].Color = N.Color;
-      NodeOfColor[N.Color] = NewId;
+      NodeOfColor[C] = static_cast<int>(NewId);
     } else {
-      unsigned Tgt = It->second;
+      unsigned Tgt = static_cast<unsigned>(NodeOfColor[C]);
       for (Reg R : N.VRegs) {
         Out.Nodes[Tgt].VRegs.push_back(R);
         Out.mapReg(R, Tgt);
@@ -180,8 +187,8 @@ InterferenceGraph InterferenceGraph::combinedByColor() const {
     for (unsigned J : Adj[I]) {
       if (J < I)
         continue;
-      unsigned A = NodeOfColor.at(Nodes[I].Color);
-      unsigned B = NodeOfColor.at(Nodes[J].Color);
+      unsigned A = static_cast<unsigned>(NodeOfColor[Nodes[I].Color]);
+      unsigned B = static_cast<unsigned>(NodeOfColor[Nodes[J].Color]);
       allocCheck(A != B, AllocErrorKind::InvariantViolation,
                  "properly colored graphs cannot merge adjacent nodes");
       Out.addEdgeNodes(A, B);

@@ -6,7 +6,6 @@
 
 #include "regalloc/Rap.h"
 
-#include "pdg/DataDependence.h"
 #include "pdg/SeriesParallel.h"
 #include "regalloc/AssignmentVerifier.h"
 #include "regalloc/Coalesce.h"
@@ -51,7 +50,7 @@ RapAllocator::RapAllocator(IlocFunction &F, const AllocOptions &Options)
     : F(F), Options(Options),
       Injector(Options.Faults.empty() ? envFaultPlan() : Options.Faults,
                F.name()),
-      StartTime(std::chrono::steady_clock::now()) {
+      StartTime(std::chrono::steady_clock::now()), Editor(F) {
   refresh();
 }
 
@@ -75,12 +74,28 @@ bool RapAllocator::isGlobalTo(Reg R, const PdgNode *V) const {
 
 int RapAllocator::slotOf(Reg V) {
   Reg Origin = originOf(V);
-  auto It = SlotOf.find(Origin);
-  if (It != SlotOf.end())
-    return It->second;
-  int Slot = F.newSpillSlot();
-  SlotOf[Origin] = Slot;
-  return Slot;
+  if (Origin >= SlotOf.size())
+    SlotOf.resize(Origin + 1, -1);
+  if (SlotOf[Origin] < 0)
+    SlotOf[Origin] = F.newSpillSlot();
+  return SlotOf[Origin];
+}
+
+unsigned
+RapAllocator::globalOrigins(const InterferenceGraph &G, const PdgNode *V,
+                            std::initializer_list<unsigned> Nodes) const {
+  Reg Seen = NoReg;
+  for (unsigned N : Nodes)
+    for (Reg R : G.node(N).VRegs) {
+      if (!isGlobalTo(R, V))
+        continue;
+      Reg Origin = originOf(R);
+      if (Seen == NoReg)
+        Seen = Origin;
+      else if (Origin != Seen)
+        return 2;
+    }
+  return Seen == NoReg ? 0 : 1;
 }
 
 //===----------------------------------------------------------------------===//
@@ -103,9 +118,9 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   InterferenceGraph G;
 
   std::vector<Instr *> PC = V->parentCode();
-  // Membership tests run inside the per-liveness-bit loop below, so keep
-  // the reference sets as bit vectors; the sorted lists reproduce the
-  // ascending iteration order node creation depends on.
+  // The reference sets are bit vectors: the loops below visit their
+  // intersections with liveness sets a word at a time, in the ascending
+  // order node creation depends on.
   unsigned NumVRegs = F.numVRegs();
   BitVector RefsPC(NumVRegs);
   for (const Instr *I : PC) {
@@ -135,8 +150,8 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
     if (!I->hasDef())
       continue;
     Reg D = I->Dst;
-    CI->Live.liveAfter(I->LinPos).forEach([&](unsigned L) {
-      if (L == D || !Vars.test(L))
+    Vars.forEachCommon(CI->Live.liveAfter(I->LinPos), [&](unsigned L) {
+      if (L == D)
         return;
       if (I->Op == Opcode::Mv && L == I->Src[0])
         return;
@@ -148,10 +163,7 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   // Registers live on entrance to the region and referenced here coexist.
   const BitVector &LiveInV = CI->Live.liveInOf(*V);
   std::vector<Reg> LiveRefs;
-  RefsPC.forEach([&](unsigned R) {
-    if (LiveInV.test(R))
-      LiveRefs.push_back(R);
-  });
+  RefsPC.forEachCommon(LiveInV, [&](unsigned R) { LiveRefs.push_back(R); });
   for (size_t A = 0; A != LiveRefs.size(); ++A)
     for (size_t B = A + 1; B != LiveRefs.size(); ++B)
       G.addEdge(LiveRefs[A], LiveRefs[B]);
@@ -160,8 +172,8 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   // Live-in registers not referenced at this level conflict with every node
   // referenced here (Figure 3's virtual register d).
   std::vector<unsigned> PreNodes = G.aliveNodes();
-  Vars.forEach([&](unsigned VK) {
-    if (RefsPC.test(VK) || !LiveInV.test(VK))
+  Vars.forEachCommon(LiveInV, [&](unsigned VK) {
+    if (RefsPC.test(VK))
       return;
     unsigned N = G.getOrCreateNode(VK);
     for (unsigned M : PreNodes)
@@ -176,86 +188,119 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
 
     // Import each combined subregion node, merging with existing nodes that
     // name the same virtual register.
-    std::map<unsigned, unsigned> Imported;
-    for (unsigned NS : GS.aliveNodes()) {
+    std::vector<unsigned> SubNodes = GS.aliveNodes();
+    std::vector<unsigned> Imported(GS.numNodesTotal()); // by subregion node
+    for (unsigned NS : SubNodes) {
       int Target = -1;
-      std::vector<Reg> Fresh;
       for (Reg R : GS.node(NS).VRegs) {
         int Existing = G.nodeOf(R);
-        if (Existing < 0) {
-          Fresh.push_back(R);
+        if (Existing < 0 || Target == Existing)
           continue;
-        }
+        Target = Target < 0 ? Existing
+                            : static_cast<int>(G.mergeNodes(
+                                  static_cast<unsigned>(Target),
+                                  static_cast<unsigned>(Existing)));
+      }
+      // Registers new at this level join the target (or found it).
+      for (Reg R : GS.node(NS).VRegs) {
+        if (G.hasReg(R))
+          continue;
         if (Target < 0)
-          Target = Existing;
-        else if (Target != Existing)
-          Target = static_cast<int>(G.mergeNodes(
-              static_cast<unsigned>(Target), static_cast<unsigned>(Existing)));
+          Target = static_cast<int>(G.getOrCreateNode(R));
+        else
+          G.addRegToNode(static_cast<unsigned>(Target), R);
       }
-      if (Target < 0) {
-        allocCheck(!Fresh.empty(), AllocErrorKind::InvariantViolation,
-                   "empty subregion node");
-        Target = static_cast<int>(G.getOrCreateNode(Fresh.front()));
-        Fresh.erase(Fresh.begin());
-      }
-      for (Reg R : Fresh)
-        G.addRegToNode(static_cast<unsigned>(Target), R);
+      allocCheck(Target >= 0, AllocErrorKind::InvariantViolation,
+                 "empty subregion node");
       Imported[NS] = static_cast<unsigned>(Target);
     }
-    for (unsigned NS : GS.aliveNodes())
+    for (unsigned NS : SubNodes)
       for (unsigned MS : GS.adjacency(NS))
         if (MS > NS)
-          G.addEdgeNodes(Imported.at(NS), Imported.at(MS));
+          G.addEdgeNodes(Imported[NS], Imported[MS]);
 
     // Registers live across (but unreferenced in) the subregion conflict
     // with everything allocated inside it.
-    const BitVector &LiveInS = CI->Live.liveInOf(*S);
-    Vars.forEach([&](unsigned VK) {
-      if (VK >= LiveInS.size() || !LiveInS.test(VK))
-        return;
+    Vars.forEachCommon(CI->Live.liveInOf(*S), [&](unsigned VK) {
       if (Refs->referencedWithin(VK, S->LinBegin, S->LinEnd))
         return;
       unsigned N = G.getOrCreateNode(VK);
-      for (auto &[NS, NG] : Imported)
-        G.addEdgeNodes(N, NG);
+      for (unsigned NS : SubNodes)
+        G.addEdgeNodes(N, Imported[NS]);
     });
   }
 
   // Pieces of one split register represent the same virtual register
   // (paper §3.1.1); merge their nodes when they do not interfere so they
-  // allocate — and later move — as a unit.
+  // allocate — and later move — as a unit. Each pass scans the pieces in
+  // (node, register) order, merges the first one that can join the first
+  // node holding its origin, and starts over.
   {
-    auto GlobalOriginsOf = [&](unsigned N) {
-      std::set<Reg> Out;
-      for (Reg R : G.node(N).VRegs)
-        if (isGlobalTo(R, V))
-          Out.insert(originOf(R));
-      return Out;
+    struct Piece {
+      unsigned Node;
+      Reg R;
+      unsigned Origin; ///< index into Origins
     };
+    struct OriginInfo {
+      Reg Origin;
+      unsigned FirstNode; ///< node of its first piece
+      bool Spread;        ///< some piece lies in another node
+    };
+    std::vector<Piece> Pieces;
+    std::vector<OriginInfo> Origins; // a few per region: searched linearly
+    for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
+      if (!G.node(N).Alive)
+        continue;
+      for (Reg R : G.node(N).VRegs) {
+        Reg Origin = originOf(R);
+        if (Origin == R && !hasSlot(Origin))
+          continue; // never split
+        if (NoMergeOrigins.count(Origin))
+          continue; // merging proved uncolorable earlier
+        auto It = std::find_if(
+            Origins.begin(), Origins.end(),
+            [&](const OriginInfo &O) { return O.Origin == Origin; });
+        if (It == Origins.end())
+          It = Origins.insert(It, OriginInfo{Origin, N, false});
+        It->Spread |= It->FirstNode != N;
+        Pieces.push_back({N, R, static_cast<unsigned>(It - Origins.begin())});
+      }
+    }
+    // An origin whose pieces share one node never merges (merges move whole
+    // nodes, so they stay together) and never affects another origin's
+    // scan, so its pieces are dropped.
+    std::erase_if(Pieces,
+                  [&](const Piece &P) { return !Origins[P.Origin].Spread; });
+    auto ByNode = [](const Piece &X, const Piece &Y) {
+      return X.Node != Y.Node ? X.Node < Y.Node : X.R < Y.R;
+    };
+
+    std::vector<int> FirstNode(Origins.size());
     auto MergeOnePair = [&]() -> bool {
-      std::map<Reg, unsigned> NodeOfOrigin;
-      for (unsigned N : G.aliveNodes()) {
-        for (Reg R : G.node(N).VRegs) {
-          Reg Origin = originOf(R);
-          if (Origin == R && !SlotOf.count(Origin))
-            continue; // never split
-          if (NoMergeOrigins.count(Origin))
-            continue; // merging proved uncolorable earlier
-          auto [It, Inserted] = NodeOfOrigin.try_emplace(Origin, N);
-          if (Inserted || It->second == N)
-            continue;
-          if (G.interfere(N, It->second))
-            continue; // overlapping pieces (e.g. two loads at one instr)
-          // Keep the global-global invariant: the union may cover at most
-          // one global origin (same-origin pieces count once).
-          std::set<Reg> Globals = GlobalOriginsOf(N);
-          for (Reg O : GlobalOriginsOf(It->second))
-            Globals.insert(O);
-          if (Globals.size() > 1)
-            continue;
-          G.mergeNodes(It->second, N);
-          return true;
+      std::fill(FirstNode.begin(), FirstNode.end(), -1);
+      for (const Piece &P : Pieces) {
+        int &First = FirstNode[P.Origin];
+        if (First < 0 || First == static_cast<int>(P.Node)) {
+          First = static_cast<int>(P.Node);
+          continue;
         }
+        unsigned A = static_cast<unsigned>(First), B = P.Node;
+        if (G.interfere(A, B))
+          continue; // overlapping pieces (e.g. two loads at one instr)
+        // Keep the global-global invariant: the union may cover at most
+        // one global origin (same-origin pieces count once).
+        if (globalOrigins(G, V, {A, B}) > 1)
+          continue;
+        G.mergeNodes(A, B);
+        // Only B's pieces moved, so insertion sort restores the order in
+        // about linear time.
+        for (Piece &Q : Pieces)
+          if (Q.Node == B)
+            Q.Node = A;
+        for (size_t I = 1; I < Pieces.size(); ++I)
+          for (size_t J = I; J && ByNode(Pieces[J], Pieces[J - 1]); --J)
+            std::swap(Pieces[J], Pieces[J - 1]);
+        return true;
       }
       return false;
     };
@@ -263,32 +308,18 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
     }
   }
 
-  if (Options.Coalesce) {
-    auto GlobalOriginCount = [&](unsigned N1, unsigned N2) {
-      std::set<Reg> Origins;
-      for (unsigned N : {N1, N2})
-        for (Reg R : G.node(N).VRegs)
-          if (isGlobalTo(R, V))
-            Origins.insert(originOf(R));
-      return Origins.size();
-    };
-    coalesceConservatively(G, PC, Options.K,
-                           [&](unsigned A, unsigned B) {
-                             return GlobalOriginCount(A, B) <= 1;
-                           });
-  }
+  if (Options.Coalesce)
+    coalesceConservatively(G, PC, Options.K, [&](unsigned A, unsigned B) {
+      return globalOrigins(G, V, {A, B}) <= 1;
+    });
 
   // Classify nodes and check the single-global invariant implied by the
   // global-global coloring rule (pieces of one origin count once: they
   // never coexist, so sharing a color is always sound for them).
   for (unsigned N : G.aliveNodes()) {
-    auto &Node = G.node(N);
-    std::set<Reg> GlobalOrigins;
-    for (Reg R : Node.VRegs)
-      if (isGlobalTo(R, V))
-        GlobalOrigins.insert(originOf(R));
-    Node.Global = !GlobalOrigins.empty();
-    if (GlobalOrigins.size() > 1)
+    unsigned Globals = globalOrigins(G, V, {N});
+    G.node(N).Global = Globals != 0;
+    if (Globals > 1)
       throwAllocError(AllocErrorKind::InvariantViolation,
                       "combined node holds two region-global virtual "
                       "registers",
@@ -303,13 +334,18 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
 
 void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
   std::vector<PdgNode *> Subs = V->subregions();
-  std::vector<Instr *> PC = V->parentCode();
 
-  // Positions covered by parent-level code, for counting uses and defs "in
-  // the parent region".
-  BitVector PCPos(static_cast<unsigned>(CI->Code.Instrs.size()));
-  for (const Instr *I : PC)
-    PCPos.set(I->LinPos);
+  // One entry per (parent-level instruction, register it uses) and per
+  // parent-level definition, sorted: the references "in the parent region".
+  std::vector<Reg> PCRefs;
+  for (const Instr *I : V->parentCode()) {
+    for (auto It = I->Src.begin(); It != I->Src.end(); ++It)
+      if (std::find(I->Src.begin(), It, *It) == It)
+        PCRefs.push_back(*It);
+    if (I->hasDef())
+      PCRefs.push_back(I->Dst);
+  }
+  std::sort(PCRefs.begin(), PCRefs.end());
 
   // find, not operator[]: this runs concurrently during the speculative
   // region-parallel phase (where the map is empty and must stay that way).
@@ -356,10 +392,8 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
     // per definition.
     double Cost = 0;
     for (Reg R : Node.VRegs) {
-      for (unsigned P : Refs->usePositions(R))
-        Cost += PCPos.test(P);
-      for (unsigned P : Refs->defPositions(R))
-        Cost += PCPos.test(P);
+      auto [Lo, Hi] = std::equal_range(PCRefs.begin(), PCRefs.end(), R);
+      Cost += static_cast<double>(Hi - Lo);
     }
 
     // Boundary loads/stores for subregions (Figure 5's Livein/Liveout
@@ -450,8 +484,8 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
         // with them separate.
         for (Reg R : G.node(N).VRegs) {
           Reg Origin = originOf(R);
-          if ((Origin != R || SlotOf.count(Origin)) &&
-              NoMergeOrigins.insert(Origin).second)
+          if ((Origin != R || hasSlot(Origin)) &&
+              NoMergeOrigins.insert(Origin))
             SplitProgress = true;
         }
         continue;
@@ -610,8 +644,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   // reached by definitions inside R must reload it, and definitions
   // reaching those reloaded uses must store as well (the paper's
   // recursion, collapsed to its one-step fixpoint).
-  std::vector<FlowDep> VDeps =
-      DataDependence::flowDepsFor(CI->Code, CI->Graph, V);
+  std::vector<FlowDep> VDeps = Refs->flowDeps(V, CI->Graph);
   auto InsideR = [&](unsigned Pos) {
     return Pos >= R->LinBegin && Pos < R->LinEnd;
   };
@@ -658,7 +691,6 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
                  "loadedU=%zu storedD=%zu)\n",
                  V, R->Id, PCUses.size(), PCDefs.size(), SubActions.size(),
                  LoadedUses.size(), StoredDefs.size());
-  CodeEditor Editor(F);
 
   // Parameter values arrive in a register; park them in the slot once.
   if (NeedParamStore) {
@@ -675,7 +707,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   for (Instr *User : PCUses) {
     Reg T = F.newVReg();
     NoSpill.insert(T);
-    OriginOf[T] = originOf(V);
+    setOriginFrom(T, V);
     Instr *Ld = F.createInstr(Opcode::LdSpill);
     Ld->Dst = T;
     Ld->Slot = Slot;
@@ -688,7 +720,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   for (Instr *Def : PCDefs) {
     Reg D = F.newVReg();
     NoSpill.insert(D);
-    OriginOf[D] = originOf(V);
+    setOriginFrom(D, V);
     Def->Dst = D;
     Instr *St = F.createInstr(Opcode::StSpill);
     St->Slot = Slot;
@@ -702,7 +734,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   // (paper §3.1.4)...
   for (const SubAction &A : SubActions) {
     Reg VS = F.newVReg();
-    OriginOf[VS] = originOf(V);
+    setOriginFrom(VS, V);
     if (A.Load) {
       Instr *Ld = F.createInstr(Opcode::LdSpill);
       Ld->Dst = VS;
@@ -752,7 +784,6 @@ bool RapAllocator::spillEverywhere(Reg V) {
   if (rapDebug())
     std::fprintf(stderr, "[spill] %%%u everywhere (uses=%zu defs=%zu)\n", V,
                  Refs->usePositions(V).size(), Refs->defPositions(V).size());
-  CodeEditor Editor(F);
 
   if (V < F.numParams() && !ParamStoreDone.count(V)) {
     ParamStoreDone.insert(V);
@@ -794,7 +825,7 @@ bool RapAllocator::spillEverywhere(Reg V) {
 // Phase 1e: speculative region-parallel first round (DESIGN.md §14)
 //===----------------------------------------------------------------------===//
 //
-// Determinism argument, in brief: before the first spill, every map the
+// Determinism argument, in brief: before the first spill, every table the
 // sequential walk consults (SpilledIn, SlotOf, NoSpill, GloballySpilled,
 // OriginOf, NoMergeOrigins) is empty and the analysis snapshot (CodeInfo /
 // RefInfo / liveness) is read-only, so a region's first build/cost/color
@@ -1020,7 +1051,6 @@ AllocStats RapAllocator::run() {
     Final = allocRegion(F.root());
 
   if (Options.SpillMovement) {
-    refresh();
     MovementResult MR = moveSpillCodeOutOfLoops(F, Final, SavedGraphs, TS);
     Stats.HoistedLoads = MR.HoistedLoads;
     Stats.SunkStores = MR.SunkStores;

@@ -30,6 +30,7 @@
 
 #include <chrono>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -76,6 +77,25 @@ public:
   bool isGlobalTo(Reg R, const PdgNode *V) const;
 
 private:
+  /// A set of registers as a dense Reg-indexed flag vector. Lookups past
+  /// the end read as absent and never grow it, so concurrent readers are
+  /// safe as long as nobody inserts.
+  class RegSet {
+  public:
+    bool count(Reg R) const { return R < Flags.size() && Flags[R]; }
+    /// Adds \p R; returns true if it was absent.
+    bool insert(Reg R) {
+      if (R >= Flags.size())
+        Flags.resize(R + 1, 0);
+      bool Absent = !Flags[R];
+      Flags[R] = 1;
+      return Absent;
+    }
+
+  private:
+    std::vector<char> Flags;
+  };
+
   /// Shared body of buildRegionGraph: \p SubGraph resolves a subregion's
   /// combined interference graph. The sequential walk resolves from
   /// SavedGraphs; the region-parallel phase resolves from its per-task
@@ -121,6 +141,14 @@ private:
 
   void renameInSubtree(PdgNode *S, Reg OldReg, Reg NewReg);
   int slotOf(Reg V);
+  bool hasSlot(Reg Origin) const {
+    return Origin < SlotOf.size() && SlotOf[Origin] >= 0;
+  }
+
+  /// The number of distinct origins of \p V-global registers among the
+  /// members of \p Nodes of \p G, capped at 2.
+  unsigned globalOrigins(const InterferenceGraph &G, const PdgNode *V,
+                         std::initializer_list<unsigned> Nodes) const;
 
   /// Raises AllocError(ResourceLimit) once the wall-clock budget
   /// (Options.MaxAllocSeconds) is spent. Checked at round boundaries.
@@ -137,6 +165,10 @@ private:
   std::unique_ptr<CodeInfo> CI;
   std::unique_ptr<RefInfo> Refs;
 
+  /// Places all spill code. Its owner map stays current across spills (every
+  /// phase-1 insertion goes through it), so it is built once per allocator.
+  CodeEditor Editor;
+
   /// Combined interference graphs of completed regions. Non-loop entries
   /// are erased when their parent completes; loop graphs persist for spill
   /// movement (paper §3.1.5).
@@ -149,8 +181,13 @@ private:
   /// re-allocation never targets these.
   std::set<const PdgNode *> InProgress;
 
-  std::map<Reg, int> SlotOf;
-  std::set<Reg> GloballySpilled;
+  // SlotOf, GloballySpilled, NoSpill, OriginOf and NoMergeOrigins are dense
+  // Reg-indexed vectors. Only spill rewrites grow them; graph builds and
+  // spill-cost passes only read them.
+
+  /// Spill slot per origin register, -1 = none yet.
+  std::vector<int> SlotOf;
+  RegSet GloballySpilled;
   std::set<Reg> ParamStoreDone;
 
   /// Registers whose references were edited since the last refresh(). Spill
@@ -168,7 +205,7 @@ private:
   /// Atomic live ranges created by spill rewrites. Spilling them again can
   /// never help, so they carry infinite cost (above the paper's 999999 for
   /// merely-unprofitable nodes) and trySpill skips them.
-  std::set<Reg> NoSpill;
+  RegSet NoSpill;
 
   /// Spill rewrites split a register into renamed per-subregion pieces and
   /// atomic temporaries. All pieces map back to the original register here;
@@ -176,19 +213,26 @@ private:
   /// merge their nodes ("since these nodes represent the same virtual
   /// register, they are combined in the parent's interference graph",
   /// §3.1.1) — which is also what lets phase 2 move their loads as one.
-  std::map<Reg, Reg> OriginOf;
+  /// NoReg (or past the end) = unsplit.
+  std::vector<Reg> OriginOf;
 
   /// The original register \p R descends from (identity when unsplit).
   Reg originOf(Reg R) const {
-    auto It = OriginOf.find(R);
-    return It == OriginOf.end() ? R : It->second;
+    return R < OriginOf.size() && OriginOf[R] != NoReg ? OriginOf[R] : R;
+  }
+  /// Records that the fresh register \p Piece is a piece of \p V's origin.
+  void setOriginFrom(Reg Piece, Reg V) {
+    Reg Origin = originOf(V);
+    if (Piece >= OriginOf.size())
+      OriginOf.resize(Piece + 1, NoReg);
+    OriginOf[Piece] = Origin;
   }
 
   /// Origins whose pieces must stay in separate nodes: merging them
   /// produced a node that could neither color nor spill (no single color
   /// suits every piece), so the unit-allocation preference is abandoned for
   /// them.
-  std::set<Reg> NoMergeOrigins;
+  RegSet NoMergeOrigins;
   unsigned TotalSpillActions = 0;
 };
 

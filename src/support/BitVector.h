@@ -169,6 +169,23 @@ public:
     }
   }
 
+  /// Calls \p Fn(idx) for every element of both this set and \p Other, in
+  /// increasing order, one word at a time. The universes may differ:
+  /// elements past the smaller one are absent from the intersection.
+  template <typename FnT>
+  void forEachCommon(const BitVector &Other, FnT Fn) const {
+    size_t E = Words.size() < Other.Words.size() ? Words.size()
+                                                  : Other.Words.size();
+    for (size_t I = 0; I != E; ++I) {
+      uint64_t W = Words[I] & Other.Words[I];
+      while (W != 0) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(static_cast<unsigned>(I * 64 + Bit));
+        W &= W - 1;
+      }
+    }
+  }
+
   /// Collects the set bits into a vector, in increasing order.
   std::vector<unsigned> toVector() const {
     std::vector<unsigned> Out;

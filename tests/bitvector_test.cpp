@@ -95,6 +95,20 @@ TEST(BitVector, ForEachVisitsInOrder) {
   EXPECT_EQ(B.toVector(), Seen);
 }
 
+TEST(BitVector, ForEachCommonVisitsTheIntersectionInOrder) {
+  BitVector A(200), B(130);
+  for (unsigned I : {3u, 64u, 70u, 129u, 150u})
+    A.set(I);
+  for (unsigned I : {3u, 5u, 70u, 128u, 129u})
+    B.set(I);
+  std::vector<unsigned> Seen;
+  A.forEachCommon(B, [&](unsigned I) { Seen.push_back(I); });
+  EXPECT_EQ(Seen, (std::vector<unsigned>{3, 70, 129}));
+  Seen.clear();
+  B.forEachCommon(A, [&](unsigned I) { Seen.push_back(I); });
+  EXPECT_EQ(Seen, (std::vector<unsigned>{3, 70, 129}));
+}
+
 TEST(BitVector, ClearEmptiesAllWords) {
   BitVector B(129);
   B.set(0);

@@ -470,16 +470,18 @@ TEST(ServerDrain, SignalFlagStopsAdmissionBeforeServing) {
 }
 
 TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
-  // Deterministic mid-request shutdown via the chaos site: the first
+  // Deterministic mid-request shutdown via the chaos sites: the first
   // dispatch flips the stop flag (as if SIGTERM landed mid-compile), the
-  // 25ms drain window passes while the big compile is still running, the
-  // drain watcher cancels it, and the request answers "cancelled" — no
+  // first allocation task stalls for 500ms so the 25ms drain window passes
+  // while the big compile is still running however fast the allocator is,
+  // the drain watcher cancels it, and the request answers "cancelled" — no
   // response lost, exit code 3.
   ServerConfig Config;
   Config.Service.Shards = 2;
   Config.Hello = false;
   Config.DrainMs = 25;
-  Config.Service.Chaos = FaultPlan::fromString("shutdown:1");
+  Config.Service.Chaos = FaultPlan::fromString("shutdown:1,stall:1");
+  Config.Service.ChaosStallMs = 500;
   Server S(Config);
   std::istringstream In(
       "{\"op\":\"compile\",\"id\":1,\"source\":" +
