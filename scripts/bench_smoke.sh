@@ -18,7 +18,7 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
 cmake -S "$REPO_ROOT" -B "$BUILD_DIR" >/dev/null
-cmake --build "$BUILD_DIR" --target alloc_cost alloc_scale interp_throughput region_scale rapcc -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target alloc_cost alloc_scale interp_throughput rapcc -j "$(nproc)"
 
 # Machine-readable counters, shared rap-bench-v1 schema. Sections are merged
 # through merge_bench_section.py, which tolerates a missing/partial prior
@@ -46,25 +46,6 @@ print(f"interp throughput: {agg['threaded_minstr_per_sec']:.0f} Mi/s threaded vs
       f"{agg['switch_minstr_per_sec']:.0f} Mi/s switch ({agg['speedup']:.2f}x)")
 PYEOF
 rm -f "$REPO_ROOT/BENCH_interp_tmp.json"
-
-# Region-parallel single-function allocation scaling ("region_scale"
-# section): the harness refuses to emit timings unless the allocated output
-# is bit-identical across every region-thread count, so this doubles as a
-# determinism smoke for the speculative region-parallel first round.
-"$BUILD_DIR/bench/region_scale" --json > "$REPO_ROOT/BENCH_region_tmp.json"
-python3 "$REPO_ROOT/scripts/merge_bench_section.py" \
-  "$REPO_ROOT/BENCH_alloc.json" region_scale "$REPO_ROOT/BENCH_region_tmp.json"
-python3 - "$REPO_ROOT" <<'PYEOF'
-import json, sys
-root = sys.argv[1]
-rows = json.load(open(f"{root}/BENCH_alloc.json"))["region_scale"]["rows"]
-best = max(rows, key=lambda r: r["speedup_vs_serial"])
-print(f"region scale: {len(rows)} rows, output hash {rows[0]['output_hash']} "
-      f"bit-identical across thread counts; best speedup "
-      f"{best['speedup_vs_serial']:.2f}x at {best['region_threads']} threads "
-      f"({best['host_cores']} host cores)")
-PYEOF
-rm -f "$REPO_ROOT/BENCH_region_tmp.json"
 
 # Sample allocation trace (Chrome trace-event JSON, one rapcc compile).
 TRACE_SRC="$(mktemp /tmp/bench_smoke.XXXXXX.mc)"

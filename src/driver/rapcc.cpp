@@ -16,10 +16,6 @@
 ///     --copies=naive|direct     assignment codegen style (default naive)
 ///     --no-movement --no-peephole --no-cleanup   disable RAP phases
 ///     --threads=N               allocate functions on N worker threads
-///     --region-threads=N        RAP only: run each function's phase 1 over
-///                               the series-parallel region decomposition on
-///                               N pool threads (DESIGN.md §14); output is
-///                               bit-identical at any value
 ///     --verify                  checked mode: independently verify every
 ///                               register assignment before the rewrite
 ///     --no-fallback             fail the compile on allocation errors
@@ -84,8 +80,7 @@ void usage() {
       "usage: rapcc <file.mc | -> [--alloc=none|gra|rap] [-k N]\n"
       "             [--granularity=stmt|merged] [--copies=naive|direct]\n"
       "             [--no-movement] [--no-peephole] [--no-cleanup]\n"
-      "             [--threads=N] [--region-threads=N] [--verify]\n"
-      "             [--no-fallback]\n"
+      "             [--threads=N] [--verify] [--no-fallback]\n"
       "             [--dump=iloc|tree|dot|cfg] [--func=NAME]\n"
       "             [--stats[=text|json]] [--trace=FILE] [--fuel=N]\n"
       "             [--interp=threaded|switch]\n"
@@ -159,13 +154,6 @@ int main(int argc, char **argv) {
       Opts.Alloc.Peephole = false;
     } else if (std::strcmp(Arg, "--no-cleanup") == 0) {
       Opts.Alloc.GlobalCleanup = false;
-    } else if (startsWith(Arg, "--region-threads=")) {
-      Opts.Alloc.RegionThreads = static_cast<unsigned>(std::atoi(Arg + 17));
-      if (Opts.Alloc.RegionThreads == 0) {
-        std::fprintf(stderr,
-                     "rapcc: --region-threads needs a positive count\n");
-        return 2;
-      }
     } else if (startsWith(Arg, "--threads=")) {
       Opts.Alloc.Threads = static_cast<unsigned>(std::atoi(Arg + 10));
       if (Opts.Alloc.Threads == 0) {

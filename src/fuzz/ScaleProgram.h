@@ -22,9 +22,9 @@
 ///
 ///  * buildDeepFunction() — one function whose region tree has Depth levels
 ///    of Fanout sibling loop/branch subtrees each, plus a configurable band
-///    of live-across scalars. This is the region-parallel bench workload:
-///    wide sibling groups are exactly what the series-parallel schedule can
-///    overlap.
+///    of live-across scalars: thousands of regions in one function. It is
+///    the perfbench `deep` workload and the spill-heavy program of the
+///    golden-output test.
 ///
 /// Same seed + same config => byte-identical program text (a property test
 /// enforces this).

@@ -46,8 +46,6 @@ class Telemetry;
 class FunctionScope;
 } // namespace telemetry
 
-class ShardPool;
-
 enum class AllocatorKind {
   None, ///< leave virtual registers (reference runs)
   Gra,
@@ -71,27 +69,6 @@ struct AllocOptions {
   /// independently; 0 or 1 means serial. Results are byte-identical to a
   /// serial run (stats aggregate in function order) regardless of the value.
   unsigned Threads = 1;
-
-  /// Worker threads for RAP's intra-function region-parallel phase 1: the
-  /// speculative no-spill pass runs independent sibling regions of the
-  /// series-parallel decomposition (pdg/SeriesParallel.h) concurrently and
-  /// commits results in the sequential postorder, so output, stats and
-  /// telemetry are byte-identical to a serial run at any value. 0 or 1
-  /// means the classic sequential walk. Ignored by GRA. Like Threads, this
-  /// never steers allocation decisions and is excluded from allocation-cache
-  /// fingerprints.
-  unsigned RegionThreads = 1;
-
-  /// Pool carrying the region tasks when RegionThreads > 1. Owned by the
-  /// caller (allocateProgramChecked shares one pool across all function
-  /// workers); null makes each function run spin up an ephemeral pool.
-  ShardPool *RegionPool = nullptr;
-
-  /// Minimum subtree weight (instructions) for a region subtree to get its
-  /// own pool task; lighter subtrees run inline in the task of their
-  /// closest task-owning ancestor. Purely a scheduling knob — any value
-  /// produces identical output.
-  unsigned RegionGrain = 64;
 
   /// Ablation: also run the Figure 6 peephole on GRA output (the paper does
   /// not; this isolates how much of RAP's win the cleanup alone provides).

@@ -18,8 +18,8 @@
 ///
 /// where <site> is an allocator site — `color` (before a graph coloring),
 /// `spill` (before a spill-code insertion), `rewrite` (before the physical
-/// rewrite), `region` (at entry of a region's allocation, sequential or
-/// region-parallel) — or a server site — `parse` (protocol dispatch), `cache-insert`
+/// rewrite), `region` (at entry of a RAP region's allocation) — or a server
+/// site — `parse` (protocol dispatch), `cache-insert`
 /// (allocation-cache insertion), `stall` (a worker ignores its cancel token
 /// for a while), `shutdown` (the server's stop flag flips mid-request),
 /// `journal-write` (a durable-cache journal append fails), `snapshot-compact`
@@ -49,7 +49,7 @@ enum class FaultSite {
   Coloring,        ///< immediately before a colorGraph call
   SpillInsert,     ///< immediately before spill-code insertion
   PhysicalRewrite, ///< immediately before rewriteToPhysical
-  RegionAlloc,     ///< at entry of a region allocation (any schedule)
+  RegionAlloc,     ///< at entry of a RAP region allocation
 
   // Server-layer chaos sites (rapd; DESIGN.md §13). These never fire inside
   // an allocator run — they are counted by the server's own injectors.

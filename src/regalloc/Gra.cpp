@@ -26,7 +26,6 @@
 #include "regalloc/Peephole.h"
 #include "regalloc/PhysicalRewrite.h"
 #include "regalloc/SpillEverything.h"
-#include "support/ShardPool.h"
 #include "support/Stats.h"
 
 #include <atomic>
@@ -361,28 +360,13 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
   if (Kind == AllocatorKind::None)
     return Res;
 
-  // RAP's region-parallel phase shares one task pool across every function
-  // worker (spinning one up per function would swamp 10k-function modules
-  // with thread churn). The pool only schedules; each function's run owns
-  // its slots and waits on its own TaskGroup, so sharing is free of
-  // cross-function state.
-  AllocOptions ProgOptions = Options;
-  std::unique_ptr<ShardPool> RegionPool;
-  if (Kind == AllocatorKind::Rap && Options.RegionThreads > 1 &&
-      !Options.RegionPool) {
-    WatchdogConfig Quiet;
-    Quiet.Factor = 0;
-    RegionPool = std::make_unique<ShardPool>(Options.RegionThreads, Quiet);
-    ProgOptions.RegionPool = RegionPool.get();
-  }
-
   // Worker-side exceptions (strict mode, or a failing fallback) are parked
   // per function slot; after the pool joins, the lowest-index one is
   // rethrown, so the surfaced error does not depend on thread scheduling.
   std::vector<std::exception_ptr> Errors(N);
   auto One = [&](unsigned I, unsigned Worker) {
     try {
-      Res.Outcomes[I] = allocateOne(Prog, I, Kind, ProgOptions, Worker);
+      Res.Outcomes[I] = allocateOne(Prog, I, Kind, Options, Worker);
     } catch (...) {
       Res.Outcomes[I].Status = AllocStatus::Failed;
       Errors[I] = std::current_exception();

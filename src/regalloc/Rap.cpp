@@ -6,7 +6,6 @@
 
 #include "regalloc/Rap.h"
 
-#include "pdg/SeriesParallel.h"
 #include "regalloc/AssignmentVerifier.h"
 #include "regalloc/Coalesce.h"
 #include "regalloc/Coloring.h"
@@ -15,14 +14,11 @@
 #include "regalloc/PhysicalRewrite.h"
 #include "regalloc/SpillCodeMovement.h"
 #include "support/Env.h"
-#include "support/ShardPool.h"
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 
 using namespace rap;
 
@@ -103,16 +99,6 @@ RapAllocator::globalOrigins(const InterferenceGraph &G, const PdgNode *V,
 //===----------------------------------------------------------------------===//
 
 InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
-  return buildRegionGraphImpl(V, [this](const PdgNode *S) {
-    auto It = SavedGraphs.find(S);
-    return It == SavedGraphs.end() ? nullptr : &It->second;
-  });
-}
-
-InterferenceGraph RapAllocator::buildRegionGraphImpl(
-    PdgNode *V,
-    const std::function<const InterferenceGraph *(const PdgNode *)>
-        &SubGraph) {
   allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
              "allocation works on region nodes");
   InterferenceGraph G;
@@ -181,10 +167,11 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   });
 
   for (PdgNode *S : V->subregions()) {
-    const InterferenceGraph *GSPtr = SubGraph(S);
-    allocCheck(GSPtr != nullptr, AllocErrorKind::InvariantViolation,
+    auto SavedIt = SavedGraphs.find(S);
+    allocCheck(SavedIt != SavedGraphs.end(),
+               AllocErrorKind::InvariantViolation,
                "subregion must be allocated before its parent");
-    const InterferenceGraph &GS = *GSPtr;
+    const InterferenceGraph &GS = SavedIt->second;
 
     // Import each combined subregion node, merging with existing nodes that
     // name the same virtual register.
@@ -347,12 +334,7 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
   }
   std::sort(PCRefs.begin(), PCRefs.end());
 
-  // find, not operator[]: this runs concurrently during the speculative
-  // region-parallel phase (where the map is empty and must stay that way).
-  static const std::set<Reg> NoneSpilled;
-  auto SpilledIt = SpilledIn.find(V);
-  const std::set<Reg> &Spilled =
-      SpilledIt == SpilledIn.end() ? NoneSpilled : SpilledIt->second;
+  const std::set<Reg> &Spilled = SpilledIn[V];
 
   for (unsigned N : G.aliveNodes()) {
     auto &Node = G.node(N);
@@ -822,233 +804,12 @@ bool RapAllocator::spillEverywhere(Reg V) {
 }
 
 //===----------------------------------------------------------------------===//
-// Phase 1e: speculative region-parallel first round (DESIGN.md §14)
-//===----------------------------------------------------------------------===//
-//
-// Determinism argument, in brief: before the first spill, every table the
-// sequential walk consults (SpilledIn, SlotOf, NoSpill, GloballySpilled,
-// OriginOf, NoMergeOrigins) is empty and the analysis snapshot (CodeInfo /
-// RefInfo / liveness) is read-only, so a region's first build/cost/color
-// round depends only on the code and its subregions' combined graphs —
-// both of which are schedule-invariant. If every region's first round
-// colors completely, the sequential walk would have executed exactly those
-// rounds in postorder and never edited code; committing the speculative
-// results in postorder therefore reproduces it bit for bit (ILOC untouched,
-// same colors, same stats, same telemetry slice order). The moment anything
-// deviates from that script — a spill candidate, a resource guard, an
-// injected fault — the speculation is discarded wholesale (no code was
-// edited; the only consumed state, fault-injection countdowns, is re-armed)
-// and the classic walk reruns from scratch.
-
-bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
-  SeriesParallelDecomposition SPD(F.root());
-  const unsigned RootIdx = SPD.root().Index;
-
-  // Task grain: a subtree earns its own pool task only when it carries
-  // enough instructions to amortize dispatch; lighter subtrees run inline
-  // in their closest task-owning ancestor. Heaviness is upward-closed (a
-  // subtree's weight includes its children's), so task owners form a
-  // connected subtree containing the root.
-  const unsigned Grain = std::max(1u, Options.RegionGrain);
-  std::vector<char> Heavy(SPD.size(), 0);
-  unsigned NumHeavy = 0;
-  for (unsigned I = 0; I != SPD.size(); ++I) {
-    Heavy[I] = I == RootIdx || SPD.node(I).SubtreeInstrs >= Grain;
-    NumHeavy += Heavy[I];
-  }
-  if (NumHeavy < 2)
-    return false; // nothing to overlap; the classic walk is strictly cheaper
-
-  ShardPool *Pool = Options.RegionPool;
-  std::unique_ptr<ShardPool> Ephemeral;
-  if (!Pool) {
-    WatchdogConfig Quiet;
-    Quiet.Factor = 0; // no deadline-budget watchdog for region tasks
-    Ephemeral = std::make_unique<ShardPool>(Options.RegionThreads, Quiet);
-    Pool = Ephemeral.get();
-  }
-
-  telemetry::FunctionScope *TS = Options.Scope;
-  struct SpecSlot {
-    InterferenceGraph Combined;
-    std::unique_ptr<telemetry::FunctionScope> Scratch;
-    unsigned MaxGraphNodes = 0;
-    size_t PeakGraphBytes = 0;
-    double GraphBuildSeconds = 0;
-  };
-  std::vector<SpecSlot> Slots(SPD.size());
-  if (TS)
-    for (SpecSlot &S : Slots)
-      S.Scratch =
-          std::make_unique<telemetry::FunctionScope>(TS->epoch());
-
-  InterferenceGraph RootFull;
-  std::atomic<bool> Failed{false};
-  std::mutex InjectorM; // countdowns are shared across region tasks
-
-  // One region's speculative first round: the exact body the sequential
-  // walk runs on a spill-free region, with subregion graphs resolved from
-  // the speculative slots and stats/telemetry going to scratch storage.
-  auto RunNode = [&](unsigned Idx) -> bool {
-    const SPNode &N = SPD.node(Idx);
-    PdgNode *V = N.Region;
-    SpecSlot &Slot = Slots[Idx];
-    {
-      std::lock_guard<std::mutex> Lock(InjectorM);
-      Injector.hit(FaultSite::RegionAlloc);
-    }
-    checkTimeBudget(V->Id);
-    telemetry::FunctionScope *ScratchTS = Slot.Scratch.get();
-    telemetry::ScopedPhase Phase(ScratchTS, "rap_region", V->Id);
-    auto BuildStart = std::chrono::steady_clock::now();
-    InterferenceGraph G = buildRegionGraphImpl(
-        V, [&](const PdgNode *S) -> const InterferenceGraph * {
-          for (unsigned C : N.Children)
-            if (SPD.node(C).Region == S)
-              return &Slots[C].Combined;
-          return nullptr;
-        });
-    Slot.GraphBuildSeconds += secondsSince(BuildStart);
-    Slot.MaxGraphNodes = std::max(Slot.MaxGraphNodes, G.numAliveNodes());
-    Slot.PeakGraphBytes = std::max(Slot.PeakGraphBytes, G.memoryBytes());
-    if (ScratchTS) {
-      ScratchTS->add("rap.graph_builds");
-      ScratchTS->maxOf("graph.max_nodes", G.numAliveNodes());
-    }
-    if (Options.MaxGraphBytes && G.memoryBytes() > Options.MaxGraphBytes)
-      return false; // the classic rerun reproduces the structured error
-    calcSpillCosts(V, G);
-    {
-      std::lock_guard<std::mutex> Lock(InjectorM);
-      Injector.hit(FaultSite::Coloring);
-    }
-    ColorResult CR = colorGraph(G, Options.K, ScratchTS);
-    Phase.arg("round", 0);
-    Phase.arg("nodes", G.numAliveNodes());
-    Phase.arg("spill_candidates", CR.SpillList.size());
-    if (!CR.fullyColored())
-      return false; // a spill is off the no-spill script; rerun classic
-    Slot.Combined = G.combinedByColor();
-    if (ScratchTS)
-      ScratchTS->add("rap.regions_processed");
-    if (Idx == RootIdx)
-      RootFull = std::move(G);
-    return true;
-  };
-
-  // Inline postorder over a light subtree (owned by one task; bottom-up so
-  // subregion graphs exist before their parent builds).
-  std::function<bool(unsigned)> RunSubtree = [&](unsigned Idx) -> bool {
-    for (unsigned C : SPD.node(Idx).Children)
-      if (!RunSubtree(C))
-        return false;
-    return RunNode(Idx);
-  };
-
-  // Series edges between task owners run as a countdown DAG: a task owner
-  // is submitted once its last task-owning child completes; initial tasks
-  // are the owners with none. Completed tasks submit their parent from the
-  // worker — their own pending done() keeps the barrier open, and the
-  // failure flag only short-circuits work, never the countdown, so wait()
-  // always drains.
-  std::vector<int> OwnerParent(SPD.size(), -1);
-  std::vector<std::atomic<unsigned>> Pending(SPD.size());
-  std::vector<unsigned> HeavyKids(SPD.size(), 0);
-  for (unsigned I = 0; I != SPD.size(); ++I) {
-    for (unsigned C : SPD.node(I).Children)
-      if (Heavy[C]) {
-        ++HeavyKids[I];
-        OwnerParent[C] = static_cast<int>(I);
-      }
-    Pending[I].store(HeavyKids[I], std::memory_order_relaxed);
-  }
-
-  TaskGroup Group;
-  std::function<void(unsigned)> RunOwner = [&](unsigned Idx) {
-    if (!Failed.load(std::memory_order_relaxed)) {
-      bool Ok = true;
-      try {
-        for (unsigned C : SPD.node(Idx).Children)
-          if (Ok && !Heavy[C])
-            Ok = RunSubtree(C);
-        if (Ok)
-          Ok = RunNode(Idx);
-      } catch (...) {
-        Ok = false; // errors are re-raised (identically) by the classic rerun
-      }
-      if (!Ok)
-        Failed.store(true, std::memory_order_relaxed);
-    }
-    int P = OwnerParent[Idx];
-    if (P >= 0 &&
-        Pending[static_cast<unsigned>(P)].fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-      Group.expect();
-      Pool->submit(static_cast<size_t>(P),
-                   [&RunOwner, P] { RunOwner(static_cast<unsigned>(P)); },
-                   &Group);
-    }
-  };
-  // Initial tasks are decided from the *static* child counts, never the
-  // live countdown: workers are already draining Pending while this loop
-  // runs, and a parent whose last heavy child finished early would read as
-  // zero here after the child's own fetch_sub already submitted it —
-  // a double submission racing two copies of the same region.
-  for (unsigned I = 0; I != SPD.size(); ++I)
-    if (Heavy[I] && HeavyKids[I] == 0) {
-      Group.expect();
-      Pool->submit(I, [&RunOwner, I] { RunOwner(I); }, &Group);
-    }
-  Group.wait();
-
-  if (Failed.load()) {
-    // Discard wholesale. Nothing outside this frame changed except the
-    // fault-injection countdowns consumed by speculative hits; re-arm them
-    // so the classic rerun counts from zero, exactly like a serial run.
-    Injector = FaultInjector(
-        Options.Faults.empty() ? envFaultPlan() : Options.Faults, F.name());
-    return false;
-  }
-
-  // Commit in the sequential postorder (ascending speculative index).
-  for (unsigned I = 0; I != SPD.size(); ++I) {
-    SpecSlot &Slot = Slots[I];
-    ++Stats.GraphBuilds;
-    ++Stats.RegionsProcessed;
-    Stats.MaxGraphNodes = std::max(Stats.MaxGraphNodes, Slot.MaxGraphNodes);
-    Stats.PeakGraphBytes =
-        std::max(Stats.PeakGraphBytes, Slot.PeakGraphBytes);
-    Stats.GraphBuildSeconds += Slot.GraphBuildSeconds;
-    if (TS && Slot.Scratch) {
-      for (const auto &[K, V] : Slot.Scratch->Counters) {
-        uint64_t &Fold = TS->Counters[K];
-        Fold = K.find("max") != std::string::npos ? std::max(Fold, V)
-                                                  : Fold + V;
-      }
-      for (const auto &[K, V] : Slot.Scratch->TimerSeconds)
-        TS->TimerSeconds[K] += V;
-      for (telemetry::PhaseSlice &S : Slot.Scratch->Slices)
-        TS->record(std::move(S));
-    }
-    // The sequential walk's end state keeps the root's and every loop
-    // region's combined graph (non-loop children are erased when their
-    // parent completes); reproduce exactly that.
-    if (I == RootIdx || SPD.node(I).IsLoop)
-      SavedGraphs[SPD.node(I).Region] = std::move(Slot.Combined);
-  }
-  Final = std::move(RootFull);
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
 // The three-phase driver
 //===----------------------------------------------------------------------===//
 
 AllocStats RapAllocator::run() {
   telemetry::FunctionScope *TS = Options.Scope;
-  InterferenceGraph Final;
-  if (Options.RegionThreads <= 1 || !runRegionParallelPhase1(Final))
-    Final = allocRegion(F.root());
+  InterferenceGraph Final = allocRegion(F.root());
 
   if (Options.SpillMovement) {
     MovementResult MR = moveSpillCodeOutOfLoops(F, Final, SavedGraphs, TS);

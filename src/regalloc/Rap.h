@@ -29,7 +29,6 @@
 #include "regalloc/InterferenceGraph.h"
 
 #include <chrono>
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -78,8 +77,7 @@ public:
 
 private:
   /// A set of registers as a dense Reg-indexed flag vector. Lookups past
-  /// the end read as absent and never grow it, so concurrent readers are
-  /// safe as long as nobody inserts.
+  /// the end read as absent and never grow it.
   class RegSet {
   public:
     bool count(Reg R) const { return R < Flags.size() && Flags[R]; }
@@ -95,28 +93,6 @@ private:
   private:
     std::vector<char> Flags;
   };
-
-  /// Shared body of buildRegionGraph: \p SubGraph resolves a subregion's
-  /// combined interference graph. The sequential walk resolves from
-  /// SavedGraphs; the region-parallel phase resolves from its per-task
-  /// speculative slots.
-  InterferenceGraph buildRegionGraphImpl(
-      PdgNode *V,
-      const std::function<const InterferenceGraph *(const PdgNode *)>
-          &SubGraph);
-
-  /// The speculative region-parallel phase 1 (Options.RegionThreads > 1):
-  /// runs every region's first build/cost/color round as pool tasks over
-  /// the series-parallel decomposition, children before parents, with all
-  /// shared allocator state read-only. If every region colors without a
-  /// spill candidate, results are committed in the sequential postorder
-  /// (bit-identical to the classic walk) and \p Final receives the root's
-  /// colored graph. Any spill candidate, error or injected fault discards
-  /// the whole speculation — including partially consumed fault-injection
-  /// countdowns — and returns false so the caller reruns the classic
-  /// sequential walk, which then reproduces the sequential outcome exactly
-  /// (same spills, same stats, same error if any).
-  bool runRegionParallelPhase1(InterferenceGraph &Final);
 
   void spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue);
 

@@ -367,7 +367,7 @@ uint64_t CacheStore::buildFingerprint() {
       .u32(FormatVersion)
       .str(std::string(__DATE__) + " " + __TIME__)
       .str("kind k granularity copies movement peephole cleanup coalesce "
-           "verify region-threads")
+           "verify")
       .value();
 }
 

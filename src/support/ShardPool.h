@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared execution substrate for the compile server and the region-parallel
-/// allocator: N shards, each a worker thread
+/// The compile server's execution substrate: N shards, each a worker thread
 /// with its own task deque. Producers place tasks on a shard chosen by an
 /// affinity hint (requests keep their functions together for locality);
 /// a worker drains its own deque FIFO and, when empty, steals from the
@@ -58,10 +57,7 @@ namespace rap {
 /// Countdown latch for one batch of pool tasks: the submitter registers
 /// each task, workers signal completion, wait() blocks until all are done.
 /// Threads that call wait() are never pool workers (the service orchestrates
-/// from the connection/bench thread; the region allocator waits from the
-/// per-function thread), so waiting cannot deadlock the pool. Workers may
-/// expect()+submit() follow-on tasks from inside a task as long as they do
-/// so before returning — their own pending done() keeps the barrier open.
+/// from the connection/bench thread), so waiting cannot deadlock the pool.
 class TaskGroup {
 public:
   void expect(size_t N = 1) {

@@ -87,11 +87,6 @@ public:
         .count();
   }
 
-  /// The scope's time origin, so side scopes (e.g. the region-parallel
-  /// allocator's per-region scratch scopes, spliced back in after the
-  /// barrier) can stamp slices on the same axis.
-  Clock::time_point epoch() const { return Epoch; }
-
   void record(PhaseSlice S) { Slices.push_back(std::move(S)); }
 
   /// Monotone named counters (events, sizes).

@@ -24,6 +24,7 @@
 #include "gtest/gtest.h"
 
 #include <iterator>
+#include <ostream>
 #include <string>
 
 using namespace rap;
@@ -59,6 +60,11 @@ struct Golden {
   const char *Rap[4]; ///< at k = 3, 5, 7, 9
   const char *Gra[4];
 };
+
+/// Prints the routine name. Without it gtest prints the struct's raw bytes,
+/// which are string-literal addresses that ASLR moves on every run, so the
+/// test names that ctest discovers would change with every build.
+void PrintTo(const Golden &G, std::ostream *OS) { *OS << G.Name; }
 
 // clang-format off
 const Golden Table1Hashes[] = {

@@ -19,9 +19,6 @@
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
-#include "fuzz/ScaleProgram.h"
-#include "ir/Linearize.h"
-#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 
@@ -228,182 +225,6 @@ TEST(ParallelDeterminism, StatsJsonStableAcrossRepeatedRuns) {
   for (int Run = 0; Run != 3; ++Run)
     EXPECT_EQ(First, normalizedStatsJson(MultiFunctionSource, 4))
         << "run " << Run;
-}
-
-//===----------------------------------------------------------------------===//
-// Region-level parallelism (the speculative first round over the
-// series-parallel decomposition, DESIGN.md §14): any RegionThreads value
-// must be invisible in the output — byte-identical ILOC, equal stats, same
-// FNV output hash, same interpreted checksum as the serial region walk.
-//===----------------------------------------------------------------------===//
-
-struct RegionRun {
-  std::vector<std::string> Functions; ///< printed allocated code
-  uint64_t OutputHash = 0;            ///< FNV over linearized ILOC
-  int64_t Checksum = 0;
-  AllocStats Stats;
-};
-
-RegionRun runWithRegionThreads(const std::string &Source, unsigned K,
-                               unsigned RegionThreads, unsigned Grain) {
-  CompileOptions Options;
-  Options.Allocator = AllocatorKind::Rap;
-  Options.Alloc.K = K;
-  Options.Alloc.RegionThreads = RegionThreads;
-  Options.Alloc.RegionGrain = Grain;
-  CompileResult CR = compileMiniC(Source, Options);
-  EXPECT_TRUE(CR.ok()) << CR.Errors;
-  RegionRun Run;
-  if (!CR.ok())
-    return Run;
-  Hasher H;
-  for (const auto &F : CR.Prog->functions()) {
-    Run.Functions.push_back(F->str());
-    H.str(linearize(*F).str());
-  }
-  Run.OutputHash = H.value();
-  Run.Stats = CR.Alloc;
-  RunResult R = Interpreter(*CR.Prog).run();
-  EXPECT_TRUE(R.Ok) << R.Error;
-  if (R.Ok)
-    Run.Checksum = R.ReturnValue.asInt();
-  return Run;
-}
-
-void expectRegionThreadInvariance(const std::string &Source, unsigned K,
-                                  unsigned Grain) {
-  RegionRun Serial = runWithRegionThreads(Source, K, 1, Grain);
-  for (unsigned RT : {2u, 8u}) {
-    RegionRun Parallel = runWithRegionThreads(Source, K, RT, Grain);
-    ASSERT_EQ(Serial.Functions.size(), Parallel.Functions.size());
-    for (size_t I = 0; I != Serial.Functions.size(); ++I)
-      EXPECT_EQ(Serial.Functions[I], Parallel.Functions[I])
-          << "function " << I << " differs at region threads=" << RT;
-    EXPECT_EQ(Serial.OutputHash, Parallel.OutputHash)
-        << "output hash differs at region threads=" << RT;
-    EXPECT_EQ(Serial.Checksum, Parallel.Checksum)
-        << "checksum differs at region threads=" << RT;
-    EXPECT_TRUE(Serial.Stats.structuralEq(Parallel.Stats))
-        << "stats differ at region threads=" << RT;
-  }
-}
-
-TEST(ParallelDeterminism, RegionThreadsBitIdenticalOnDeepFunction) {
-  // The bench workload: spill-free at k=12, so the speculative parallel
-  // round engages and commits rather than falling back to the classic walk.
-  fuzz::ScaleProgramConfig C;
-  C.Seed = 7;
-  C.DeepDepth = 4;
-  C.DeepFanout = 3;
-  C.PressureVars = 2;
-  std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
-  expectRegionThreadInvariance(Src, 12, /*Grain=*/16);
-}
-
-TEST(ParallelDeterminism, RegionThreadsBitIdenticalWhenSpilling) {
-  // Under pressure (k=3) every speculative round aborts at the first spill
-  // candidate and the classic walk reruns — also bit-identical, exercising
-  // the discard path rather than the commit path.
-  fuzz::ScaleProgramConfig C;
-  C.Seed = 7;
-  C.DeepDepth = 4;
-  C.DeepFanout = 2;
-  C.PressureVars = 4;
-  std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
-  expectRegionThreadInvariance(Src, 3, /*Grain=*/8);
-}
-
-TEST(ParallelDeterminism, RegionThreadsComposeWithFunctionThreads) {
-  // Both parallel axes at once: the per-function pool is shared with the
-  // region phase (AllocOptions::RegionPool) and the result must still match
-  // the fully serial run on a generated multi-function module.
-  fuzz::ScaleProgramConfig C;
-  C.Seed = 21;
-  C.NumFunctions = 6;
-  C.StmtsPerFunction = 5;
-  C.PressureVars = 2;
-  std::string Src = fuzz::ScaleProgramBuilder(C).buildModule();
-
-  CompileOptions Serial;
-  Serial.Allocator = AllocatorKind::Rap;
-  Serial.Alloc.K = 8;
-  CompileResult Base = compileMiniC(Src, Serial);
-  ASSERT_TRUE(Base.ok()) << Base.Errors;
-
-  CompileOptions Both = Serial;
-  Both.Alloc.Threads = 4;
-  Both.Alloc.RegionThreads = 4;
-  Both.Alloc.RegionGrain = 8;
-  CompileResult CR = compileMiniC(Src, Both);
-  ASSERT_TRUE(CR.ok()) << CR.Errors;
-
-  ASSERT_EQ(Base.Prog->functions().size(), CR.Prog->functions().size());
-  for (size_t I = 0; I != Base.Prog->functions().size(); ++I)
-    EXPECT_EQ(Base.Prog->functions()[I]->str(),
-              CR.Prog->functions()[I]->str());
-  EXPECT_TRUE(Base.Alloc.structuralEq(CR.Alloc));
-}
-
-TEST(ParallelDeterminism, RegionStatsJsonAndTraceInvariant) {
-  // Telemetry must splice speculative per-region scratch scopes back in the
-  // sequential order: normalized stats JSON and trace content may not vary
-  // with the region thread count.
-  fuzz::ScaleProgramConfig C;
-  C.Seed = 7;
-  C.DeepDepth = 3;
-  C.DeepFanout = 3;
-  C.PressureVars = 2;
-  std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
-
-  auto Normalized = [&](unsigned RegionThreads,
-                        std::string &StatsOut, std::string &TraceOut) {
-    telemetry::Telemetry Telem;
-    CompileOptions Options;
-    Options.Allocator = AllocatorKind::Rap;
-    Options.Alloc.K = 12;
-    Options.Alloc.RegionThreads = RegionThreads;
-    Options.Alloc.RegionGrain = 8;
-    Options.Alloc.Telem = &Telem;
-    CompileResult CR = compileMiniC(Src, Options);
-    ASSERT_TRUE(CR.ok()) << CR.Errors;
-    ReportMeta Meta;
-    Meta.Allocator = "rap";
-    Meta.K = 12;
-    Meta.Threads = 1;
-    json::Value Doc = statsJson(CR, Meta);
-    Doc.asObject().erase("timing");
-    Doc.asObject().erase("timers");
-    StatsOut = Doc.str(2);
-
-    std::ostringstream OS;
-    Telem.writeChromeTrace(OS);
-    json::Value Trace;
-    std::string Error;
-    ASSERT_TRUE(json::parse(OS.str(), Trace, &Error)) << Error;
-    json::Array Kept;
-    for (json::Value &E : Trace.asObject()["traceEvents"].asArray()) {
-      if (E["ph"].asString() != "X")
-        continue;
-      E.asObject()["ts"] = 0;
-      E.asObject()["dur"] = 0;
-      E.asObject()["tid"] = 0;
-      Kept.push_back(std::move(E));
-    }
-    Trace.asObject()["traceEvents"] = json::Value(std::move(Kept));
-    TraceOut = Trace.str(2);
-  };
-
-  std::string SerialStats, SerialTrace;
-  Normalized(1, SerialStats, SerialTrace);
-  EXPECT_NE(SerialTrace.find("rap_region"), std::string::npos);
-  for (unsigned RT : {2u, 8u}) {
-    std::string Stats, Trace;
-    Normalized(RT, Stats, Trace);
-    EXPECT_EQ(SerialStats, Stats)
-        << "stats JSON diverged at region threads=" << RT;
-    EXPECT_EQ(SerialTrace, Trace)
-        << "trace content diverged at region threads=" << RT;
-  }
 }
 
 TEST(ParallelDeterminism, MoreThreadsThanFunctions) {

@@ -82,8 +82,9 @@ CompileResult compileDegradable(const std::string &Source,
     Interpreter Interp(*CR.Prog);
     RunResult R = Interp.run();
     EXPECT_TRUE(R.Ok) << R.Error;
-    if (R.Ok)
+    if (R.Ok) {
       EXPECT_EQ(R.ReturnValue.asInt(), Want);
+    }
   }
   return CR;
 }
@@ -231,9 +232,11 @@ TEST_P(ResourceGuards, WallClockBudgetDegrades) {
   Opts.Alloc.VerifyAssignments = true;
   CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
   EXPECT_TRUE(CR.degraded());
-  for (const AllocOutcome &O : CR.AllocOutcomes)
-    if (O.degraded())
+  for (const AllocOutcome &O : CR.AllocOutcomes) {
+    if (O.degraded()) {
       EXPECT_EQ(O.ErrorKind, AllocErrorKind::ResourceLimit) << O.Error;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Allocators, ResourceGuards,
@@ -290,14 +293,11 @@ TEST(FaultIsolation, PoisonedFunctionDegradesAlone) {
   }
 }
 
-TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
-  // Inject at the region-allocation site while the speculative
-  // region-parallel first round is active (RegionThreads > 1, Grain=1 so
-  // every region is a task owner). The speculation must discard, re-arm the
-  // injector, rerun the classic walk, hit the same fault there, and degrade
-  // only the targeted function — with every other function byte-identical
-  // to a fault-free serial run and the program still computing the
-  // reference value through the verified fallback.
+TEST(FaultIsolation, RegionFaultDegradesAlone) {
+  // Inject at the region-allocation site (the second region RAP visits in
+  // 'pressure'). Only the targeted function may degrade; every other
+  // function must be byte-identical to a fault-free run, and the program
+  // must still compute the reference value through the verified fallback.
   int64_t Want = referenceValue(MultiFunctionSource);
 
   CompileOptions Clean;
@@ -309,44 +309,33 @@ TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
   for (const auto &F : Baseline.Prog->functions())
     CleanCode.push_back(F->str());
 
-  for (unsigned RegionThreads : {2u, 4u}) {
-    CompileOptions Opts = Clean;
-    Opts.Alloc.RegionThreads = RegionThreads;
-    Opts.Alloc.RegionGrain = 1;
-    Opts.Alloc.FallbackOnError = true;
-    Opts.Alloc.VerifyAssignments = true;
-    Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
-    CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
-    ASSERT_TRUE(CR.ok());
-    ASSERT_EQ(CR.AllocOutcomes.size(), CleanCode.size());
-    for (size_t I = 0; I != CR.AllocOutcomes.size(); ++I) {
-      const AllocOutcome &O = CR.AllocOutcomes[I];
-      if (O.Function == "pressure") {
-        EXPECT_EQ(O.Status, AllocStatus::Fallback)
-            << "region threads=" << RegionThreads << ": " << O.Error;
-        EXPECT_EQ(O.ErrorKind, AllocErrorKind::InjectedFault);
-      } else {
-        EXPECT_EQ(O.Status, AllocStatus::Allocated)
-            << O.Function << " region threads=" << RegionThreads << ": "
-            << O.Error;
-        EXPECT_EQ(CR.Prog->functions()[I]->str(), CleanCode[I])
-            << O.Function
-            << " differs from fault-free serial run at region threads="
-            << RegionThreads;
-      }
+  CompileOptions Opts = Clean;
+  Opts.Alloc.FallbackOnError = true;
+  Opts.Alloc.VerifyAssignments = true;
+  Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
+  CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
+  ASSERT_TRUE(CR.ok());
+  ASSERT_EQ(CR.AllocOutcomes.size(), CleanCode.size());
+  for (size_t I = 0; I != CR.AllocOutcomes.size(); ++I) {
+    const AllocOutcome &O = CR.AllocOutcomes[I];
+    if (O.Function == "pressure") {
+      EXPECT_EQ(O.Status, AllocStatus::Fallback) << O.Error;
+      EXPECT_EQ(O.ErrorKind, AllocErrorKind::InjectedFault);
+    } else {
+      EXPECT_EQ(O.Status, AllocStatus::Allocated)
+          << O.Function << ": " << O.Error;
+      EXPECT_EQ(CR.Prog->functions()[I]->str(), CleanCode[I])
+          << O.Function << " differs from the fault-free run";
     }
   }
 }
 
-TEST(FaultIsolation, RegionFaultStrictUnderRegionThreads) {
-  // Strict mode with the same speculative-phase injection: the classic
-  // rerun re-raises the fault as a structured error and the compile fails
-  // deterministically.
+TEST(FaultIsolation, RegionFaultStrictModeFailsTheCompile) {
+  // Strict mode with the same region-site injection: the fault surfaces as
+  // a structured error and the compile fails.
   CompileOptions Opts;
   Opts.Allocator = AllocatorKind::Rap;
   Opts.Alloc.K = 3;
-  Opts.Alloc.RegionThreads = 4;
-  Opts.Alloc.RegionGrain = 1;
   Opts.Alloc.FallbackOnError = false;
   Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
   CompileResult CR = compileMiniC(MultiFunctionSource, Opts);

@@ -323,8 +323,9 @@ TEST(StatsSchema, ChromeTraceWellFormed) {
       EXPECT_GE(E["ts"].asDouble(), 0.0);
       EXPECT_GE(E["dur"].asDouble(), 0.0);
       ASSERT_TRUE(E["args"]["function"].isString());
-      if (E["name"].asString() == "rap_region")
+      if (E["name"].asString() == "rap_region") {
         EXPECT_GE(E["args"]["region"].asInt(), 0);
+      }
     } else {
       ++Metadata;
       EXPECT_EQ(E["name"].asString(), "thread_name");
