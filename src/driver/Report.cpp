@@ -28,23 +28,9 @@ const char *statusName(AllocStatus S) {
 
 json::Value rap::allocStatsJson(const AllocStats &S) {
   json::Object A;
-  A["graph_builds"] = S.GraphBuilds;
-  A["spilled_vregs"] = S.SpilledVRegs;
-  A["max_graph_nodes"] = S.MaxGraphNodes;
-  A["regions_processed"] = S.RegionsProcessed;
-  A["spill_rounds"] = S.SpillRounds;
-  A["spill_loads_inserted"] = S.SpillLoadsInserted;
-  A["spill_stores_inserted"] = S.SpillStoresInserted;
-  A["hoisted_loads"] = S.HoistedLoads;
-  A["sunk_stores"] = S.SunkStores;
-  A["movement_removed_loads"] = S.MovementRemovedLoads;
-  A["movement_removed_stores"] = S.MovementRemovedStores;
-  A["peephole_removed_loads"] = S.PeepholeRemovedLoads;
-  A["peephole_removed_stores"] = S.PeepholeRemovedStores;
-  A["peephole_loads_to_copies"] = S.PeepholeLoadsToCopies;
-  A["cleanup_removed_loads"] = S.CleanupRemovedLoads;
-  A["cleanup_removed_stores"] = S.CleanupRemovedStores;
-  A["copies_deleted"] = S.CopiesDeleted;
+  for (const AllocCounter &C : AllocCounters)
+    if (C.Key)
+      A[C.Key] = S.*C.Member;
   A["peak_graph_bytes"] = static_cast<uint64_t>(S.PeakGraphBytes);
   return json::Value(std::move(A));
 }

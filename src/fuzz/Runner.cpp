@@ -128,7 +128,8 @@ FuzzReport rap::fuzz::runContract(const std::string &Source,
   // not: a hang introduced by allocation.
   uint64_t AllocFuel = 8 * RefRun.Stats.Cycles + 10000;
 
-  bool AnyDegraded = false;
+  // One "<config>: <function>: <error kind>" entry per degraded function.
+  std::string Degraded;
   for (AllocatorKind Kind : {AllocatorKind::Gra, AllocatorKind::Rap}) {
     for (unsigned K : Limits.Ks) {
       CompileOptions Opts;
@@ -155,7 +156,10 @@ FuzzReport rap::fuzz::runContract(const std::string &Source,
         return fail(FuzzOutcome::InternalError,
                     "internal:" + firstLine(CR.Errors), CR.Errors);
       }
-      AnyDegraded |= CR.degraded();
+      for (const AllocOutcome &O : CR.AllocOutcomes)
+        if (O.degraded())
+          Degraded += (Degraded.empty() ? "" : "; ") + Cfg + ": " +
+                      O.Function + ": " + allocErrorKindName(O.ErrorKind);
 
       Interpreter Interp(*CR.Prog);
       RunResult Run = Interp.run("main", AllocFuel);
@@ -203,8 +207,8 @@ FuzzReport rap::fuzz::runContract(const std::string &Source,
     }
   }
 
-  if (AnyDegraded)
-    return clean(FuzzOutcome::Degraded);
+  if (!Degraded.empty())
+    return FuzzReport{FuzzOutcome::Degraded, "", std::move(Degraded)};
   return clean(RefRun.Ok ? FuzzOutcome::CleanRun : FuzzOutcome::CleanTrap);
 }
 

@@ -78,7 +78,9 @@ struct FuzzReport {
   FuzzOutcome Outcome = FuzzOutcome::CleanRun;
   /// Stable failure identity (reducer predicate); empty for clean outcomes.
   std::string Signature;
-  /// Human-readable expected-vs-got / diagnostic excerpt.
+  /// Human-readable expected-vs-got / diagnostic excerpt. For Degraded:
+  /// what degraded, as "<config>: <function>: <error kind>" entries joined
+  /// by "; ".
   std::string Detail;
 
   bool failing() const {

@@ -188,7 +188,8 @@ int main(int argc, char **argv) {
     T.count(R);
     if (!R.failing()) {
       if (!Quiet && R.Outcome == FuzzOutcome::Degraded)
-        std::printf("DEGRADED seed=%u mutant=%d\n", Seed, Mutant);
+        std::printf("DEGRADED seed=%u mutant=%d %s\n", Seed, Mutant,
+                    R.Detail.c_str());
       return;
     }
     std::printf("FAIL seed=%u mutant=%d level=%s sig=%s\n", Seed, Mutant,

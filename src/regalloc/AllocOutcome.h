@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Structured results of the fault-isolated allocation driver: per-function
-/// AllocStats (measurement counters), the AllocOutcome that records whether
-/// a function allocated cleanly, degraded to the spill-everything fallback,
-/// or failed hard, and the program-level aggregate. Outcomes are ordered by
-/// function position and independent of thread scheduling.
+/// AllocStats (measurement counters, listed once in the AllocCounters
+/// table), the AllocOutcome that records whether a function allocated
+/// cleanly, degraded to the spill-everything fallback, or failed hard, and
+/// the program-level aggregate. Outcomes are ordered by function position
+/// and independent of thread scheduling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,13 +19,16 @@
 
 #include "regalloc/AllocError.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 namespace rap {
 
-/// Per-function allocation measurements.
+/// Per-function allocation measurements: the one record of every allocator
+/// count. The rap-stats-v1 "alloc" section, the rapd cache entry and the
+/// telemetry counters are all views of it (see AllocCounters below).
 struct AllocStats {
   unsigned GraphBuilds = 0;    ///< interference graphs constructed
   unsigned SpilledVRegs = 0;   ///< virtual registers sent to memory
@@ -57,6 +61,16 @@ struct AllocStats {
   unsigned SpillLoadsInserted = 0;  ///< ldm created during spilling
   unsigned SpillStoresInserted = 0; ///< stm created during spilling
 
+  // Coloring and cleanup detail: telemetry counters, not in "alloc".
+  unsigned ColorInvocations = 0;  ///< colorGraph calls
+  unsigned ColorNodes = 0;        ///< nodes colorGraph saw, over all calls
+  unsigned ColorBlockedPicks = 0; ///< cost-forced simplify picks
+  unsigned ColorOptimistic = 0;   ///< blocked picks colored anyway (Briggs)
+  unsigned ColorSpilledNodes = 0; ///< nodes sent to the spill list
+  unsigned CleanupIterations = 0; ///< dataflow cleanup fixpoint iterations
+  /// The part of CleanupRemovedLoads rewritten to a copy, not deleted.
+  unsigned CleanupLoadsToCopies = 0;
+
   //===------------------------------------------------------------------===//
   // Cost instrumentation (excluded from determinism comparisons: wall time
   // varies run to run; see structuralEq).
@@ -65,52 +79,67 @@ struct AllocStats {
   double LivenessSeconds = 0;    ///< time in liveness (re)computation
   size_t PeakGraphBytes = 0;     ///< largest adjacency footprint seen
 
-  /// Field-by-field equality over the deterministic counters, ignoring the
-  /// timing instrumentation. Used by the parallel-driver determinism check.
-  bool structuralEq(const AllocStats &O) const {
-    return GraphBuilds == O.GraphBuilds && SpilledVRegs == O.SpilledVRegs &&
-           MaxGraphNodes == O.MaxGraphNodes &&
-           RegionsProcessed == O.RegionsProcessed &&
-           SpillRounds == O.SpillRounds &&
-           HoistedLoads == O.HoistedLoads && SunkStores == O.SunkStores &&
-           MovementRemovedLoads == O.MovementRemovedLoads &&
-           MovementRemovedStores == O.MovementRemovedStores &&
-           PeepholeRemovedLoads == O.PeepholeRemovedLoads &&
-           PeepholeRemovedStores == O.PeepholeRemovedStores &&
-           PeepholeLoadsToCopies == O.PeepholeLoadsToCopies &&
-           CleanupRemovedLoads == O.CleanupRemovedLoads &&
-           CleanupRemovedStores == O.CleanupRemovedStores &&
-           CopiesDeleted == O.CopiesDeleted &&
-           SpillLoadsInserted == O.SpillLoadsInserted &&
-           SpillStoresInserted == O.SpillStoresInserted &&
-           PeakGraphBytes == O.PeakGraphBytes;
-  }
+  /// Equality over the deterministic counters, ignoring the timing
+  /// instrumentation. Used by the parallel-driver determinism check.
+  bool structuralEq(const AllocStats &O) const;
 
-  void accumulate(const AllocStats &O) {
-    GraphBuilds += O.GraphBuilds;
-    SpilledVRegs += O.SpilledVRegs;
-    MaxGraphNodes = MaxGraphNodes > O.MaxGraphNodes ? MaxGraphNodes
-                                                    : O.MaxGraphNodes;
-    RegionsProcessed += O.RegionsProcessed;
-    SpillRounds += O.SpillRounds;
-    HoistedLoads += O.HoistedLoads;
-    SunkStores += O.SunkStores;
-    MovementRemovedLoads += O.MovementRemovedLoads;
-    MovementRemovedStores += O.MovementRemovedStores;
-    PeepholeRemovedLoads += O.PeepholeRemovedLoads;
-    PeepholeRemovedStores += O.PeepholeRemovedStores;
-    PeepholeLoadsToCopies += O.PeepholeLoadsToCopies;
-    CleanupRemovedLoads += O.CleanupRemovedLoads;
-    CleanupRemovedStores += O.CleanupRemovedStores;
-    CopiesDeleted += O.CopiesDeleted;
-    SpillLoadsInserted += O.SpillLoadsInserted;
-    SpillStoresInserted += O.SpillStoresInserted;
-    GraphBuildSeconds += O.GraphBuildSeconds;
-    LivenessSeconds += O.LivenessSeconds;
-    PeakGraphBytes = PeakGraphBytes > O.PeakGraphBytes ? PeakGraphBytes
-                                                       : O.PeakGraphBytes;
-  }
+  /// Folds another function's stats in (AllocCounter::Max says how).
+  void accumulate(const AllocStats &O);
 };
+
+/// One row of the AllocStats counter table.
+struct AllocCounter {
+  unsigned AllocStats::*Member;
+  const char *Key; ///< rap-stats-v1 "alloc" key; null = not in the document
+  bool Max;        ///< folds across functions by max, not by sum
+};
+
+/// Every unsigned AllocStats counter, exactly once. The comparison, the
+/// fold, the stats document and the rapd cache codec all walk this table,
+/// so a new row grows the cache entry: bump CacheStore's FormatVersion.
+inline constexpr AllocCounter AllocCounters[] = {
+    {&AllocStats::GraphBuilds, "graph_builds", false},
+    {&AllocStats::SpilledVRegs, "spilled_vregs", false},
+    {&AllocStats::MaxGraphNodes, "max_graph_nodes", true},
+    {&AllocStats::RegionsProcessed, "regions_processed", false},
+    {&AllocStats::SpillRounds, "spill_rounds", false},
+    {&AllocStats::HoistedLoads, "hoisted_loads", false},
+    {&AllocStats::SunkStores, "sunk_stores", false},
+    {&AllocStats::MovementRemovedLoads, "movement_removed_loads", false},
+    {&AllocStats::MovementRemovedStores, "movement_removed_stores", false},
+    {&AllocStats::PeepholeRemovedLoads, "peephole_removed_loads", false},
+    {&AllocStats::PeepholeRemovedStores, "peephole_removed_stores", false},
+    {&AllocStats::PeepholeLoadsToCopies, "peephole_loads_to_copies", false},
+    {&AllocStats::CleanupRemovedLoads, "cleanup_removed_loads", false},
+    {&AllocStats::CleanupRemovedStores, "cleanup_removed_stores", false},
+    {&AllocStats::CopiesDeleted, "copies_deleted", false},
+    {&AllocStats::SpillLoadsInserted, "spill_loads_inserted", false},
+    {&AllocStats::SpillStoresInserted, "spill_stores_inserted", false},
+    {&AllocStats::ColorInvocations, nullptr, false},
+    {&AllocStats::ColorNodes, nullptr, false},
+    {&AllocStats::ColorBlockedPicks, nullptr, false},
+    {&AllocStats::ColorOptimistic, nullptr, false},
+    {&AllocStats::ColorSpilledNodes, nullptr, false},
+    {&AllocStats::CleanupIterations, nullptr, false},
+    {&AllocStats::CleanupLoadsToCopies, nullptr, false},
+};
+
+inline bool AllocStats::structuralEq(const AllocStats &O) const {
+  for (const AllocCounter &C : AllocCounters)
+    if (this->*C.Member != O.*C.Member)
+      return false;
+  return PeakGraphBytes == O.PeakGraphBytes;
+}
+
+inline void AllocStats::accumulate(const AllocStats &O) {
+  for (const AllocCounter &C : AllocCounters) {
+    unsigned &Slot = this->*C.Member;
+    Slot = C.Max ? std::max(Slot, O.*C.Member) : Slot + O.*C.Member;
+  }
+  GraphBuildSeconds += O.GraphBuildSeconds;
+  LivenessSeconds += O.LivenessSeconds;
+  PeakGraphBytes = std::max(PeakGraphBytes, O.PeakGraphBytes);
+}
 
 enum class AllocStatus {
   Allocated, ///< the requested allocator succeeded

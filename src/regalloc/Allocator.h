@@ -136,13 +136,15 @@ struct AllocOptions {
   /// Program-level registry. allocateProgramChecked gives each function a
   /// FunctionScope sharing this registry's epoch and commits it keyed by
   /// function index, so the aggregate (and trace content modulo
-  /// timestamps/lane ids) is identical at any thread count.
+  /// timestamps/lane ids) is identical at any thread count. Once every
+  /// function is done it sets the registry's named counters, a view of
+  /// the program's AllocStats total.
   telemetry::Telemetry *Telem = nullptr;
 
-  /// Per-function sink consumed by allocateGra/allocateRap (phase slices,
-  /// per-region event log, named counters). Set internally by the program
-  /// driver; set it directly only when calling the per-function entry
-  /// points yourself.
+  /// Per-function sink consumed by allocateGra/allocateRap (phase timers
+  /// and the per-region slice log; counts go to AllocStats). Set internally
+  /// by the program driver; set it directly only when calling the
+  /// per-function entry points yourself.
   telemetry::FunctionScope *Scope = nullptr;
 };
 

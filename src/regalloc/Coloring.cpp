@@ -7,14 +7,14 @@
 #include "regalloc/Coloring.h"
 
 #include "regalloc/AllocError.h"
-#include "support/Stats.h"
+#include "regalloc/AllocOutcome.h"
 
 #include <limits>
 
 using namespace rap;
 
 ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
-                            telemetry::FunctionScope *Scope) {
+                            AllocStats *Stats) {
   std::vector<unsigned> Alive = G.aliveNodes();
   for (unsigned N : Alive)
     G.node(N).Color = -1;
@@ -61,7 +61,7 @@ ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
 
   // Simplify: build the coloring stack.
   std::vector<unsigned> Stack;
-  std::vector<char> CostPick(Total, 0); // blocked picks, for telemetry
+  std::vector<char> CostPick(Total, 0); // blocked picks, for the stats
   unsigned Remaining = static_cast<unsigned>(Alive.size());
   while (Remaining != 0) {
     int Pick = -1;
@@ -122,17 +122,15 @@ ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
     G.node(N).Color = Chosen;
     if (G.node(N).Global)
       GlobalColorUsed[Chosen] = 1;
-    if (Scope && CostPick[N])
-      Scope->add("color.optimistic_colored"); // Briggs rescue
+    if (Stats && CostPick[N])
+      ++Stats->ColorOptimistic; // Briggs rescue
   }
-  if (Scope) {
-    Scope->add("color.invocations");
-    Scope->add("color.nodes", Alive.size());
-    uint64_t Blocked = 0;
+  if (Stats) {
+    ++Stats->ColorInvocations;
+    Stats->ColorNodes += static_cast<unsigned>(Alive.size());
     for (unsigned N : Alive)
-      Blocked += CostPick[N];
-    Scope->add("color.blocked_picks", Blocked);
-    Scope->add("color.spilled_nodes", Res.SpillList.size());
+      Stats->ColorBlockedPicks += CostPick[N];
+    Stats->ColorSpilledNodes += static_cast<unsigned>(Res.SpillList.size());
   }
   return Res;
 }

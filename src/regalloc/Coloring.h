@@ -28,9 +28,7 @@
 
 namespace rap {
 
-namespace telemetry {
-class FunctionScope;
-} // namespace telemetry
+struct AllocStats;
 
 struct ColorResult {
   /// Node ids that could not be colored, in pop order.
@@ -43,11 +41,11 @@ struct ColorResult {
 /// divided by degree, per Figure 5). Nodes on the spill list end with
 /// Color == -1; all others receive a color in [0, K).
 ///
-/// With a telemetry \p Scope, records the color.* counters: nodes seen,
-/// trivially-simplified picks, cost-forced (blocked) picks, blocked nodes
-/// rescued by Briggs optimism, and nodes sent to the spill list.
+/// With \p Stats, counts the call into the Color* fields: nodes seen,
+/// cost-forced (blocked) picks, blocked nodes rescued by Briggs optimism,
+/// and nodes sent to the spill list.
 ColorResult colorGraph(InterferenceGraph &G, unsigned K,
-                       telemetry::FunctionScope *Scope = nullptr);
+                       AllocStats *Stats = nullptr);
 
 } // namespace rap
 

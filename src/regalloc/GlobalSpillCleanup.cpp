@@ -273,15 +273,9 @@ GlobalCleanupResult rap::globalSpillCleanup(IlocFunction &F,
     Total.RemovedLoads += R.RemovedLoads;
     Total.LoadsToCopies += R.LoadsToCopies;
     Total.RemovedStores += R.RemovedStores + DeadStores;
-    if (Scope)
-      Scope->add("cleanup.fixpoint_iterations");
+    ++Total.Iterations;
     if (R.RemovedLoads + R.LoadsToCopies + R.RemovedStores + DeadStores == 0)
       break;
-  }
-  if (Scope) {
-    Scope->add("cleanup.removed_loads", Total.RemovedLoads);
-    Scope->add("cleanup.loads_to_copies", Total.LoadsToCopies);
-    Scope->add("cleanup.removed_stores", Total.RemovedStores);
   }
   return Total;
 }

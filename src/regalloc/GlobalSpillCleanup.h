@@ -39,12 +39,12 @@ struct GlobalCleanupResult {
   unsigned RemovedLoads = 0;
   unsigned LoadsToCopies = 0;
   unsigned RemovedStores = 0;
+  unsigned Iterations = 0; ///< fixpoint iterations, the final idle one too
 };
 
 /// Runs both dataflow passes to a fixpoint over \p F, which must be in
 /// physical registers. Returns the number of removed/rewritten operations.
-/// With a telemetry \p Scope, the pass is timed as a "cleanup" slice and
-/// records cleanup.* counters.
+/// With a telemetry \p Scope, the pass is timed as a "cleanup" slice.
 GlobalCleanupResult globalSpillCleanup(IlocFunction &F,
                                        telemetry::FunctionScope *Scope = nullptr);
 

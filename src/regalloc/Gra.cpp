@@ -85,14 +85,10 @@ public:
                         F.name());
       setSpillCosts(G, Refs);
       Injector.hit(FaultSite::Coloring);
-      ColorResult CR = colorGraph(G, Options.K, TS);
-      if (TS) {
-        RoundPhase.arg("round", Round);
-        RoundPhase.arg("nodes", G.numAliveNodes());
-        RoundPhase.arg("spill_candidates", CR.SpillList.size());
-        TS->add("gra.rounds");
-        TS->maxOf("graph.max_nodes", G.numAliveNodes());
-      }
+      ColorResult CR = colorGraph(G, Options.K, &Stats);
+      RoundPhase.arg("round", Round);
+      RoundPhase.arg("nodes", G.numAliveNodes());
+      RoundPhase.arg("spill_candidates", CR.SpillList.size());
       if (CR.fullyColored()) {
         if (Options.VerifyAssignments) {
           std::vector<AssignmentViolation> Violations =
@@ -338,12 +334,57 @@ AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
   }
 
   Out.Status = AllocStatus::Fallback;
-  if (Opts.Scope)
-    Opts.Scope->add("alloc.fallbacks");
   F = Prog.replaceFunction(I, std::move(Backup));
   telemetry::ScopedPhase Phase(Opts.Scope, "fallback_spill_everything");
   Out.Stats = allocateSpillEverything(*F, Opts);
   return Out;
+}
+
+/// The program's telemetry counters: a named view of its AllocStats total,
+/// listing the counters of the passes that ran. Degraded functions count
+/// as the fallback that produced their code, exactly as in Res.Total.
+std::map<std::string, uint64_t> telemetryCounters(const ProgramAllocResult &Res,
+                                                  AllocatorKind Kind,
+                                                  const AllocOptions &Options) {
+  const AllocStats &S = Res.Total;
+  bool Rap = Kind == AllocatorKind::Rap;
+  bool Movement = Rap && Options.SpillMovement;
+  bool Peephole = Rap ? Options.Peephole : Options.PeepholeForGra;
+  bool Cleanup = Rap && Options.GlobalCleanup;
+  struct Row {
+    const char *Name;
+    uint64_t Value;
+    bool Listed;
+  };
+  std::map<std::string, uint64_t> C;
+  for (const Row &R : std::initializer_list<Row>{
+           {Rap ? "rap.graph_builds" : "gra.rounds", S.GraphBuilds, true},
+           {"graph.max_nodes", S.MaxGraphNodes, true},
+           {"color.invocations", S.ColorInvocations, true},
+           {"color.nodes", S.ColorNodes, true},
+           {"color.blocked_picks", S.ColorBlockedPicks, true},
+           {"color.spilled_nodes", S.ColorSpilledNodes, true},
+           {"color.optimistic_colored", S.ColorOptimistic,
+            S.ColorOptimistic != 0},
+           {"rewrite.copies_deleted", S.CopiesDeleted, true},
+           {"rap.regions_processed", S.RegionsProcessed, Rap},
+           {"rap.spill_rounds", S.SpillRounds, Rap && S.SpillRounds != 0},
+           {"movement.hoisted_loads", S.HoistedLoads, Movement},
+           {"movement.sunk_stores", S.SunkStores, Movement},
+           {"movement.removed_loads", S.MovementRemovedLoads, Movement},
+           {"movement.removed_stores", S.MovementRemovedStores, Movement},
+           {"peephole.removed_loads", S.PeepholeRemovedLoads, Peephole},
+           {"peephole.removed_stores", S.PeepholeRemovedStores, Peephole},
+           {"peephole.loads_to_copies", S.PeepholeLoadsToCopies, Peephole},
+           {"cleanup.fixpoint_iterations", S.CleanupIterations, Cleanup},
+           {"cleanup.removed_loads",
+            S.CleanupRemovedLoads - S.CleanupLoadsToCopies, Cleanup},
+           {"cleanup.loads_to_copies", S.CleanupLoadsToCopies, Cleanup},
+           {"cleanup.removed_stores", S.CleanupRemovedStores, Cleanup},
+           {"alloc.fallbacks", Res.numFallbacks(), !Res.allClean()}})
+    if (R.Listed)
+      C[R.Name] = R.Value;
+  return C;
 }
 
 } // namespace
@@ -401,6 +442,9 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
       std::rethrow_exception(Errors[I]);
   for (const AllocOutcome &O : Res.Outcomes)
     Res.Total.accumulate(O.Stats);
+  // A program without functions ran no pass, so it lists no counter.
+  if (Options.Telem && N != 0)
+    Options.Telem->setCounters(telemetryCounters(Res, Kind, Options));
   return Res;
 }
 

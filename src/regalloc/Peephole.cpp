@@ -146,11 +146,6 @@ PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
     }
   }
 
-  if (Scope) {
-    Scope->add("peephole.removed_loads", Res.RemovedLoads);
-    Scope->add("peephole.removed_stores", Res.RemovedStores);
-    Scope->add("peephole.loads_to_copies", Res.LoadsToCopies);
-  }
   if (ToDelete.empty())
     return Res;
 

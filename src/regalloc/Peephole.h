@@ -43,7 +43,7 @@ struct PeepholeResult {
 
 /// Runs the cleanup over every basic block of \p F, which must already be
 /// rewritten to physical registers. With a telemetry \p Scope, the pass is
-/// timed as a "peephole" slice and records peephole.* counters.
+/// timed as a "peephole" slice.
 PeepholeResult peepholeSpillCleanup(IlocFunction &F,
                                     telemetry::FunctionScope *Scope = nullptr);
 

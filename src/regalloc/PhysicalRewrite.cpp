@@ -67,9 +67,6 @@ unsigned rap::rewriteToPhysical(IlocFunction &F,
 
   F.setParamRegs(std::move(ParamRegs));
   F.setAllocated(K);
-  if (Scope) {
-    Scope->add("rewrite.copies_deleted", CopiesDeleted);
-    Phase.arg("copies_deleted", CopiesDeleted);
-  }
+  Phase.arg("copies_deleted", CopiesDeleted);
   return CopiesDeleted;
 }

@@ -29,7 +29,7 @@ class FunctionScope;
 /// function allocated with \p K physical registers, records the parameter
 /// registers, and removes now-trivial copies. Returns the number of copies
 /// deleted. With a telemetry \p Scope, the pass is timed as a "rewrite"
-/// slice and records rewrite.copies_deleted.
+/// slice.
 unsigned rewriteToPhysical(IlocFunction &F, const InterferenceGraph &Final,
                            unsigned K,
                            telemetry::FunctionScope *Scope = nullptr);

@@ -408,20 +408,15 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
   for (PdgNode *S : V->subregions())
     allocRegion(S);
 
-  telemetry::FunctionScope *TS = Options.Scope;
   for (unsigned Round = 0; Round != Options.MaxSpillRounds; ++Round) {
     checkTimeBudget(V->Id);
-    telemetry::ScopedPhase Phase(TS, "rap_region", V->Id);
+    telemetry::ScopedPhase Phase(Options.Scope, "rap_region", V->Id);
     auto BuildStart = std::chrono::steady_clock::now();
     InterferenceGraph G = buildRegionGraph(V);
     Stats.GraphBuildSeconds += secondsSince(BuildStart);
     ++Stats.GraphBuilds;
     Stats.MaxGraphNodes = std::max(Stats.MaxGraphNodes, G.numAliveNodes());
     Stats.PeakGraphBytes = std::max(Stats.PeakGraphBytes, G.memoryBytes());
-    if (TS) {
-      TS->add("rap.graph_builds");
-      TS->maxOf("graph.max_nodes", G.numAliveNodes());
-    }
     if (Options.MaxGraphBytes && G.memoryBytes() > Options.MaxGraphBytes)
       throwAllocError(AllocErrorKind::ResourceLimit,
                       "interference graph needs " +
@@ -431,7 +426,7 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
                       F.name(), V->Id);
     calcSpillCosts(V, G);
     Injector.hit(FaultSite::Coloring);
-    ColorResult CR = colorGraph(G, Options.K, TS);
+    ColorResult CR = colorGraph(G, Options.K, &Stats);
     Phase.arg("round", Round);
     Phase.arg("nodes", G.numAliveNodes());
     Phase.arg("spill_candidates", CR.SpillList.size());
@@ -449,14 +444,10 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
         if (!S->IsLoop)
           SavedGraphs.erase(S);
       ++Stats.RegionsProcessed;
-      if (TS)
-        TS->add("rap.regions_processed");
       InProgress.erase(V);
       return G;
     }
     ++Stats.SpillRounds;
-    if (TS)
-      TS->add("rap.spill_rounds");
     std::vector<std::pair<Reg, PdgNode *>> Queue;
     bool SplitProgress = false;
     for (unsigned N : CR.SpillList) {
@@ -844,7 +835,9 @@ AllocStats RapAllocator::run() {
   if (Options.GlobalCleanup) {
     GlobalCleanupResult GR = globalSpillCleanup(F, TS);
     Stats.CleanupRemovedLoads = GR.RemovedLoads + GR.LoadsToCopies;
+    Stats.CleanupLoadsToCopies = GR.LoadsToCopies;
     Stats.CleanupRemovedStores = GR.RemovedStores;
+    Stats.CleanupIterations = GR.Iterations;
   }
   return Stats;
 }

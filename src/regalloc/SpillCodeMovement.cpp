@@ -218,13 +218,7 @@ MovementResult rap::moveSpillCodeOutOfLoops(
     telemetry::FunctionScope *Scope) {
   telemetry::ScopedPhase Phase(Scope, "movement");
   MovementResult Res = Mover(F, Final, SavedGraphs).run();
-  if (Scope) {
-    Scope->add("movement.hoisted_loads", Res.HoistedLoads);
-    Scope->add("movement.sunk_stores", Res.SunkStores);
-    Scope->add("movement.removed_loads", Res.RemovedLoads);
-    Scope->add("movement.removed_stores", Res.RemovedStores);
-    Phase.arg("hoisted_loads", Res.HoistedLoads);
-    Phase.arg("sunk_stores", Res.SunkStores);
-  }
+  Phase.arg("hoisted_loads", Res.HoistedLoads);
+  Phase.arg("sunk_stores", Res.SunkStores);
   return Res;
 }

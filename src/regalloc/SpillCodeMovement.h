@@ -48,7 +48,7 @@ struct MovementResult {
 /// Runs the movement pass over \p F (still in virtual registers, colored by
 /// \p Final). \p SavedGraphs must contain the combined interference graph
 /// of every loop region. With a telemetry \p Scope, the pass is timed as a
-/// "movement" slice and records movement.* counters.
+/// "movement" slice.
 MovementResult moveSpillCodeOutOfLoops(
     IlocFunction &F, const InterferenceGraph &Final,
     const std::map<const PdgNode *, InterferenceGraph> &SavedGraphs,

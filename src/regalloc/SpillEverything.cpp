@@ -138,11 +138,6 @@ AllocStats rap::allocateSpillEverything(IlocFunction &F,
   Stats.GraphBuilds = 1;
   Stats.MaxGraphNodes = Final.numAliveNodes();
   Stats.PeakGraphBytes = Final.memoryBytes();
-  if (TS) {
-    TS->add("spill_everything.spilled_vregs", Stats.SpilledVRegs);
-    TS->add("spill_everything.loads_inserted", Stats.SpillLoadsInserted);
-    TS->add("spill_everything.stores_inserted", Stats.SpillStoresInserted);
-  }
 
   // Self-check in checked mode with the same independent oracle the primary
   // allocators answer to.

@@ -30,7 +30,7 @@ namespace {
 
 /// Bump when the entry payload layout changes; folded into the store
 /// fingerprint so old files invalidate instead of misdecoding.
-constexpr uint32_t FormatVersion = 1;
+constexpr uint32_t FormatVersion = 2;
 
 constexpr uint8_t FrameHeader = 1; ///< payload: u32 version, u64 fingerprint
 constexpr uint8_t FrameEntry = 2;  ///< payload: one encodeCacheEntry record
@@ -127,23 +127,8 @@ void encodeNode(ByteWriter &W, const PdgNode *N) {
 }
 
 void encodeStats(ByteWriter &W, const AllocStats &S) {
-  W.u32(S.GraphBuilds);
-  W.u32(S.SpilledVRegs);
-  W.u32(S.MaxGraphNodes);
-  W.u32(S.RegionsProcessed);
-  W.u32(S.SpillRounds);
-  W.u32(S.HoistedLoads);
-  W.u32(S.SunkStores);
-  W.u32(S.MovementRemovedLoads);
-  W.u32(S.MovementRemovedStores);
-  W.u32(S.PeepholeRemovedLoads);
-  W.u32(S.PeepholeRemovedStores);
-  W.u32(S.PeepholeLoadsToCopies);
-  W.u32(S.CleanupRemovedLoads);
-  W.u32(S.CleanupRemovedStores);
-  W.u32(S.CopiesDeleted);
-  W.u32(S.SpillLoadsInserted);
-  W.u32(S.SpillStoresInserted);
+  for (const AllocCounter &C : AllocCounters)
+    W.u32(S.*C.Member);
   W.f64(S.GraphBuildSeconds);
   W.f64(S.LivenessSeconds);
   W.u64(S.PeakGraphBytes);
@@ -245,23 +230,8 @@ bool decodeNode(ByteReader &R, IlocFunction &F, PdgNode *Parent, int Depth,
 }
 
 bool decodeStats(ByteReader &R, AllocStats &S) {
-  S.GraphBuilds = R.u32();
-  S.SpilledVRegs = R.u32();
-  S.MaxGraphNodes = R.u32();
-  S.RegionsProcessed = R.u32();
-  S.SpillRounds = R.u32();
-  S.HoistedLoads = R.u32();
-  S.SunkStores = R.u32();
-  S.MovementRemovedLoads = R.u32();
-  S.MovementRemovedStores = R.u32();
-  S.PeepholeRemovedLoads = R.u32();
-  S.PeepholeRemovedStores = R.u32();
-  S.PeepholeLoadsToCopies = R.u32();
-  S.CleanupRemovedLoads = R.u32();
-  S.CleanupRemovedStores = R.u32();
-  S.CopiesDeleted = R.u32();
-  S.SpillLoadsInserted = R.u32();
-  S.SpillStoresInserted = R.u32();
+  for (const AllocCounter &C : AllocCounters)
+    S.*C.Member = R.u32();
   S.GraphBuildSeconds = R.f64();
   S.LivenessSeconds = R.f64();
   S.PeakGraphBytes = R.u64();

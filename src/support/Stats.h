@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The telemetry subsystem (DESIGN.md §9): named counters, per-phase
-/// timers, and a per-region event log, collected per function and folded
-/// into a program-level registry whose aggregate is deterministic at any
-/// thread count.
+/// The telemetry subsystem (DESIGN.md §9): per-phase timers and a
+/// per-region event log, collected per function and folded into a
+/// program-level registry whose aggregate is deterministic at any thread
+/// count. The registry also holds the program's named counters, a view of
+/// AllocStats that the allocation driver sets once per program.
 ///
 /// Design rules:
 ///
@@ -64,22 +65,14 @@ struct PhaseSlice {
   std::vector<std::pair<const char *, uint64_t>> Args;
 };
 
-/// Per-function telemetry sink. Single-threaded by construction: the one
-/// worker allocating the function writes, nobody reads until commit.
+/// Per-function telemetry sink: phase timers and the slice log. Counts go to
+/// AllocStats instead. Single-threaded by construction: the one worker
+/// allocating the function writes, nobody reads until commit.
 class FunctionScope {
 public:
   explicit FunctionScope(Clock::time_point Epoch = Clock::now())
       : Epoch(Epoch) {}
 
-  void add(const char *Counter, uint64_t N = 1) { Counters[Counter] += N; }
-  /// High-water-mark counter. The name must contain "max" — that substring
-  /// is what tells the program-level aggregate to fold the counter with max
-  /// rather than sum across functions.
-  void maxOf(const char *Counter, uint64_t V) {
-    uint64_t &Slot = Counters[Counter];
-    if (V > Slot)
-      Slot = V;
-  }
   void addSeconds(const char *Timer, double S) { TimerSeconds[Timer] += S; }
 
   double microsNow() const {
@@ -89,8 +82,6 @@ public:
 
   void record(PhaseSlice S) { Slices.push_back(std::move(S)); }
 
-  /// Monotone named counters (events, sizes).
-  std::map<std::string, uint64_t> Counters;
   /// Total wall seconds per phase name (sum over that phase's slices plus
   /// any addSeconds contributions).
   std::map<std::string, double> TimerSeconds;
@@ -139,8 +130,8 @@ private:
   PhaseSlice S;
 };
 
-/// The deterministic view of a whole run: counters summed and timers summed
-/// over every committed function, in function order.
+/// The deterministic view of a whole run: the program's counters, and
+/// timers summed over every committed function, in function order.
 struct Aggregate {
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, double> TimerSeconds; ///< varies run to run
@@ -184,23 +175,22 @@ public:
     R.Scope = std::move(Scope);
   }
 
-  /// The deterministic aggregate: counters fold in function order — summed,
-  /// except high-water marks (names containing "max", see
-  /// FunctionScope::maxOf) which fold with max. Both folds are
-  /// order-independent, so this equals any-order folding.
+  /// Sets the program's named counters. The allocation driver calls this
+  /// once per program, after every function has committed.
+  void setCounters(std::map<std::string, uint64_t> C) {
+    std::lock_guard<std::mutex> Lock(M);
+    Counters = std::move(C);
+  }
+
+  /// The deterministic aggregate: the counters as set, and the timers
+  /// summed in function order.
   Aggregate aggregate() const {
     std::lock_guard<std::mutex> Lock(M);
     Aggregate A;
+    A.Counters = Counters;
     A.NumFunctions = Records.size();
     for (const auto &[Index, R] : Records) {
       (void)Index;
-      for (const auto &[K, V] : R.Scope.Counters) {
-        uint64_t &Slot = A.Counters[K];
-        if (K.find("max") != std::string::npos)
-          Slot = V > Slot ? V : Slot;
-        else
-          Slot += V;
-      }
       for (const auto &[K, V] : R.Scope.TimerSeconds)
         A.TimerSeconds[K] += V;
       A.NumSlices += R.Scope.Slices.size();
@@ -275,6 +265,7 @@ private:
   Clock::time_point Epoch;
   mutable std::mutex M;
   std::map<unsigned, Record> Records; ///< keyed by function index
+  std::map<std::string, uint64_t> Counters;
 };
 
 } // namespace telemetry

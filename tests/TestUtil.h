@@ -11,10 +11,13 @@
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "lower/AstLowering.h"
+#include "support/Json.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 namespace rap::test {
@@ -48,6 +51,28 @@ inline std::string diagnose(const std::string &Source) {
   if (!Diags.hasErrors())
     analyze(TU, Diags);
   return Diags.str();
+}
+
+/// \p Telem's Chrome trace with wall clocks and lane assignment normalized
+/// away: metadata events dropped, ts/dur/tid zeroed. Slice names, order,
+/// regions, and deterministic args all survive normalization.
+inline std::string normalizedTrace(const telemetry::Telemetry &Telem) {
+  std::ostringstream OS;
+  Telem.writeChromeTrace(OS);
+  json::Value Doc;
+  std::string Error;
+  EXPECT_TRUE(json::parse(OS.str(), Doc, &Error)) << Error;
+  json::Array Kept;
+  for (json::Value &E : Doc.asObject()["traceEvents"].asArray()) {
+    if (E["ph"].asString() != "X")
+      continue;
+    E.asObject()["ts"] = 0;
+    E.asObject()["dur"] = 0;
+    E.asObject()["tid"] = 0;
+    Kept.push_back(std::move(E));
+  }
+  Doc.asObject()["traceEvents"] = json::Value(std::move(Kept));
+  return Doc.str(1);
 }
 
 } // namespace rap::test

@@ -248,6 +248,20 @@ TEST(FuzzRunner, InjectedFaultIsAFailingAllocFailure) {
       << R.Signature;
 }
 
+TEST(FuzzRunner, DegradedReportSaysWhatDegraded) {
+  // A budget no allocation can meet: every function of every configuration
+  // trips it and degrades to the spill-everything fallback, which still
+  // computes the reference result.
+  fuzz::FuzzLimits Limits;
+  Limits.MaxAllocSeconds = 1e-9;
+  fuzz::FuzzReport R =
+      runContract("int main() { return 41; }", Limits);
+  EXPECT_EQ(R.Outcome, fuzz::FuzzOutcome::Degraded) << R.Detail;
+  EXPECT_FALSE(R.failing());
+  EXPECT_NE(R.Detail.find("rap:k3: main: resource-limit"), std::string::npos)
+      << R.Detail;
+}
+
 //===----------------------------------------------------------------------===//
 // Reducer
 //===----------------------------------------------------------------------===//

@@ -11,15 +11,23 @@
 /// paper's Table 1 (37 routines x k in {3,5,7,9} x {RAP, GRA}) and one
 /// spill-heavy generated deep function.
 ///
+/// A second suite pins what the allocators report about that output: per
+/// Table 1 routine, one hash over its rap-stats-v1 documents and Chrome
+/// traces, with the wall-clock fields normalized away.
+///
 /// A mismatch prints the observed hash. Update a recorded value only when
 /// the output is meant to change, and say why in the change description.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
+#include "driver/Report.h"
 #include "fuzz/ScaleProgram.h"
 #include "support/Hash.h"
+#include "support/Json.h"
+#include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
@@ -202,8 +210,133 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(Info.param.Name);
     });
 
+//===----------------------------------------------------------------------===//
+// Stats and trace hashes
+//===----------------------------------------------------------------------===//
+
+/// The option sets the stats hashes cover: the Table 1 defaults, the three
+/// RAP phase ablations, and the two extensions.
+AllocOptions statsOptionSet(unsigned Set) {
+  AllocOptions O;
+  switch (Set) {
+  case 1:
+    O.SpillMovement = false;
+    break;
+  case 2:
+    O.Peephole = false;
+    break;
+  case 3:
+    O.GlobalCleanup = false;
+    break;
+  case 4:
+    O.Coalesce = true;
+    break;
+  case 5:
+    O.PeepholeForGra = true;
+    break;
+  }
+  return O;
+}
+constexpr unsigned NumStatsOptionSets = 6;
+
+/// FNV hash of \p Source's rap-stats-v1 documents, with the wall-clock
+/// "timing" and "timers" sections erased, and its normalized Chrome traces,
+/// over {RAP, GRA} x k in {3, 9} x every statsOptionSet.
+std::string statsHash(const std::string &Source) {
+  Hasher H;
+  for (AllocatorKind Kind : {AllocatorKind::Rap, AllocatorKind::Gra}) {
+    for (unsigned K : {3u, 9u}) {
+      for (unsigned Set = 0; Set != NumStatsOptionSets; ++Set) {
+        telemetry::Telemetry Telem;
+        CompileOptions Options;
+        Options.Allocator = Kind;
+        Options.Alloc = statsOptionSet(Set);
+        Options.Alloc.K = K;
+        Options.Alloc.Telem = &Telem;
+        CompileResult CR = compileMiniC(Source, Options);
+        EXPECT_TRUE(CR.ok() && !CR.degraded()) << CR.Errors;
+        ReportMeta Meta;
+        Meta.Allocator = Kind == AllocatorKind::Rap ? "rap" : "gra";
+        Meta.K = K;
+        json::Value Doc = statsJson(CR, Meta);
+        Doc.asObject().erase("timing");
+        Doc.asObject().erase("timers");
+        H.str(Doc.str(1));
+        H.str(test::normalizedTrace(Telem));
+      }
+    }
+  }
+  return hashHex(H.value());
+}
+
+struct GoldenStats {
+  const char *Name;
+  const char *Hash;
+};
+
+/// Prints the routine name, for stable test names (see Golden's PrintTo).
+void PrintTo(const GoldenStats &G, std::ostream *OS) { *OS << G.Name; }
+
+// clang-format off
+const GoldenStats Table1StatsHashes[] = {
+  {"loop1", "94c8d4bfcd530b77"},
+  {"loop2", "9ad9cffeb18be220"},
+  {"loop3", "57d254d3e72b7aaa"},
+  {"loop4", "2126fda8175747ce"},
+  {"loop5", "08fad79339905e8b"},
+  {"loop6", "46013ae0d169be32"},
+  {"loop7", "aad49c33f1c18cee"},
+  {"loop9", "70250f3495cb360e"},
+  {"loop10", "e5fef62311f583e6"},
+  {"loop11", "44b45144861a4c1b"},
+  {"loop12", "16692c678303a80f"},
+  {"loop21", "c5886ecbb411bfec"},
+  {"loop22", "e23674dfac3ba9e4"},
+  {"daxpy", "a7118fa4d0a466cc"},
+  {"ddot", "1e5e0ae95c1c9d75"},
+  {"dscal", "6c5ad8a2f3cad35f"},
+  {"idamax", "7f95a175826e8e79"},
+  {"dmxpy", "2deb6f69a791e27b"},
+  {"hsort", "740f6bcb81c56992"},
+  {"hanoi", "6d2b1226fdd7564b"},
+  {"nsieve", "0c22d24a5bc15ef8"},
+  {"sieve", "acba991b59fca7e4"},
+  {"initmatrix", "da249f7d6885c98d"},
+  {"innerproduct", "4a5a5e315a083898"},
+  {"intmm", "1901af1b8b487e10"},
+  {"permute", "3fb4b7bd341ac9f2"},
+  {"swap", "70d2e6184c88cddb"},
+  {"initialize", "1e29cb134013a31d"},
+  {"perm", "adee5b031aba58a7"},
+  {"fit", "f358e799aee251e5"},
+  {"place", "1cc1effd7515bbc6"},
+  {"trial", "3990eaa4d5ef2f3c"},
+  {"remove", "177eeb706c422f48"},
+  {"puzzle", "564ee604cc3fd083"},
+  {"queens", "ebb9b5d64aafff08"},
+  {"try", "c1f448640e3e9e13"},
+  {"doit", "f79caffe1e4e63e2"},
+};
+// clang-format on
+
+class GoldenStatsTable1 : public ::testing::TestWithParam<GoldenStats> {};
+
+TEST_P(GoldenStatsTable1, StatsAndTraceMatchRecordedHash) {
+  const GoldenStats &G = GetParam();
+  const BenchProgram *P = findBenchProgram(G.Name);
+  ASSERT_NE(P, nullptr) << G.Name;
+  EXPECT_EQ(statsHash(P->Source), G.Hash) << G.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, GoldenStatsTable1, ::testing::ValuesIn(Table1StatsHashes),
+    [](const ::testing::TestParamInfo<GoldenStats> &Info) {
+      return std::string(Info.param.Name);
+    });
+
 TEST(GoldenOutput, Table1CoversEveryRoutine) {
   EXPECT_EQ(std::size(Table1Hashes), benchPrograms().size());
+  EXPECT_EQ(std::size(Table1StatsHashes), benchPrograms().size());
 }
 
 TEST(GoldenOutput, SpillHeavyDeepFunction) {

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
@@ -25,7 +26,6 @@
 #include "gtest/gtest.h"
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -172,9 +172,7 @@ std::string normalizedStatsJson(const std::string &Source, unsigned Threads) {
   return Doc.str(2);
 }
 
-/// Chrome trace with wall clocks and lane assignment normalized away:
-/// metadata events dropped, ts/dur/tid zeroed. Slice names, order, regions,
-/// and deterministic args all survive normalization.
+/// The Chrome trace of compiling \p Source, normalized (test::normalizedTrace).
 std::string normalizedTrace(const std::string &Source, unsigned Threads) {
   telemetry::Telemetry Telem;
   CompileOptions Options;
@@ -184,22 +182,7 @@ std::string normalizedTrace(const std::string &Source, unsigned Threads) {
   Options.Alloc.Telem = &Telem;
   CompileResult CR = compileMiniC(Source, Options);
   EXPECT_TRUE(CR.ok()) << CR.Errors;
-  std::ostringstream OS;
-  Telem.writeChromeTrace(OS);
-  json::Value Doc;
-  std::string Error;
-  EXPECT_TRUE(json::parse(OS.str(), Doc, &Error)) << Error;
-  json::Array Kept;
-  for (json::Value &E : Doc.asObject()["traceEvents"].asArray()) {
-    if (E["ph"].asString() != "X")
-      continue;
-    E.asObject()["ts"] = 0;
-    E.asObject()["dur"] = 0;
-    E.asObject()["tid"] = 0;
-    Kept.push_back(std::move(E));
-  }
-  Doc.asObject()["traceEvents"] = json::Value(std::move(Kept));
-  return Doc.str(2);
+  return test::normalizedTrace(Telem);
 }
 
 TEST(ParallelDeterminism, StatsJsonThreadInvariant) {

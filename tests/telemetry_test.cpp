@@ -8,6 +8,7 @@
 /// Locks down the telemetry subsystem (support/Stats.h, DESIGN.md §9):
 ///
 ///  * the named-counter aggregate mirrors the AllocStats ledger exactly,
+///    degraded runs included,
 ///  * the spill-instruction ledger balances against the final code — every
 ///    ldm/stm in the output is accounted for by an insertion minus the
 ///    removals the cleanup phases claim (checked over the whole Table 1
@@ -22,12 +23,16 @@
 
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
+#include "driver/Report.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace rap;
@@ -193,19 +198,53 @@ TEST(Telemetry, MaxCountersFoldWithMaxAcrossFunctions) {
   CompileResult CR = compileWith(SpillySource, AllocatorKind::Rap, 3, &Telem);
   ASSERT_TRUE(CR.ok()) << CR.Errors;
   uint64_t PerFunctionMax = 0, PerFunctionSum = 0;
-  for (const auto &[Index, R] : Telem.ordered()) {
-    (void)Index;
-    auto It = R->Scope.Counters.find("graph.max_nodes");
-    if (It == R->Scope.Counters.end())
-      continue;
-    PerFunctionMax = std::max(PerFunctionMax, It->second);
-    PerFunctionSum += It->second;
+  for (const AllocOutcome &O : CR.AllocOutcomes) {
+    PerFunctionMax = std::max<uint64_t>(PerFunctionMax, O.Stats.MaxGraphNodes);
+    PerFunctionSum += O.Stats.MaxGraphNodes;
   }
   EXPECT_EQ(counterOr0(CR.Telemetry, "graph.max_nodes"), PerFunctionMax);
   // With more than one instrumented function the sum would differ — make
   // sure this test would actually catch a sum-fold regression.
-  ASSERT_GT(Telem.ordered().size(), 1u);
+  ASSERT_GT(CR.AllocOutcomes.size(), 1u);
   EXPECT_GT(PerFunctionSum, PerFunctionMax);
+}
+
+TEST(Telemetry, DegradedRunCountersDescribeTheProducedCode) {
+  // The second coloring round faults, so the function degrades to the
+  // spill-everything fallback. One stats document must then tell one
+  // story: the counters describe the fallback code that was produced, as
+  // the alloc section does, not the attempt that was thrown away.
+  for (const char *Name : {"loop1", "hsort"}) {
+    const BenchProgram *P = findBenchProgram(Name);
+    ASSERT_NE(P, nullptr) << Name;
+    telemetry::Telemetry Telem;
+    CompileOptions Options;
+    Options.Allocator = AllocatorKind::Rap;
+    Options.Alloc.K = 3;
+    Options.Alloc.FallbackOnError = true;
+    Options.Alloc.Faults = FaultPlan::fromString("color:2");
+    Options.Alloc.Telem = &Telem;
+    CompileResult CR = compileMiniC(P->Source, Options);
+    ASSERT_TRUE(CR.ok()) << Name << ": " << CR.Errors;
+    ReportMeta Meta;
+    Meta.Allocator = "rap";
+    Meta.K = 3;
+    json::Value Doc = statsJson(CR, Meta);
+    ASSERT_GT(Doc["degraded_functions"].asInt(), 0) << Name;
+
+    const json::Value &Counters = Doc["counters"], &Alloc = Doc["alloc"];
+    for (auto [Counter, Key] :
+         {std::pair{"rap.graph_builds", "graph_builds"},
+          std::pair{"graph.max_nodes", "max_graph_nodes"},
+          std::pair{"rap.regions_processed", "regions_processed"}}) {
+      EXPECT_TRUE(Counters.has(Counter)) << Name << ": " << Counter;
+      EXPECT_EQ(Counters[Counter].asInt(), Alloc[Key].asInt())
+          << Name << ": " << Counter << " vs alloc." << Key;
+    }
+    EXPECT_EQ(Counters["alloc.fallbacks"].asInt(),
+              Doc["degraded_functions"].asInt())
+        << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
