@@ -36,8 +36,7 @@
 //     seen, service-layer injections counted, deadlines exceeded).
 //
 // Output: a human summary (default) or --json in the shared rap-bench-v1
-// envelope (bench = "server-chaos"); scripts/server_smoke.sh merges the
-// JSON into BENCH_alloc.json as its "server_chaos" section.
+// envelope (bench = "server-chaos").
 //
 //===----------------------------------------------------------------------===//
 

@@ -20,8 +20,8 @@
 // pass's — the byte-identity contract under load, not just in unit tests.
 //
 // Output: human table (default), --csv, or --json in the shared rap-bench-v1
-// envelope (bench = "server-load"); scripts/server_smoke.sh merges the JSON
-// into BENCH_alloc.json as its "server_load" section.
+// envelope (bench = "server-load"); scripts/server_smoke.sh writes the JSON
+// to <build-dir>/bench-artifacts/server_load.json.
 //
 //===----------------------------------------------------------------------===//
 

@@ -31,8 +31,8 @@
 //     exits 0, pidfile removed.
 //
 // Output: human summary (default) or --json in the rap-bench-v1 envelope
-// (bench = "server-recovery"); scripts/server_recovery_smoke.sh merges it
-// into BENCH_alloc.json as the "server_recovery" section.
+// (bench = "server-recovery"); scripts/server_recovery_smoke.sh writes it
+// to <build-dir>/bench-artifacts/server_recovery.json.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Smoke-tests the rapd compile server end to end and refreshes the committed
-# server-load benchmark section:
+# Smoke-tests the rapd compile server end to end:
 #
 #   1. replays an editing-session request trace through rapd over stdio:
 #      cold compile, warm replays, a mutated function, a batch, stats/ping,
@@ -17,10 +16,10 @@
 #   4. runs bench/server_chaos (seeded fault schedule over every server
 #      chaos site, mid-request shutdowns included) and asserts its
 #      exactly-one-response + bit-identical-output invariants;
-#   5. runs bench/server_load (cold-vs-warm, 10% edit rate) and merges its
-#      rap-bench-v1 JSON into BENCH_alloc.json as the "server_load" section,
-#      asserting the acceptance bar: warm >= 2x cold functions/sec at a
-#      >= 80% hit rate.
+#   5. runs bench/server_load (cold-vs-warm, 10% edit rate), writes its
+#      rap-bench-v1 JSON to <build-dir>/bench-artifacts/server_load.json
+#      (uploaded by CI), and asserts the acceptance bar: warm >= 2x cold
+#      functions/sec at a >= 80% hit rate.
 #
 # Usage: scripts/server_smoke.sh [build-dir]
 set -euo pipefail
@@ -32,6 +31,8 @@ cmake -S "$REPO_ROOT" -B "$BUILD_DIR" >/dev/null
 cmake --build "$BUILD_DIR" --target rapd server_load server_chaos -j "$(nproc)"
 
 RAPD="$BUILD_DIR/src/server/rapd"
+OUT="$BUILD_DIR/bench-artifacts"
+mkdir -p "$OUT"
 
 # --- 1. stdio trace replay ------------------------------------------------
 python3 - "$RAPD" <<'PYEOF'
@@ -236,15 +237,14 @@ PYEOF
 # --- 4. chaos soak: every server fault site, exactly-one-response -----------
 "$BUILD_DIR/bench/server_chaos" --requests=200 --shards=4 --seed=1
 
-# --- 5. load bench -> BENCH_alloc.json "server_load" section ---------------
+# --- 5. load bench: cold vs warm --------------------------------------------
 "$BUILD_DIR/bench/server_load" --json --requests=100 --edit-rate=0.1 \
-  > "$REPO_ROOT/BENCH_server_tmp.json"
-python3 "$REPO_ROOT/scripts/merge_bench_section.py" \
-  "$REPO_ROOT/BENCH_alloc.json" server_load "$REPO_ROOT/BENCH_server_tmp.json"
-rm -f "$REPO_ROOT/BENCH_server_tmp.json"
-python3 - "$REPO_ROOT" <<'PYEOF'
+  > "$OUT/server_load.json"
+python3 - "$OUT/server_load.json" <<'PYEOF'
 import json, sys
-doc = json.load(open(f"{sys.argv[1]}/BENCH_alloc.json"))["server_load"]
+doc = json.load(open(sys.argv[1]))
+if doc.get("schema") != "rap-bench-v1" or not doc.get("rows"):
+    sys.exit(f"{sys.argv[1]} is not a rap-bench-v1 document with rows")
 warm = [r for r in doc["rows"] if r["mode"] == "warm"][0]
 assert warm["speedup_vs_cold"] >= 2.0, \
     f"warm speedup {warm['speedup_vs_cold']:.2f}x below the 2x bar"
@@ -255,4 +255,4 @@ print(f"server load OK: {warm['speedup_vs_cold']:.2f}x functions/sec over "
       f"(p50 {warm['p50_us']:.0f}us, p99 {warm['p99_us']:.0f}us)")
 PYEOF
 
-echo "server smoke OK; counters merged into $REPO_ROOT/BENCH_alloc.json"
+echo "server smoke OK; load counters in $OUT/server_load.json"

@@ -10,22 +10,6 @@
 
 using namespace rap;
 
-namespace {
-
-const char *statusName(AllocStatus S) {
-  switch (S) {
-  case AllocStatus::Allocated:
-    return "allocated";
-  case AllocStatus::Fallback:
-    return "fallback";
-  case AllocStatus::Failed:
-    return "failed";
-  }
-  return "unknown";
-}
-
-} // namespace
-
 json::Value rap::allocStatsJson(const AllocStats &S) {
   json::Object A;
   for (const AllocCounter &C : AllocCounters)
@@ -48,7 +32,7 @@ json::Value rap::statsJson(const CompileResult &R, const ReportMeta &Meta) {
     Degraded += O.degraded();
     json::Object F;
     F["function"] = O.Function;
-    F["status"] = statusName(O.Status);
+    F["status"] = allocStatusName(O.Status);
     F["alloc"] = allocStatsJson(O.Stats);
     if (!O.Error.empty())
       F["error"] = O.Error;

@@ -43,20 +43,6 @@ public:
   }
   IlocFunction *function(int Id) const { return Functions[Id].get(); }
 
-  /// Takes ownership of an externally built function. Call instructions in
-  /// the adopted body keep their original Callee indices — the caller is
-  /// responsible for any remapping (benchmark drivers that only allocate,
-  /// never interpret, can skip it).
-  IlocFunction *adoptFunction(std::unique_ptr<IlocFunction> F) {
-    Functions.push_back(std::move(F));
-    return Functions.back().get();
-  }
-
-  /// Releases all functions to the caller, leaving the program empty.
-  std::vector<std::unique_ptr<IlocFunction>> takeFunctions() {
-    return std::move(Functions);
-  }
-
   /// Swaps function \p Id for \p F (same id, callers keep their Callee
   /// indices) and returns the new pointer. Used by the fault-isolated
   /// allocation driver to restore a pristine clone before falling back;

@@ -144,8 +144,21 @@ inline void AllocStats::accumulate(const AllocStats &O) {
 enum class AllocStatus {
   Allocated, ///< the requested allocator succeeded
   Fallback,  ///< it failed; the spill-everything fallback allocated instead
-  Failed,    ///< it failed and fallback was disabled (error rethrown)
+  Failed,    ///< it failed, and fallback was disabled or failed too
 };
+
+/// The status's name in rap-stats-v1 and in rapd responses.
+inline const char *allocStatusName(AllocStatus S) {
+  switch (S) {
+  case AllocStatus::Allocated:
+    return "allocated";
+  case AllocStatus::Fallback:
+    return "fallback";
+  case AllocStatus::Failed:
+    return "failed";
+  }
+  return "unknown";
+}
 
 /// What happened to one function's allocation.
 struct AllocOutcome {

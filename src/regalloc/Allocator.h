@@ -20,7 +20,8 @@
 ///
 /// Failures (invariant violations, resource-guard breaches, verifier
 /// rejections in checked mode, injected faults) surface as AllocError.
-/// allocateProgramChecked isolates them per function: with
+/// allocateFunction is the one per-function fault-isolation boundary, used
+/// by rapcc through allocateProgramChecked and by rapd's pool tasks: with
 /// AllocOptions::FallbackOnError the failing function alone degrades to a
 /// guaranteed-correct spill-everything allocation (see SpillEverything.h)
 /// while every other function allocates normally.
@@ -65,7 +66,7 @@ struct AllocOptions {
   /// spill-store elimination; the paper's §5 future work). Ablation toggle.
   bool GlobalCleanup = true;
 
-  /// Worker threads for allocateProgram. Functions are allocated
+  /// Worker threads for allocateProgramChecked. Functions are allocated
   /// independently; 0 or 1 means serial. Results are byte-identical to a
   /// serial run (stats aggregate in function order) regardless of the value.
   unsigned Threads = 1;
@@ -115,11 +116,11 @@ struct AllocOptions {
   /// the same way when this is set.
   bool VerifyAssignments = false;
 
-  /// Per-function graceful degradation in allocateProgram /
-  /// allocateProgramChecked: on AllocError the function's pristine body is
-  /// restored and allocated with the guaranteed-correct spill-everything
-  /// allocator; other functions are unaffected. When off, the error
-  /// propagates (deterministically, lowest function index first).
+  /// Per-function graceful degradation in allocateFunction: on AllocError
+  /// the function's pristine body is restored and allocated with the
+  /// guaranteed-correct spill-everything allocator; other functions are
+  /// unaffected. When off, the error propagates (from
+  /// allocateProgramChecked deterministically, lowest function index first).
   bool FallbackOnError = false;
 
   /// Deterministic fault injection for testing the degradation path. When
@@ -133,12 +134,12 @@ struct AllocOptions {
   // the hot paths allocate nothing.
   //===------------------------------------------------------------------===//
 
-  /// Program-level registry. allocateProgramChecked gives each function a
+  /// Program-level registry. allocateFunction gives each function a
   /// FunctionScope sharing this registry's epoch and commits it keyed by
   /// function index, so the aggregate (and trace content modulo
   /// timestamps/lane ids) is identical at any thread count. Once every
-  /// function is done it sets the registry's named counters, a view of
-  /// the program's AllocStats total.
+  /// function is done allocateProgramChecked sets the registry's named
+  /// counters, a view of the program's AllocStats total.
   telemetry::Telemetry *Telem = nullptr;
 
   /// Per-function sink consumed by allocateGra/allocateRap (phase timers
@@ -181,6 +182,18 @@ AllocStats allocateGra(IlocFunction &F, const AllocOptions &Options);
 /// Allocates registers for \p F with RAP. Throws AllocError on failure.
 AllocStats allocateRap(IlocFunction &F, const AllocOptions &Options);
 
+/// Allocates function \p I of \p Prog with \p Kind (Gra or Rap), isolated
+/// from the rest of the program. With Options.FallbackOnError, any
+/// AllocError (or std::exception) from the allocator discards the
+/// half-edited body, puts a pristine clone taken up front back in slot
+/// \p I, and allocates that with the spill-everything fallback; the outcome
+/// records the error's kind and text. Without it the error propagates. A
+/// throw from the fallback itself always propagates. \p Worker is the
+/// telemetry lane. Safe to call concurrently for distinct \p I.
+AllocOutcome allocateFunction(IlocProgram &Prog, unsigned I,
+                              AllocatorKind Kind, const AllocOptions &Options,
+                              unsigned Worker = 0);
+
 /// Allocates every function of \p Prog with \p Kind (no-op for None),
 /// returning per-function outcomes plus stats aggregated in function order.
 /// Worker-thread failures are captured per function slot; with
@@ -189,11 +202,6 @@ AllocStats allocateRap(IlocFunction &F, const AllocOptions &Options);
 ProgramAllocResult allocateProgramChecked(IlocProgram &Prog,
                                           AllocatorKind Kind,
                                           const AllocOptions &Options);
-
-/// Back-compat wrapper around allocateProgramChecked returning only the
-/// aggregated stats.
-AllocStats allocateProgram(IlocProgram &Prog, AllocatorKind Kind,
-                           const AllocOptions &Options);
 
 /// Parses "gra"/"rap"/"none" (for tools).
 AllocatorKind allocatorKindFromString(const std::string &Name);

@@ -277,16 +277,12 @@ AllocStats rap::allocateGra(IlocFunction &F, const AllocOptions &Options) {
   }
 }
 
-namespace {
-
-/// One function's fault-isolated allocation. With FallbackOnError, any
-/// AllocError (or std::exception) from the primary allocator discards the
-/// half-edited body, restores a pristine clone taken up front, and allocates
-/// it with the spill-everything fallback — which has no injection sites, so
-/// an armed fault plan cannot re-fire in the degradation path. Without
-/// FallbackOnError the error propagates to the driver.
-AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
-                         const AllocOptions &Options, unsigned Worker) {
+/// The spill-everything fallback has no injection sites, so an armed fault
+/// plan cannot re-fire in the degradation path.
+AllocOutcome rap::allocateFunction(IlocProgram &Prog, unsigned I,
+                                   AllocatorKind Kind,
+                                   const AllocOptions &Options,
+                                   unsigned Worker) {
   IlocFunction *F = Prog.functions()[I].get();
   AllocOutcome Out;
   Out.Function = F->name();
@@ -339,6 +335,8 @@ AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
   Out.Stats = allocateSpillEverything(*F, Opts);
   return Out;
 }
+
+namespace {
 
 /// The program's telemetry counters: a named view of its AllocStats total,
 /// listing the counters of the passes that ran. Degraded functions count
@@ -407,7 +405,7 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
   std::vector<std::exception_ptr> Errors(N);
   auto One = [&](unsigned I, unsigned Worker) {
     try {
-      Res.Outcomes[I] = allocateOne(Prog, I, Kind, Options, Worker);
+      Res.Outcomes[I] = allocateFunction(Prog, I, Kind, Options, Worker);
     } catch (...) {
       Res.Outcomes[I].Status = AllocStatus::Failed;
       Errors[I] = std::current_exception();
@@ -446,11 +444,6 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
   if (Options.Telem && N != 0)
     Options.Telem->setCounters(telemetryCounters(Res, Kind, Options));
   return Res;
-}
-
-AllocStats rap::allocateProgram(IlocProgram &Prog, AllocatorKind Kind,
-                                const AllocOptions &Options) {
-  return allocateProgramChecked(Prog, Kind, Options).Total;
 }
 
 AllocatorKind rap::allocatorKindFromString(const std::string &Name) {

@@ -6,8 +6,6 @@
 
 #include "server/CompileService.h"
 
-#include "ir/Clone.h"
-#include "regalloc/SpillEverything.h"
 #include "support/Env.h"
 #include "support/Hash.h"
 
@@ -99,42 +97,6 @@ void stallIgnoringToken(unsigned Ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
-/// One function's fault-isolated allocation on a pool worker: the same
-/// snapshot + spill-everything degradation discipline as the rapcc driver,
-/// reimplemented here because the server reports through FunctionReport
-/// slots instead of ProgramAllocResult. Never throws. Deadline expiry and
-/// drain cancellation arrive here as AllocError (thrown by the allocators'
-/// round-boundary guard) and take the same fallback path: the half-edited
-/// body is discarded and the pristine snapshot gets the guaranteed-correct
-/// linear-time spill-everything allocation — the request may be answering
-/// `deadline-exceeded`, but the shard finishes clean, never wedged.
-void allocateSlot(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
-                  const AllocOptions &Options, FunctionReport &Report,
-                  AllocStats &Stats) {
-  IlocFunction *F = Prog.functions()[I].get();
-  std::unique_ptr<IlocFunction> Backup = cloneFunction(*F);
-  try {
-    Stats = Kind == AllocatorKind::Gra ? allocateGra(*F, Options)
-                                       : allocateRap(*F, Options);
-    Report.Status = AllocStatus::Allocated;
-    return;
-  } catch (const AllocError &E) {
-    Report.Error = E.what();
-  } catch (const std::exception &E) {
-    Report.Error = std::string("internal: ") + E.what();
-  }
-  Report.Status = AllocStatus::Fallback;
-  F = Prog.replaceFunction(I, std::move(Backup));
-  try {
-    Stats = allocateSpillEverything(*F, Options);
-  } catch (const std::exception &E) {
-    // The fallback only fails on API misuse; record it without crashing the
-    // serving loop (crash-free contract).
-    Report.Status = AllocStatus::Failed;
-    Report.Error += std::string("; fallback failed: ") + E.what();
-  }
-}
-
 } // namespace
 
 ServiceResult CompileService::compile(const std::string &Source,
@@ -193,13 +155,20 @@ ServiceResult CompileService::compile(const std::string &Source,
   const unsigned N = static_cast<unsigned>(Prog.functions().size());
   Res.Functions.resize(N);
 
+  // Deadline expiry and drain cancellation reach the allocators' round
+  // guard as AllocError and degrade through allocateFunction's fallback
+  // like any other error, so a stopped request still leaves every shard
+  // clean, never wedged.
   AllocOptions AO;
   AO.K = Opts.K;
   AO.Cancel = &Token;
+  AO.FallbackOnError = true;
+
+  for (unsigned I = 0; I != N; ++I)
+    Res.Functions[I].Outcome.Function = Prog.functions()[I]->name();
 
   // Phase 1 (inline): fingerprint every function and replay cache hits.
   // Hits swap a clone of the stored allocated body into the program slot.
-  std::vector<AllocStats> SlotStats(N);
   std::vector<unsigned> Misses;
   if (Opts.Allocator != AllocatorKind::None) {
     for (unsigned I = 0; I != N; ++I) {
@@ -207,16 +176,13 @@ ServiceResult CompileService::compile(const std::string &Source,
         aborted();
         return Res;
       }
-      IlocFunction *F = Prog.functions()[I].get();
       FunctionReport &R = Res.Functions[I];
-      R.Name = F->name();
-      R.Fingerprint = fingerprintFunction(*F, Opts.Allocator, AO);
+      R.Fingerprint =
+          fingerprintFunction(*Prog.functions()[I], Opts.Allocator, AO);
       CachedAllocation Hit = Cache.lookup(R.Fingerprint);
       if (Hit.Body) {
         R.CacheHit = true;
-        R.Status = Hit.Outcome.Status;
-        R.Error = Hit.Outcome.Error;
-        SlotStats[I] = Hit.Outcome.Stats;
+        R.Outcome = Hit.Outcome;
         Prog.replaceFunction(I, std::move(Hit.Body));
       } else {
         Misses.push_back(I);
@@ -235,13 +201,21 @@ ServiceResult CompileService::compile(const std::string &Source,
       TaskGroup Group;
       Group.expect(Misses.size());
       for (unsigned I : Misses)
-        Pool.submit(Hint, [this, &Prog, I, &Opts, AO, &Res, &SlotStats] {
+        Pool.submit(Hint, [this, &Prog, I, &Opts, AO, &Res] {
           if (chaosFires(FaultSite::WorkerStall)) {
             ChaosInjectedCount.fetch_add(1, std::memory_order_relaxed);
             stallIgnoringToken(Config.ChaosStallMs);
           }
-          allocateSlot(Prog, I, Opts.Allocator, AO, Res.Functions[I],
-                       SlotStats[I]);
+          AllocOutcome &Out = Res.Functions[I].Outcome;
+          try {
+            Out = allocateFunction(Prog, I, Opts.Allocator, AO);
+          } catch (const std::exception &E) {
+            // Only the fallback itself gets here, and it fails only on API
+            // misuse; record it without crashing the serving loop
+            // (crash-free contract).
+            Out.Status = AllocStatus::Failed;
+            Out.Error = std::string("fallback failed: ") + E.what();
+          }
         }, &Group, &Token);
       Group.wait();
     }
@@ -256,35 +230,27 @@ ServiceResult CompileService::compile(const std::string &Source,
     // The cache-insert chaos site drops the insert (a contained fault: the
     // function simply misses again next time); it never corrupts state.
     for (unsigned I : Misses) {
-      FunctionReport &R = Res.Functions[I];
-      if (R.Status == AllocStatus::Failed)
+      const FunctionReport &R = Res.Functions[I];
+      if (R.Outcome.Status == AllocStatus::Failed)
         continue; // nothing replayable
       if (chaosFires(FaultSite::CacheInsert)) {
         ChaosInjectedCount.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      AllocOutcome Out;
-      Out.Function = R.Name;
-      Out.Status = R.Status;
-      Out.Error = R.Error;
-      Out.Stats = SlotStats[I];
-      Cache.insert(R.Fingerprint, *Prog.functions()[I], Out);
+      Cache.insert(R.Fingerprint, *Prog.functions()[I], R.Outcome);
       // Journal the insertion so a restarted server replays it. Same
       // function-order discipline as the cache insert itself; a degraded
       // store makes this a no-op and the server keeps serving in-memory.
       if (Store)
-        Store->append(R.Fingerprint, *Prog.functions()[I], Out);
+        Store->append(R.Fingerprint, *Prog.functions()[I], R.Outcome);
     }
-  } else {
-    for (unsigned I = 0; I != N; ++I)
-      Res.Functions[I].Name = Prog.functions()[I]->name();
   }
 
-  for (unsigned I = 0; I != N; ++I) {
-    Res.Alloc.accumulate(SlotStats[I]);
+  for (const FunctionReport &R : Res.Functions) {
+    Res.Alloc.accumulate(R.Outcome.Stats);
     if (Opts.Allocator != AllocatorKind::None) {
-      Res.CacheHits += Res.Functions[I].CacheHit;
-      Res.CacheMisses += !Res.Functions[I].CacheHit;
+      Res.CacheHits += R.CacheHit;
+      Res.CacheMisses += !R.CacheHit;
     }
   }
   Res.OutputHash = hashProgramOutput(Prog);

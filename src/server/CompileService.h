@@ -115,13 +115,13 @@ enum class ServiceStatus {
 
 const char *serviceStatusName(ServiceStatus S);
 
-/// One function's slice of a response.
+/// One function's slice of a response: its cache key, whether it was a
+/// hit, and the allocateFunction outcome (replayed from the cache on a
+/// hit), which is also what the cache and the journal store.
 struct FunctionReport {
-  std::string Name;
   uint64_t Fingerprint = 0;
   bool CacheHit = false;
-  AllocStatus Status = AllocStatus::Allocated;
-  std::string Error; ///< degradation detail when Status == Fallback
+  AllocOutcome Outcome;
 };
 
 /// One compiled request.
@@ -143,7 +143,7 @@ struct ServiceResult {
   unsigned degraded() const {
     unsigned N = 0;
     for (const FunctionReport &F : Functions)
-      N += F.Status != AllocStatus::Allocated;
+      N += F.Outcome.degraded();
     return N;
   }
 };

@@ -13,18 +13,6 @@ using namespace rap::server;
 
 namespace {
 
-const char *statusName(AllocStatus S) {
-  switch (S) {
-  case AllocStatus::Allocated:
-    return "allocated";
-  case AllocStatus::Fallback:
-    return "fallback";
-  case AllocStatus::Failed:
-    return "failed";
-  }
-  return "unknown";
-}
-
 /// Seeds a response object with the echoed id and ok flag.
 json::Object responseBase(const Request &Req, bool Ok) {
   json::Object O;
@@ -154,12 +142,12 @@ json::Value server::compileResponse(const Request &Req,
   json::Array PerFunction;
   for (const FunctionReport &F : Res.Functions) {
     json::Object FO;
-    FO["name"] = F.Name;
+    FO["name"] = F.Outcome.Function;
     FO["fingerprint"] = hashHex(F.Fingerprint);
     FO["cached"] = F.CacheHit;
-    FO["status"] = statusName(F.Status);
-    if (!F.Error.empty())
-      FO["error"] = F.Error;
+    FO["status"] = allocStatusName(F.Outcome.Status);
+    if (!F.Outcome.Error.empty())
+      FO["error"] = F.Outcome.Error;
     PerFunction.push_back(json::Value(std::move(FO)));
   }
   O["per_function"] = json::Value(std::move(PerFunction));

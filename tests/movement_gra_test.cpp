@@ -208,7 +208,7 @@ TEST(Allocator, ProgramLevelAllocatesEveryFunction) {
   ASSERT_NE(Prog, nullptr);
   AllocOptions AO;
   AO.K = 4;
-  allocateProgram(*Prog, AllocatorKind::Rap, AO);
+  allocateProgramChecked(*Prog, AllocatorKind::Rap, AO);
   for (const auto &F : Prog->functions())
     EXPECT_TRUE(F->isAllocated()) << F->name();
   RunResult R = Interpreter(*Prog).run();

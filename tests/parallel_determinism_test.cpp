@@ -132,15 +132,23 @@ TEST(ParallelDeterminism, GraMatchesSerial) {
     expectIdenticalRuns(MultiFunctionSource, AllocatorKind::Gra, K);
 }
 
+/// Every Table 1 routine at k=3 and k=9: k=3 is spill-heavy (many refresh
+/// rounds, each incremental liveness solve verified against a cold
+/// recompute by the RAP_VERIFY_LIVENESS latch above), k=9 mostly colors.
+void expectBenchProgramsIdentical(AllocatorKind Kind) {
+  for (const BenchProgram &P : benchPrograms())
+    for (unsigned K : {3u, 9u}) {
+      SCOPED_TRACE(std::string(P.Name) + " k=" + std::to_string(K));
+      expectIdenticalRuns(P.Source, Kind, K);
+    }
+}
+
 TEST(ParallelDeterminism, BenchProgramsUnderRap) {
-  // Spill-heavy Table 1 programs through RAP at k=3: many refresh rounds,
-  // each incremental liveness solve verified against a cold recompute by
-  // the RAP_VERIFY_LIVENESS latch above.
-  for (const char *Name : {"loop7", "hsort", "queens"}) {
-    const BenchProgram *P = findBenchProgram(Name);
-    ASSERT_NE(P, nullptr);
-    expectIdenticalRuns(P->Source, AllocatorKind::Rap, 3);
-  }
+  expectBenchProgramsIdentical(AllocatorKind::Rap);
+}
+
+TEST(ParallelDeterminism, BenchProgramsUnderGra) {
+  expectBenchProgramsIdentical(AllocatorKind::Gra);
 }
 
 //===----------------------------------------------------------------------===//

@@ -119,7 +119,8 @@ TEST(ServerCache, WarmReplayIsByteIdenticalToCold) {
   ASSERT_EQ(Warm.Functions.size(), Cold.Functions.size());
   for (size_t I = 0; I != Warm.Functions.size(); ++I) {
     EXPECT_EQ(Warm.Functions[I].Fingerprint, Cold.Functions[I].Fingerprint);
-    EXPECT_EQ(Warm.Functions[I].Status, Cold.Functions[I].Status);
+    EXPECT_EQ(Warm.Functions[I].Outcome.Status,
+              Cold.Functions[I].Outcome.Status);
   }
 }
 
@@ -141,7 +142,8 @@ TEST(ServerCache, EditReallocatesExactlyTheEditedFunction) {
   EXPECT_EQ(Warm.CacheMisses, 1u);
   EXPECT_EQ(Warm.CacheHits, 4u);
   for (const FunctionReport &F : Warm.Functions)
-    EXPECT_EQ(F.CacheHit, F.Name != "work2") << F.Name;
+    EXPECT_EQ(F.CacheHit, F.Outcome.Function != "work2")
+        << F.Outcome.Function;
 
   // The warm compile of the edited module must be bit-identical to a cold
   // compile of the same source on a fresh service.

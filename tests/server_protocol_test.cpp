@@ -9,8 +9,6 @@
 ///
 ///  * fingerprintFunction — stable across recompiles of identical source,
 ///    sensitive to body edits and to every option that steers allocation;
-///  * BoundedQueue — tryPush rejection (the backpressure primitive), drain
-///    after close, depth high-water mark;
 ///  * ShardPool — all submitted tasks run exactly once, the barrier holds,
 ///    and a skewed batch is actually stolen by idle shards;
 ///  * parseRequest — accepts the documented schema, rejects each malformed
@@ -22,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
-#include "support/BoundedQueue.h"
 
 #include "gtest/gtest.h"
 
@@ -98,51 +95,6 @@ TEST(Fingerprint, IgnoresThreadCount) {
   O.Threads = 8;
   EXPECT_EQ(fingerprintOf(FpSource),
             fingerprintOf(FpSource, AllocatorKind::Rap, O));
-}
-
-//===----------------------------------------------------------------------===//
-// BoundedQueue.
-//===----------------------------------------------------------------------===//
-
-TEST(BoundedQueue, TryPushRejectsWhenFull) {
-  BoundedQueue<int> Q(2);
-  EXPECT_TRUE(Q.tryPush(1));
-  EXPECT_TRUE(Q.tryPush(2));
-  EXPECT_FALSE(Q.tryPush(3)); // the backpressure path
-  EXPECT_EQ(Q.depth(), 2u);
-  EXPECT_EQ(Q.depthMax(), 2u);
-  int V = 0;
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 1);
-  EXPECT_TRUE(Q.tryPush(3)); // space freed
-}
-
-TEST(BoundedQueue, DrainsAfterClose) {
-  BoundedQueue<int> Q(4);
-  Q.tryPush(1);
-  Q.tryPush(2);
-  Q.close();
-  EXPECT_FALSE(Q.tryPush(3)); // closed queues admit nothing
-  int V = 0;
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_TRUE(Q.pop(V));
-  EXPECT_EQ(V, 2);
-  EXPECT_FALSE(Q.pop(V)); // closed and drained
-}
-
-TEST(BoundedQueue, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> Q(1);
-  std::atomic<bool> Returned{false};
-  std::thread Consumer([&] {
-    int V = 0;
-    bool Got = Q.pop(V);
-    EXPECT_FALSE(Got);
-    Returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Q.close();
-  Consumer.join();
-  EXPECT_TRUE(Returned.load());
 }
 
 //===----------------------------------------------------------------------===//
