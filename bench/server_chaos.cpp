@@ -147,6 +147,10 @@ struct Trace {
   unsigned CompileCount = 0;
 };
 
+/// Functions a deadline-bearing compile adds to its module: lowering and
+/// fingerprinting them takes far longer than its 1ms budget.
+constexpr unsigned DeadlineBallast = 160;
+
 Trace buildTrace(unsigned Requests, unsigned Functions, uint64_t Seed,
                  size_t MaxLineBytes) {
   Trace T;
@@ -180,11 +184,16 @@ Trace buildTrace(unsigned Requests, unsigned Functions, uint64_t Seed,
       T.CompileCount += 2;
     } else {
       // Plain compile; one in eight carries a deadline too tight for a cold
-      // module (1ms), exercising the deadline-exceeded path mid-soak.
+      // module (1ms), exercising the deadline-exceeded path mid-soak. Those
+      // also carry DeadlineBallast uncalled functions, so the request
+      // cannot finish in time on any host: a mostly warm module alone
+      // compiles in about 1ms, and its outcome would race the clock.
       Versions[Rand.next() % Functions] += 1;
       uint64_t DeadlineMs = (Pick % 8 == 0) ? 1 : 0;
-      T.Lines.push_back(
-          compileRequest(NextId, moduleSource(Versions), DeadlineMs));
+      std::string Source = moduleSource(Versions);
+      for (unsigned B = 0; DeadlineMs && B != DeadlineBallast; ++B)
+        Source += functionSource(Functions + B, 0);
+      T.Lines.push_back(compileRequest(NextId, Source, DeadlineMs));
       T.Ids.push_back({NextId++});
       T.CompileCount += 1;
     }
@@ -219,6 +228,17 @@ struct PassStats {
   uint64_t Compactions = 0;
   /// id -> output_hash of ok compile responses.
   std::map<int64_t, std::string> OkHashes;
+
+  /// Folds in the counters of a server the pass retires.
+  void fold(const ServiceCounters &C) {
+    ChaosInjected += C.ChaosInjected;
+    WatchdogTrips += C.WatchdogTrips;
+    if (C.Recovery) {
+      StoreDegraded |= C.Recovery->Degraded;
+      JournalAppends += C.Recovery->Appends;
+      Compactions += C.Recovery->Compactions;
+    }
+  }
 };
 
 void fatal(const char *Fmt, ...) {
@@ -281,11 +301,7 @@ PassStats runPass(const Trace &T, const ServerConfig &Base, bool Chaos) {
       ServiceCounters C = S->service().counters();
       if (C.ShardsDegraded != 0)
         fatal("shard left degraded at restart before line %zu", I);
-      Stats.ChaosInjected += C.ChaosInjected;
-      Stats.WatchdogTrips += C.WatchdogTrips;
-      Stats.StoreDegraded |= C.StoreDegraded;
-      Stats.JournalAppends += C.JournalAppends;
-      Stats.Compactions += C.Compactions;
+      Stats.fold(C);
       S.reset(new Server(Base));
       Stats.Restarts += 1;
     }
@@ -312,11 +328,7 @@ PassStats runPass(const Trace &T, const ServerConfig &Base, bool Chaos) {
   ServiceCounters Final = S->service().counters();
   if (Final.ShardsDegraded != 0)
     fatal("shards left degraded after the soak");
-  Stats.ChaosInjected += Final.ChaosInjected;
-  Stats.WatchdogTrips += Final.WatchdogTrips;
-  Stats.StoreDegraded |= Final.StoreDegraded;
-  Stats.JournalAppends += Final.JournalAppends;
-  Stats.Compactions += Final.Compactions;
+  Stats.fold(Final);
   std::vector<unsigned> ProbeVersions(2, 99);
   std::string Probe = S->handleLine(
       compileRequest(999983, moduleSource(ProbeVersions), 0));

@@ -3,7 +3,8 @@
 # k in {3,5,7,9} with --verify (independent assignment verification before
 # the physical rewrite), asserting zero spill-everything fallbacks, then a
 # fault-injection end-to-end check that the rapcc degradation path works
-# (exit code 3, correct result).
+# (exit code 3, correct result), then that rapcc rejects a k above its
+# bound or with trailing junk as a usage error (exit 2).
 #
 # Usage: scripts/checked_smoke.sh [build-dir]
 set -euo pipefail
@@ -48,4 +49,18 @@ if [ "$GOT" != "$WANT" ]; then
   exit 1
 fi
 
-echo "checked-mode smoke OK (37 routines verified; fallback path exits 3)"
+# k comes from outside the program: a value past the bound (256) or one
+# that is not a whole number is a usage error, never a different k.
+for K in 257 5x; do
+  set +e
+  "$BUILD_DIR/src/driver/rapcc" "$TMP_MC" --alloc=rap -k "$K" >/dev/null 2>&1
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: rapcc -k $K exited $STATUS, want 2 (usage error)" >&2
+    exit 1
+  fi
+done
+
+echo "checked-mode smoke OK (37 routines verified; fallback path exits 3;" \
+     "bad -k exits 2)"

@@ -6,6 +6,10 @@
 #      deliberate bad-request and compile-error probes — asserting ZERO
 #      unexpected protocol errors, a nonzero cache-hit rate, and that every
 #      warm response's output_hash matches the cold compile of that source;
+#      rapd runs with --stats=json, and the `server` section of the
+#      rap-stats-v1 document it prints at exit must equal the reply to the
+#      trace's final `stats` op (and --stats=text's `server:` line must
+#      carry the same object);
 #   2. replays a shorter trace over a unix-domain socket (the second
 #      transport) with the same assertions;
 #   3. drains rapd with a real SIGTERM landing mid-batch and asserts the
@@ -72,14 +76,28 @@ trace = [
     {"id": 6, "op": "compile", "source": "int main() { return }",
      "options": {"alloc": "rap"}},                        # compile-error
     {"not": "a request"},                                 # bad-request
+    {"id": 8, "op": "stats"},                             # final counters
     {"id": 7, "op": "shutdown"},
 ]
 payload = "".join(json.dumps(r) + "\n" for r in trace)
 
-proc = subprocess.run([rapd, "--shards=2"], input=payload,
+def json_values(text):
+    """Every JSON value in text: rapd's one-line responses, then the
+    pretty-printed rap-stats-v1 document --stats=json adds at exit."""
+    dec, pos, values = json.JSONDecoder(), 0, []
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            return values
+        value, pos = dec.raw_decode(text, pos)
+        values.append(value)
+
+proc = subprocess.run([rapd, "--shards=2", "--stats=json"], input=payload,
                       capture_output=True, text=True, timeout=300)
 assert proc.returncode == 0, f"rapd exit {proc.returncode}: {proc.stderr}"
-lines = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
+*lines, report = json_values(proc.stdout)
+assert report.get("schema") == "rap-stats-v1", f"no stats document: {report}"
 
 banner = lines[0]
 assert banner.get("rapd") == "v1", f"missing hello banner: {banner}"
@@ -111,9 +129,27 @@ assert by_id[6]["kind"] == "compile-error"
 assert by_id[None]["kind"] == "bad-request"
 assert by_id[7]["kind"] == "shutting-down"
 
+# One counter record: the document's server section is the stats reply.
+canon = lambda v: json.dumps(v, sort_keys=True)
+final = by_id[8]["stats"]
+assert canon(report["server"]) == canon(final), \
+    f"--stats=json server {report['server']} != stats reply {final}"
+
+# --stats=text prints the same object as its one `server:` line.
+short = subprocess.run([rapd, "--no-hello", "--stats=text"],
+                       input=json.dumps({"id": 1, "op": "stats"}) + "\n",
+                       capture_output=True, text=True, timeout=60)
+assert short.returncode == 0, short.stderr
+reply = json.loads(short.stdout)["stats"]
+text = [l for l in short.stderr.splitlines() if l.startswith("  server: ")]
+assert len(text) == 1, f"want one server: line: {short.stderr}"
+assert canon(json.loads(text[0][len("  server: "):])) == canon(reply), \
+    f"--stats=text server line {text[0]} != stats reply {reply}"
+
 hit_rate = stats["cache_hits"] / (stats["cache_hits"] + stats["cache_misses"])
 print(f"stdio trace OK: {len(by_id)} responses, 0 protocol errors, "
-      f"hit rate {100 * hit_rate:.0f}%")
+      f"hit rate {100 * hit_rate:.0f}%, --stats server section == "
+      f"stats reply ({len(final)} keys)")
 PYEOF
 
 # --- 2. unix-domain socket transport --------------------------------------
@@ -166,7 +202,7 @@ PYEOF
 
 # --- 3. SIGTERM mid-batch: graceful drain, zero lost responses --------------
 python3 - "$RAPD" <<'PYEOF'
-import json, os, signal, subprocess, sys, time
+import json, os, signal, subprocess, sys, threading
 
 rapd = sys.argv[1]
 
@@ -190,22 +226,44 @@ def module(count, salt):
                     for i in range(count))
     return src + "int main() {\n  int acc = 0;\n" + calls + "  return acc;\n}\n"
 
-def drain_run(drain_ms, heavy, settle):
+def drain_run(drain_ms, heavy):
     # A batch of distinct compiles keeps the server busy long enough for the
     # signal to land mid-work; stdin stays open so only the signal (not EOF)
-    # can end the serve loop.
+    # can end the serve loop. The signal goes out once the first response
+    # is back and the second request is wholly in the pipe, so it lands as
+    # the second compile starts, not while rapd still waits for its bytes
+    # (a fixed sleep would race compiles that take tens of milliseconds).
     reqs = [{"id": i, "op": "compile", "source": module(heavy, i),
              "options": {"alloc": "rap", "k": 3}} for i in range(1, 7)]
     proc = subprocess.Popen(
         [rapd, "--shards=2", "--no-hello", f"--drain-ms={drain_ms}"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True)
-    for r in reqs:
-        proc.stdin.write(json.dumps(r) + "\n")
-    proc.stdin.flush()
-    time.sleep(settle)  # let the batch get admitted and in flight
+        stderr=subprocess.DEVNULL, text=True)
+
+    second_sent = threading.Event()
+
+    def feed():
+        try:
+            for i, r in enumerate(reqs):
+                proc.stdin.write(json.dumps(r) + "\n")
+                proc.stdin.flush()
+                if i == 1:
+                    second_sent.set()
+        except BrokenPipeError:
+            pass  # rapd stopped reading: the drain closed admission
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    out = proc.stdout.readline()
+    second_sent.wait(timeout=60)
     proc.send_signal(signal.SIGTERM)
-    out, err = proc.communicate(timeout=300)
+    out += proc.stdout.read()
+    proc.wait(timeout=300)
+    writer.join()
+    try:
+        proc.stdin.close()
+    except BrokenPipeError:
+        pass
     lines = [json.loads(l) for l in out.splitlines() if l.strip()]
     ids = [l.get("id") for l in lines]
     # Exactly-one-response: no duplicates, ids form a prefix of the trace
@@ -219,14 +277,14 @@ def drain_run(drain_ms, heavy, settle):
     return proc.returncode, lines
 
 # Generous drain window: whatever was admitted finishes, exit 0.
-code, lines = drain_run(drain_ms=60000, heavy=2, settle=0.15)
+code, lines = drain_run(drain_ms=60000, heavy=2)
 assert code == 0, f"clean drain exited {code}"
 assert all(l["ok"] for l in lines), f"clean drain cancelled work: {lines}"
 
 # 1ms drain window + heavy compiles (the signal lands early, well inside
-# the first compile): the drain watcher must cancel what is in flight
+# the second compile): the drain watcher must cancel what is in flight
 # (responses still delivered, kind "cancelled") and exit 3.
-code, lines = drain_run(drain_ms=1, heavy=160, settle=0.05)
+code, lines = drain_run(drain_ms=1, heavy=160)
 assert code == 3, f"degraded drain exited {code}, want 3"
 assert any(not l["ok"] and l.get("kind") == "cancelled" for l in lines), \
     f"degraded drain produced no cancelled response: {lines}"

@@ -54,30 +54,6 @@ json::Value rap::statsJson(const CompileResult &R, const ReportMeta &Meta) {
   Root["timers"] = R.Telemetry.timersJson();
   Root["telemetry_slices"] = R.Telemetry.NumSlices;
 
-  // Compile-server counters (rapd only; rapcc documents stay unchanged).
-  if (Meta.Server.Enabled) {
-    json::Object S;
-    S["cache_hits"] = Meta.Server.CacheHits;
-    S["cache_misses"] = Meta.Server.CacheMisses;
-    S["cache_bytes"] = Meta.Server.CacheBytes;
-    S["queue_depth_max"] = Meta.Server.QueueDepthMax;
-    S["rejected_requests"] = Meta.Server.RejectedRequests;
-    S["deadline_exceeded"] = Meta.Server.DeadlineExceeded;
-    S["cancelled"] = Meta.Server.Cancelled;
-    S["watchdog_trips"] = Meta.Server.WatchdogTrips;
-    S["drain_ms"] = Meta.Server.DrainMs;
-    S["drain_degraded"] = Meta.Server.DrainDegraded;
-    if (Meta.Server.Recovery.Enabled) {
-      json::Object Rec;
-      Rec["journal_frames_replayed"] =
-          Meta.Server.Recovery.JournalFramesReplayed;
-      Rec["snapshot_loaded"] = Meta.Server.Recovery.SnapshotLoaded;
-      Rec["torn_tail_dropped"] = Meta.Server.Recovery.TornTailDropped;
-      Rec["restarts"] = Meta.Server.Recovery.Restarts;
-      S["recovery"] = json::Value(std::move(Rec));
-    }
-    Root["server"] = json::Value(std::move(S));
-  }
   return json::Value(std::move(Root));
 }
 
@@ -111,41 +87,6 @@ std::string rap::statsText(const CompileResult &R, const ReportMeta &Meta) {
                 "  time: graph-build=%.3fms liveness=%.3fms\n",
                 A.GraphBuildSeconds * 1e3, A.LivenessSeconds * 1e3);
   Out += Buf;
-  if (Meta.Server.Enabled) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "  server: cache hits=%llu misses=%llu bytes=%llu "
-                  "queue-depth-max=%llu rejected=%llu\n",
-                  static_cast<unsigned long long>(Meta.Server.CacheHits),
-                  static_cast<unsigned long long>(Meta.Server.CacheMisses),
-                  static_cast<unsigned long long>(Meta.Server.CacheBytes),
-                  static_cast<unsigned long long>(Meta.Server.QueueDepthMax),
-                  static_cast<unsigned long long>(
-                      Meta.Server.RejectedRequests));
-    Out += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  server-drain: deadline-exceeded=%llu cancelled=%llu "
-                  "watchdog-trips=%llu drain-ms=%u degraded=%s\n",
-                  static_cast<unsigned long long>(
-                      Meta.Server.DeadlineExceeded),
-                  static_cast<unsigned long long>(Meta.Server.Cancelled),
-                  static_cast<unsigned long long>(Meta.Server.WatchdogTrips),
-                  Meta.Server.DrainMs,
-                  Meta.Server.DrainDegraded ? "yes" : "no");
-    Out += Buf;
-    if (Meta.Server.Recovery.Enabled) {
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "  server-recovery: frames-replayed=%llu snapshot=%s "
-          "torn-tail-dropped=%llu restarts=%llu\n",
-          static_cast<unsigned long long>(
-              Meta.Server.Recovery.JournalFramesReplayed),
-          Meta.Server.Recovery.SnapshotLoaded ? "yes" : "no",
-          static_cast<unsigned long long>(
-              Meta.Server.Recovery.TornTailDropped),
-          static_cast<unsigned long long>(Meta.Server.Recovery.Restarts));
-      Out += Buf;
-    }
-  }
   if (!R.Telemetry.Counters.empty()) {
     std::snprintf(Buf, sizeof(Buf),
                   "  telemetry: %llu function(s), %llu slice(s)\n",

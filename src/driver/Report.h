@@ -23,42 +23,11 @@
 
 namespace rap {
 
-/// Compile-server counters folded into rap-stats-v1 when a report comes
-/// from rapd (DESIGN.md §12). Enabled=false (the rapcc path) omits the
-/// section entirely, keeping pre-server documents byte-identical.
-struct ServerReportStats {
-  bool Enabled = false;
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheBytes = 0; ///< resident cache estimate at report time
-  uint64_t QueueDepthMax = 0;
-  uint64_t RejectedRequests = 0;
-  uint64_t DeadlineExceeded = 0; ///< requests that ran out of deadline_ms
-  uint64_t Cancelled = 0;        ///< requests aborted by the drain
-  uint64_t WatchdogTrips = 0;    ///< workers caught overstaying a deadline
-  unsigned DrainMs = 0;          ///< configured drain window
-  bool DrainDegraded = false;    ///< the drain deadline had to cancel work
-
-  /// Durable-cache recovery (DESIGN.md §15): emitted as the `recovery`
-  /// sub-object of the `server` section only when Enabled (i.e. rapd ran
-  /// with --cache-dir); absent otherwise so in-memory-only documents stay
-  /// byte-identical to pre-§15 output.
-  struct RecoveryStats {
-    bool Enabled = false;
-    uint64_t JournalFramesReplayed = 0; ///< entries recovered at startup
-    bool SnapshotLoaded = false;        ///< snapshot.bin replayed
-    uint64_t TornTailDropped = 0;       ///< crash-torn bytes dropped
-    uint64_t Restarts = 0;              ///< supervised restarts so far
-  };
-  RecoveryStats Recovery;
-};
-
 /// Context the stats document records about the run that produced it.
 struct ReportMeta {
   std::string Allocator; ///< "rap", "gra", or "none"
   unsigned K = 0;
   unsigned Threads = 1;
-  ServerReportStats Server;
 };
 
 /// The "rap-stats-v1" document: run metadata, the aggregated AllocStats

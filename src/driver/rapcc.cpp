@@ -11,7 +11,7 @@
 ///
 ///   rapcc file.mc [options]      (file.mc may be '-' for stdin)
 ///     --alloc=none|gra|rap     allocator (default rap)
-///     -k N                      physical registers (default 5)
+///     -k N                      physical registers, 3..256 (default 5)
 ///     --granularity=stmt|merged region granularity (default stmt)
 ///     --copies=naive|direct     assignment codegen style (default naive)
 ///     --no-movement --no-peephole --no-cleanup   disable RAP phases
@@ -64,6 +64,7 @@
 #include "support/Stats.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -123,11 +124,15 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strcmp(Arg, "-k") == 0 && I + 1 < argc) {
-      Opts.Alloc.K = static_cast<unsigned>(std::atoi(argv[++I]));
-      if (Opts.Alloc.K < 3) {
-        std::fprintf(stderr, "rapcc: k must be at least 3\n");
+      const char *Text = argv[++I];
+      char *End = nullptr;
+      unsigned long K = std::strtoul(Text, &End, 10);
+      if (End == Text || *End != '\0' || K < 3 || K > MaxK) {
+        std::fprintf(stderr, "rapcc: k must be an integer in [3, %u]\n",
+                     MaxK);
         return 2;
       }
+      Opts.Alloc.K = static_cast<unsigned>(K);
     } else if (startsWith(Arg, "--granularity=")) {
       std::string G = Arg + 14;
       if (G == "stmt")

@@ -53,6 +53,12 @@ enum class AllocatorKind {
   Rap,
 };
 
+/// The largest k that rapcc and rapd accept from outside the program.
+/// colorGraph's per-color vectors, the cleanup's slot x register bit sets
+/// and the interpreter's register frames all grow with k; nothing in the
+/// repository uses more than 32.
+constexpr unsigned MaxK = 256;
+
 struct AllocOptions {
   unsigned K = 5; ///< number of physical registers (paper uses 3, 5, 7, 9)
 

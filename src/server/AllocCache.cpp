@@ -85,32 +85,30 @@ void AllocCache::insert(uint64_t Key, const IlocFunction &Allocated,
   if (Budget == 0)
     return; // caching disabled: the cold-path baseline
   size_t Bytes = estimateFunctionBytes(Allocated);
-  std::lock_guard<std::mutex> Lock(M);
   if (Bytes > Budget)
     return; // larger than the whole cache: not worth evicting everything
+  // A hit replays the cold allocation's counts, not its wall clocks:
+  // summing those per hit would bill the cold compile's time again.
+  AllocOutcome Stored = Outcome;
+  Stored.Stats.GraphBuildSeconds = 0;
+  Stored.Stats.LivenessSeconds = 0;
+  std::lock_guard<std::mutex> Lock(M);
   auto It = Index.find(Key);
-  if (It != Index.end()) {
+  if (It == Index.end()) {
+    Lru.emplace_front();
+    Lru.front().Key = Key;
+    It = Index.emplace(Key, Lru.begin()).first;
+  } else {
     // Same fingerprint => same deterministic result; refresh recency and
     // replace the stored body (keeps the bytes ledger exact).
     Stats.Bytes -= It->second->Bytes;
     Lru.splice(Lru.begin(), Lru, It->second);
-    It->second->Body = cloneFunction(Allocated);
-    It->second->Outcome = Outcome;
-    It->second->Bytes = Bytes;
-    Stats.Bytes += Bytes;
-    evictToBudgetLocked();
-    return;
   }
-  Entry E;
-  E.Key = Key;
+  Entry &E = *It->second;
   E.Body = cloneFunction(Allocated);
-  E.Outcome = Outcome;
+  E.Outcome = std::move(Stored);
   E.Bytes = Bytes;
-  Lru.push_front(std::move(E));
-  Index[Key] = Lru.begin();
   Stats.Bytes += Bytes;
-  ++Stats.Entries;
-  ++Stats.Insertions;
   evictToBudgetLocked();
 }
 
@@ -118,7 +116,6 @@ void AllocCache::evictToBudgetLocked() {
   while (Stats.Bytes > Budget && !Lru.empty()) {
     Entry &Victim = Lru.back();
     Stats.Bytes -= Victim.Bytes;
-    --Stats.Entries;
     ++Stats.Evictions;
     Index.erase(Victim.Key);
     Lru.pop_back();

@@ -59,7 +59,8 @@ size_t estimateFunctionBytes(const IlocFunction &F);
 
 /// What a hit replays: the allocated body plus the outcome of the original
 /// allocation. Stats are the *allocation-time* counters — a replayed hit
-/// reports the same ledger a cold compile would.
+/// reports the same ledger a cold compile would — except the wall clocks
+/// (GraphBuildSeconds, LivenessSeconds), which read 0: a hit spent none.
 struct CachedAllocation {
   std::unique_ptr<IlocFunction> Body;
   AllocOutcome Outcome;
@@ -68,10 +69,8 @@ struct CachedAllocation {
 struct CacheCounters {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
-  uint64_t Insertions = 0;
   uint64_t Evictions = 0;
-  uint64_t Bytes = 0;   ///< current retained estimate
-  uint64_t Entries = 0; ///< current entry count
+  uint64_t Bytes = 0; ///< current retained estimate
 };
 
 class AllocCache {
@@ -87,13 +86,13 @@ public:
   /// Body. Counts the hit/miss either way.
   CachedAllocation lookup(uint64_t Key);
 
-  /// Stores \p Allocated (cloned; the caller keeps its instance) under
-  /// \p Key, then evicts LRU entries until the budget holds. Re-inserting
-  /// an existing key refreshes its recency and replaces the value (the
-  /// bodies are identical by construction — same fingerprint, deterministic
-  /// allocator — so replacing is as good as keeping). An entry larger than
-  /// the whole budget is dropped immediately rather than thrashing the
-  /// cache.
+  /// Stores \p Allocated (cloned; the caller keeps its instance) and
+  /// \p Outcome, its wall clocks zeroed, under \p Key, then evicts LRU
+  /// entries until the budget holds. Re-inserting an existing key refreshes
+  /// its recency and replaces the value (the bodies are identical by
+  /// construction — same fingerprint, deterministic allocator — so
+  /// replacing is as good as keeping). An entry larger than the whole
+  /// budget is dropped immediately rather than thrashing the cache.
   void insert(uint64_t Key, const IlocFunction &Allocated,
               const AllocOutcome &Outcome);
 

@@ -85,8 +85,8 @@ struct CacheStoreConfig {
   std::function<bool(FaultSite)> Chaos;
 };
 
-/// Recovery/health counters, surfaced through the rap-stats-v1 `server`
-/// section's `recovery` block.
+/// Recovery/health counters: ServiceCounters holds this record as it is,
+/// and serverStatsJson renders it as the `recovery` block.
 struct CacheStoreCounters {
   bool SnapshotLoaded = false;    ///< snapshot.bin existed with a good header
   uint64_t FramesReplayed = 0;    ///< entry frames replayed (snapshot+journal)

@@ -274,7 +274,6 @@ ServiceCounters CompileService::counters() const {
   C.Requests = Requests.load(std::memory_order_relaxed);
   C.CacheHits = CC.Hits;
   C.CacheMisses = CC.Misses;
-  C.FunctionsCompiled = CC.Hits + CC.Misses;
   C.CacheBytes = CC.Bytes;
   C.CacheEvictions = CC.Evictions;
   C.QueueDepthMax = Pool.queueDepthMax();
@@ -284,17 +283,8 @@ ServiceCounters CompileService::counters() const {
   C.WatchdogTrips = Pool.watchdogTrips();
   C.ShardsDegraded = Pool.shardsDegraded();
   C.ChaosInjected = ChaosInjectedCount.load(std::memory_order_relaxed);
-  if (Store) {
-    CacheStoreCounters SC = Store->counters();
-    C.PersistEnabled = true;
-    C.SnapshotLoaded = SC.SnapshotLoaded;
-    C.JournalFramesReplayed = SC.FramesReplayed;
-    C.TornTailDropped = SC.TornTailBytes;
-    C.StoreInvalidations = SC.Invalidations;
-    C.JournalAppends = SC.Appends;
-    C.Compactions = SC.Compactions;
-    C.StoreDegraded = SC.Degraded;
-    C.Restarts = Config.Restarts;
-  }
+  if (Store)
+    C.Recovery = Store->counters();
+  C.Restarts = Config.Restarts;
   return C;
 }

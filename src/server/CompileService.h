@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -148,10 +149,12 @@ struct ServiceResult {
   }
 };
 
-/// Aggregate counters the server exports (rap-stats-v1 "server" section).
+/// rapd's counters: the one record behind both the `stats` op and the
+/// rap-stats-v1 `server` section, which serverStatsJson (Protocol.h)
+/// renders. CompileService::counters() fills the service's facts;
+/// Server::counters() adds the three only the transport layer has.
 struct ServiceCounters {
   uint64_t Requests = 0;
-  uint64_t FunctionsCompiled = 0; ///< hits + misses
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
   uint64_t CacheBytes = 0;
@@ -164,17 +167,15 @@ struct ServiceCounters {
   uint64_t ShardsDegraded = 0;   ///< shards currently wedged (watchdog view)
   uint64_t ChaosInjected = 0;    ///< contained server-layer chaos faults
 
-  // Durable-cache recovery (meaningful only when PersistEnabled; the stats
-  // `recovery` block is omitted otherwise).
-  bool PersistEnabled = false;       ///< a CacheStore is attached
-  bool SnapshotLoaded = false;       ///< snapshot.bin replayed at startup
-  uint64_t JournalFramesReplayed = 0;///< entries recovered (snapshot+journal)
-  uint64_t TornTailDropped = 0;      ///< bytes dropped past the last good frame
-  uint64_t StoreInvalidations = 0;   ///< fingerprint-mismatch full wipes
-  uint64_t JournalAppends = 0;       ///< entries journaled this process
-  uint64_t Compactions = 0;          ///< snapshot rewrites this process
-  bool StoreDegraded = false;        ///< persistence off after a fault
-  uint64_t Restarts = 0;             ///< supervised restarts (RAPD_RESTARTS)
+  // Transport layer (Server::counters()).
+  uint64_t RejectedRequests = 0; ///< oversized or over-budget lines
+  unsigned DrainMs = 0;          ///< configured drain window
+  bool DrainDegraded = false;    ///< the drain deadline had to cancel work
+
+  /// The durable store's own record, present only when --cache-dir armed
+  /// one; the stats `recovery` block is omitted otherwise.
+  std::optional<CacheStoreCounters> Recovery;
+  uint64_t Restarts = 0; ///< supervised restarts (RAPD_RESTARTS)
 };
 
 class CompileService {

@@ -73,8 +73,9 @@ bool server::parseRequest(const json::Value &V, Request &Out,
     }
   }
   if (Opts.has("k")) {
-    if (!Opts["k"].isInt() || Opts["k"].asInt() < 3) {
-      Error = "'k' must be an integer >= 3";
+    if (!Opts["k"].isInt() || Opts["k"].asInt() < 3 ||
+        Opts["k"].asInt() > MaxK) {
+      Error = "'k' must be an integer in [3, " + std::to_string(MaxK) + "]";
       return false;
     }
     Out.Options.K = static_cast<unsigned>(Opts["k"].asInt());
@@ -205,43 +206,46 @@ json::Value server::overloadedResponse(const Request &Req,
   return json::Value(std::move(O));
 }
 
-json::Value server::statsResponse(const Request &Req,
-                                  const ServiceCounters &C,
-                                  uint64_t RejectedRequests,
-                                  unsigned DrainMs) {
+json::Value server::serverStatsJson(const ServiceCounters &C) {
   json::Object S;
   S["requests"] = C.Requests;
-  S["functions"] = C.FunctionsCompiled;
+  S["functions"] = C.CacheHits + C.CacheMisses;
   S["cache_hits"] = C.CacheHits;
   S["cache_misses"] = C.CacheMisses;
   S["cache_bytes"] = C.CacheBytes;
   S["cache_evictions"] = C.CacheEvictions;
   S["queue_depth_max"] = C.QueueDepthMax;
   S["tasks_stolen"] = C.TasksStolen;
-  S["rejected_requests"] = RejectedRequests;
+  S["rejected_requests"] = C.RejectedRequests;
   S["deadline_exceeded"] = C.DeadlineExceeded;
   S["cancelled"] = C.Cancelled;
   S["watchdog_trips"] = C.WatchdogTrips;
   S["shards_degraded"] = C.ShardsDegraded;
   S["chaos_injected"] = C.ChaosInjected;
-  S["drain_ms"] = DrainMs;
+  S["drain_ms"] = C.DrainMs;
+  S["drain_degraded"] = C.DrainDegraded;
   // Durable-cache recovery counters: present only when --cache-dir armed a
-  // CacheStore, so in-memory-only deployments keep their pre-§15 stats
-  // lines byte-identical.
-  if (C.PersistEnabled) {
-    json::Object R;
-    R["journal_frames_replayed"] = C.JournalFramesReplayed;
-    R["snapshot_loaded"] = C.SnapshotLoaded;
-    R["torn_tail_dropped"] = C.TornTailDropped;
-    R["restarts"] = C.Restarts;
-    R["journal_appends"] = C.JournalAppends;
-    R["compactions"] = C.Compactions;
-    R["invalidations"] = C.StoreInvalidations;
-    R["degraded"] = C.StoreDegraded;
-    S["recovery"] = json::Value(std::move(R));
+  // CacheStore, so in-memory-only deployments keep their pre-§15 shape.
+  if (const std::optional<CacheStoreCounters> &R = C.Recovery) {
+    json::Object Rec;
+    Rec["journal_frames_replayed"] = R->FramesReplayed;
+    Rec["snapshot_loaded"] = R->SnapshotLoaded;
+    Rec["torn_tail_dropped"] = R->TornTailBytes;
+    Rec["bad_entries_dropped"] = R->BadEntriesDropped;
+    Rec["invalidations"] = R->Invalidations;
+    Rec["journal_appends"] = R->Appends;
+    Rec["compactions"] = R->Compactions;
+    Rec["degraded"] = R->Degraded;
+    Rec["restarts"] = C.Restarts;
+    S["recovery"] = json::Value(std::move(Rec));
   }
+  return json::Value(std::move(S));
+}
+
+json::Value server::statsResponse(const Request &Req,
+                                  const ServiceCounters &C) {
   json::Object O = responseBase(Req, true);
-  O["stats"] = json::Value(std::move(S));
+  O["stats"] = serverStatsJson(C);
   return json::Value(std::move(O));
 }
 

@@ -13,7 +13,7 @@
 ///   {"op":"compile","id":7,"source":"...","options":{"alloc":"rap","k":5,
 ///    "granularity":"stmt","copies":"naive","run":false,"fuel":N,
 ///    "dump":false,"deadline_ms":250}}
-///   {"op":"stats","id":8}     -> server counters
+///   {"op":"stats","id":8}     -> server counters (serverStatsJson)
 ///   {"op":"ping","id":9}      -> liveness probe
 ///   {"op":"shutdown","id":10} -> acknowledge, then drain and stop serving
 ///
@@ -72,12 +72,13 @@ json::Value errorResponse(const Request &Req, const char *Kind,
 /// Backpressure response: kind "overloaded" plus "retry_after_ms".
 json::Value overloadedResponse(const Request &Req, unsigned RetryAfterMs);
 
-/// Stats response embedding the server counter block (also used by the
-/// rap-stats-v1 "server" section). \p DrainMs echoes the server's
-/// configured drain window so operators can read the whole crash-only
-/// posture off one stats line.
-json::Value statsResponse(const Request &Req, const ServiceCounters &C,
-                          uint64_t RejectedRequests, unsigned DrainMs);
+/// rapd's counters as one JSON object: the `stats` reply's "stats" and
+/// rapd --stats' rap-stats-v1 "server" section. The `recovery` block
+/// appears only when \p C carries the durable store's counters.
+json::Value serverStatsJson(const ServiceCounters &C);
+
+/// Stats response: serverStatsJson(\p C) under "stats".
+json::Value statsResponse(const Request &Req, const ServiceCounters &C);
 
 /// Simple acks for ping/shutdown.
 json::Value ackResponse(const Request &Req, const char *Kind);

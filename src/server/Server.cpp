@@ -41,6 +41,14 @@ Server::Server(const ServerConfig &Config)
                                                : this->Config.Service.Chaos,
             std::string()) {}
 
+ServiceCounters Server::counters() const {
+  ServiceCounters C = Service.counters();
+  C.RejectedRequests = Rejected.load(std::memory_order_relaxed);
+  C.DrainMs = Config.DrainMs;
+  C.DrainDegraded = drainDegraded();
+  return C;
+}
+
 AllocStats Server::totalAllocStats() const {
   std::lock_guard<std::mutex> Lock(StatsM);
   return TotalAlloc;
@@ -129,9 +137,7 @@ json::Value Server::dispatch(const json::Value &Parsed) {
       Shutdown.store(true, std::memory_order_release);
       return ackResponse(Req, "shutting-down");
     case RequestOp::Stats:
-      return statsResponse(Req, Service.counters(),
-                           Rejected.load(std::memory_order_relaxed),
-                           Config.DrainMs);
+      return statsResponse(Req, counters());
     case RequestOp::Compile: {
       ServiceResult Res = Service.compile(Req.Source, Req.Options);
       if (Res.Status == ServiceStatus::DeadlineExceeded ||

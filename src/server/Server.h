@@ -115,13 +115,13 @@ public:
   }
 
   CompileService &service() { return Service; }
-  uint64_t rejectedRequests() const {
-    return Rejected.load(std::memory_order_relaxed);
-  }
+  /// The service's counters plus the transport layer's: rejected lines,
+  /// the drain window and whether the drain had to cancel work. The `stats`
+  /// op and rapd --stats both render this record.
+  ServiceCounters counters() const;
   /// Allocation ledger aggregated over every request served (for the final
   /// rap-stats-v1 report).
   AllocStats totalAllocStats() const;
-  const ServerConfig &config() const { return Config; }
 
 private:
   json::Value dispatch(const json::Value &Parsed);

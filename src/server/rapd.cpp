@@ -40,8 +40,9 @@
 ///     --no-hello              skip the {"rapd":"v1",...} startup banner
 ///     --stats[=text|json]     after serving ends, print a rap-stats-v1
 ///                             document with the aggregated allocation
-///                             ledger and the "server" counter section
-///                             (text -> stderr, json -> stdout)
+///                             ledger and the "server" section, the same
+///                             object the `stats` op answers (text ->
+///                             stderr as one `server:` line, json -> stdout)
 ///
 ///   Supervisor mode (crash recovery; DESIGN.md §15):
 ///     --supervise             fork/exec a child rapd with the same serving
@@ -505,34 +506,23 @@ int main(int argc, char **argv) {
   if (!StatsMode.empty()) {
     // The final report: the rap-stats-v1 document over everything served.
     // Options vary per request, so the allocator/k fields record the
-    // server's defaults; the ledger and server counters are aggregates.
+    // server's defaults; the ledger is an aggregate. The `server` section
+    // is the `stats` op's object, from the same renderer.
     CompileResult Summary;
     Summary.Alloc = S.totalAllocStats();
-    ServiceCounters C = S.service().counters();
     ReportMeta Meta;
     Meta.Allocator = "rap";
     Meta.K = 5;
     Meta.Threads = S.service().shards();
-    Meta.Server.Enabled = true;
-    Meta.Server.CacheHits = C.CacheHits;
-    Meta.Server.CacheMisses = C.CacheMisses;
-    Meta.Server.CacheBytes = C.CacheBytes;
-    Meta.Server.QueueDepthMax = C.QueueDepthMax;
-    Meta.Server.RejectedRequests = S.rejectedRequests();
-    Meta.Server.DeadlineExceeded = C.DeadlineExceeded;
-    Meta.Server.Cancelled = C.Cancelled;
-    Meta.Server.WatchdogTrips = C.WatchdogTrips;
-    Meta.Server.DrainMs = S.config().DrainMs;
-    Meta.Server.DrainDegraded = S.drainDegraded();
-    Meta.Server.Recovery.Enabled = C.PersistEnabled;
-    Meta.Server.Recovery.JournalFramesReplayed = C.JournalFramesReplayed;
-    Meta.Server.Recovery.SnapshotLoaded = C.SnapshotLoaded;
-    Meta.Server.Recovery.TornTailDropped = C.TornTailDropped;
-    Meta.Server.Recovery.Restarts = C.Restarts;
-    if (StatsMode == "json")
-      std::printf("%s\n", statsJson(Summary, Meta).str(2).c_str());
-    else
-      std::fprintf(stderr, "%s", statsText(Summary, Meta).c_str());
+    json::Value Server = serverStatsJson(S.counters());
+    if (StatsMode == "json") {
+      json::Value Doc = statsJson(Summary, Meta);
+      Doc.asObject()["server"] = std::move(Server);
+      std::printf("%s\n", Doc.str(2).c_str());
+    } else {
+      std::fprintf(stderr, "%s  server: %s\n",
+                   statsText(Summary, Meta).c_str(), Server.str().c_str());
+    }
   }
   return Code;
 }

@@ -587,14 +587,17 @@ TEST_F(CacheStoreTest, ServiceWarmHitsAcrossSimulatedRestart) {
   Config.CacheDir = Dir;
   CompileService Service(Config);
   ServiceCounters C = Service.counters();
-  EXPECT_TRUE(C.PersistEnabled);
-  EXPECT_EQ(C.JournalFramesReplayed, ColdMisses);
+  ASSERT_TRUE(C.Recovery);
+  EXPECT_EQ(C.Recovery->FramesReplayed, ColdMisses);
 
   ServiceResult Warm = Service.compile(Src, Opts);
   ASSERT_TRUE(Warm.Ok) << Warm.Errors;
   EXPECT_EQ(Warm.CacheMisses, 0u);
   EXPECT_EQ(Warm.CacheHits, ColdMisses);
   EXPECT_EQ(Warm.OutputHash, ColdHash); // warm == cold, across processes
+  // Replayed entries carry the cold counts but none of its wall clock.
+  EXPECT_EQ(Warm.Alloc.GraphBuildSeconds, 0.0);
+  EXPECT_EQ(Warm.Alloc.LivenessSeconds, 0.0);
 }
 
 } // namespace

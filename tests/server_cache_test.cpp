@@ -16,11 +16,14 @@
 ///  * a small --cache-bytes budget evicts LRU entries (and a zero budget
 ///    disables caching) without changing any compiled output;
 ///  * the whole request sequence produces byte-identical results at shard
-///    count 1 and 4 — the determinism acceptance criterion.
+///    count 1 and 4 — the determinism acceptance criterion;
+///  * a hit replays the cold allocation's counts, not its wall clocks, so
+///    rapd's aggregate allocation seconds do not grow with warm requests.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "server/CompileService.h"
+#include "server/Server.h"
 
 #include "gtest/gtest.h"
 
@@ -122,6 +125,30 @@ TEST(ServerCache, WarmReplayIsByteIdenticalToCold) {
     EXPECT_EQ(Warm.Functions[I].Outcome.Status,
               Cold.Functions[I].Outcome.Status);
   }
+}
+
+TEST(ServerCache, WarmHitsAddNoAllocationSeconds) {
+  ServerConfig Config;
+  Config.Service.Shards = 2;
+  Server S(Config);
+  json::Object Opts;
+  Opts["alloc"] = "rap";
+  Opts["k"] = 3;
+  json::Object Req;
+  Req["op"] = "compile";
+  Req["source"] = moduleSource({0, 0, 0});
+  Req["options"] = json::Value(std::move(Opts));
+  std::string Line = json::Value(std::move(Req)).str();
+
+  ASSERT_NE(S.handleLine(Line).find("\"cache_misses\":4"), std::string::npos);
+  AllocStats Cold = S.totalAllocStats();
+  EXPECT_GT(Cold.GraphBuildSeconds, 0.0);
+  ASSERT_NE(S.handleLine(Line).find("\"cache_hits\":4"), std::string::npos);
+  AllocStats Warm = S.totalAllocStats();
+  EXPECT_EQ(Warm.GraphBuildSeconds, Cold.GraphBuildSeconds);
+  EXPECT_EQ(Warm.LivenessSeconds, Cold.LivenessSeconds);
+  // The counts still fold in once per request.
+  EXPECT_EQ(Warm.GraphBuilds, 2 * Cold.GraphBuilds);
 }
 
 TEST(ServerCache, EditReallocatesExactlyTheEditedFunction) {

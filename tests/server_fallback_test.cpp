@@ -21,6 +21,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -122,7 +123,9 @@ void checkFallbackAgrees(AllocatorKind Kind) {
 
   // A restarted service answers from the replayed journal, kind included.
   CompileService Restarted(Config);
-  EXPECT_EQ(Restarted.counters().JournalFramesReplayed, 2u);
+  std::optional<CacheStoreCounters> Recovery = Restarted.counters().Recovery;
+  ASSERT_TRUE(Recovery);
+  EXPECT_EQ(Recovery->FramesReplayed, 2u);
   ServiceResult Replayed = Restarted.compile(Source, Opts);
   expectOutcomes(Replayed, /*CacheHit=*/true, Want);
   EXPECT_EQ(Replayed.OutputHash, ColdHash);

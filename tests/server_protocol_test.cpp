@@ -15,7 +15,10 @@
 ///    field with a stable diagnostic;
 ///  * Server::handleLine — single requests, ordered batch arrays, the
 ///    bad-request path, stats counters, and byte-budget admission turning
-///    oversized lines into "overloaded" + retry_after_ms rejections.
+///    oversized lines into "overloaded" + retry_after_ms rejections;
+///  * the one counter record — the `stats` reply is serverStatsJson of
+///    Server::counters(), with every key it and rapd --stats' `server`
+///    section ever carried, in memory and with a cache directory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +28,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace rap;
@@ -192,6 +197,15 @@ TEST(ParseRequest, RejectsEachMalformedField) {
   Fails("{\"op\":\"compile\"}");                            // no source
   Fails("{\"id\":\"x\",\"op\":\"ping\"}");                  // non-int id
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":{\"k\":2}}");
+  // k is bounded above by MaxK too, and a value past 2^32 must not wrap to
+  // a small k that then hits the cache.
+  for (const char *K : {"257", "4294967299"})
+    EXPECT_NE(Fails(std::string("{\"op\":\"compile\",\"source\":\"\","
+                                "\"options\":{\"k\":") +
+                    K + "}}")
+                  .find("'k'"),
+              std::string::npos)
+        << K;
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":{\"alloc\":\"x\"}}");
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":{\"fuel\":0}}");
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":3}");
@@ -260,13 +274,96 @@ TEST(ServerHandleLine, AdmissionRejectsOversizedLinesWithRetryAfter) {
   EXPECT_FALSE(Rejected["ok"].asBool());
   EXPECT_EQ(Rejected["kind"].asString(), "overloaded");
   EXPECT_EQ(Rejected["retry_after_ms"].asInt(), 125);
-  EXPECT_EQ(S.rejectedRequests(), 1u);
+  EXPECT_EQ(S.counters().RejectedRequests, 1u);
 
   // The budget is released per line, so small requests still get through
   // after a rejection — degradation, not a wedge.
   json::Value Pong = parseJson(S.handleLine("{\"id\":2,\"op\":\"ping\"}"));
   EXPECT_TRUE(Pong["ok"].asBool());
   EXPECT_EQ(Pong["kind"].asString(), "pong");
+}
+
+//===----------------------------------------------------------------------===//
+// One counter record.
+//===----------------------------------------------------------------------===//
+
+/// Every key the `stats` reply (first 15) or rapd --stats' `server` section
+/// (drain_degraded; its other nine were shared) carried before the two were
+/// one record, with its JSON type.
+enum class KeyType { Int, Bool };
+const std::pair<const char *, KeyType> ServerKeys[] = {
+    {"requests", KeyType::Int},          {"functions", KeyType::Int},
+    {"cache_hits", KeyType::Int},        {"cache_misses", KeyType::Int},
+    {"cache_bytes", KeyType::Int},       {"cache_evictions", KeyType::Int},
+    {"queue_depth_max", KeyType::Int},   {"tasks_stolen", KeyType::Int},
+    {"rejected_requests", KeyType::Int}, {"deadline_exceeded", KeyType::Int},
+    {"cancelled", KeyType::Int},         {"watchdog_trips", KeyType::Int},
+    {"shards_degraded", KeyType::Int},   {"chaos_injected", KeyType::Int},
+    {"drain_ms", KeyType::Int},          {"drain_degraded", KeyType::Bool},
+};
+/// The `recovery` block: the stats reply's eight keys plus
+/// bad_entries_dropped, which only CacheStoreCounters had.
+const std::pair<const char *, KeyType> RecoveryKeys[] = {
+    {"journal_frames_replayed", KeyType::Int},
+    {"snapshot_loaded", KeyType::Bool},
+    {"torn_tail_dropped", KeyType::Int},
+    {"bad_entries_dropped", KeyType::Int},
+    {"invalidations", KeyType::Int},
+    {"journal_appends", KeyType::Int},
+    {"compactions", KeyType::Int},
+    {"degraded", KeyType::Bool},
+    {"restarts", KeyType::Int},
+};
+
+template <size_t N>
+void expectKeys(const json::Value &V,
+                const std::pair<const char *, KeyType> (&Keys)[N],
+                size_t Extra) {
+  ASSERT_TRUE(V.isObject());
+  EXPECT_EQ(V.asObject().size(), N + Extra) << V.str();
+  for (const auto &[Key, Type] : Keys) {
+    ASSERT_TRUE(V.has(Key)) << Key << " missing: " << V.str();
+    EXPECT_TRUE(Type == KeyType::Int ? V[Key].isInt() : V[Key].isBool())
+        << Key << " retyped: " << V.str();
+  }
+}
+
+/// Serves a cold and a warm compile, then returns the `stats` reply's
+/// object after checking it against serverStatsJson(S.counters()).
+json::Value servedStats(Server &S) {
+  EXPECT_TRUE(parseJson(S.handleLine(compileLine(1, TinySource)))["ok"]
+                  .asBool());
+  EXPECT_TRUE(parseJson(S.handleLine(compileLine(2, TinySource)))["ok"]
+                  .asBool());
+  json::Value Reply = parseJson(S.handleLine("{\"id\":3,\"op\":\"stats\"}"));
+  EXPECT_EQ(Reply["stats"].str(), serverStatsJson(S.counters()).str());
+  return Reply["stats"];
+}
+
+TEST(ServerStats, StatsReplyIsTheServerSection) {
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  {
+    Server S(Config);
+    json::Value Stats = servedStats(S);
+    expectKeys(Stats, ServerKeys, /*Extra=*/0);
+    EXPECT_EQ(Stats["cache_hits"].asInt(), 1);
+    EXPECT_EQ(Stats["cache_misses"].asInt(), 1);
+  }
+
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("rap_server_stats_" + std::to_string(::getpid()));
+  fs::remove_all(Dir);
+  Config.Service.CacheDir = Dir.string();
+  {
+    Server S(Config);
+    json::Value Stats = servedStats(S);
+    expectKeys(Stats, ServerKeys, /*Extra=*/1);
+    expectKeys(Stats["recovery"], RecoveryKeys, /*Extra=*/0);
+    EXPECT_EQ(Stats["recovery"]["journal_appends"].asInt(), 1);
+  }
+  fs::remove_all(Dir);
 }
 
 } // namespace

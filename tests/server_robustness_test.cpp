@@ -328,7 +328,7 @@ TEST(ServerRobustness, OversizedLineAnswersBadRequest) {
   // A line at the cap still serves.
   std::string Ping = "{\"op\":\"ping\",\"id\":2}";
   EXPECT_NE(S.handleLine(Ping).find("pong"), std::string::npos);
-  EXPECT_EQ(S.rejectedRequests(), 1u);
+  EXPECT_EQ(S.counters().RejectedRequests, 1u);
 }
 
 TEST(ServerRobustness, StatsCarryCrashOnlyCounters) {
@@ -339,7 +339,8 @@ TEST(ServerRobustness, StatsCarryCrashOnlyCounters) {
   std::string Out = S.handleLine("{\"op\":\"stats\",\"id\":9}");
   for (const char *Key :
        {"\"deadline_exceeded\"", "\"cancelled\"", "\"watchdog_trips\"",
-        "\"shards_degraded\"", "\"chaos_injected\"", "\"drain_ms\":1234"})
+        "\"shards_degraded\"", "\"chaos_injected\"", "\"drain_ms\":1234",
+        "\"drain_degraded\":false"})
     EXPECT_NE(Out.find(Key), std::string::npos) << Key << " missing: " << Out;
 }
 

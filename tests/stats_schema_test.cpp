@@ -11,7 +11,8 @@
 ///  * "rap-stats-v1" (rapcc --stats=json / driver statsJson): required
 ///    keys, correct types, no nulls anywhere (a null is how a NaN/Inf
 ///    sneaks into serialization), counters non-negative, ledger internally
-///    consistent, per-function rows folding to the aggregate.
+///    consistent, per-function rows folding to the aggregate; and the
+///    `server` section rapd adds (server::serverStatsJson).
 ///  * Chrome trace-event JSON (--trace): only "X" complete events and "M"
 ///    metadata, with the fields about://tracing requires.
 ///  * "rap-bench-v1" (the bench harnesses' --json envelope) and the shared
@@ -22,6 +23,7 @@
 #include "../bench/Table1Support.h"
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
+#include "server/Protocol.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 
@@ -214,8 +216,8 @@ TEST(StatsSchema, ServerSectionOnlyWhenServing) {
   CompileResult CR = compileMiniC(PressureSource, Options);
   ASSERT_TRUE(CR.ok()) << CR.Errors;
 
-  // rapcc documents (Server.Enabled false) must not grow a "server" key —
-  // existing consumers see byte-identical output.
+  // rapcc documents must not grow a "server" key — existing consumers see
+  // byte-identical output. Only rapd adds the section.
   ReportMeta Meta;
   Meta.Allocator = "rap";
   Meta.K = 3;
@@ -225,22 +227,22 @@ TEST(StatsSchema, ServerSectionOnlyWhenServing) {
   EXPECT_FALSE(Plain.has("server"));
   EXPECT_EQ(statsText(CR, Meta).find("server:"), std::string::npos);
 
-  // rapd documents carry the five serving counters, all non-negative ints.
-  Meta.Server.Enabled = true;
-  Meta.Server.CacheHits = 12;
-  Meta.Server.CacheMisses = 3;
-  Meta.Server.CacheBytes = 4096;
-  Meta.Server.QueueDepthMax = 5;
-  Meta.Server.RejectedRequests = 1;
-  Meta.Server.DeadlineExceeded = 7;
-  Meta.Server.Cancelled = 2;
-  Meta.Server.WatchdogTrips = 1;
-  Meta.Server.DrainMs = 2000;
-  Meta.Server.DrainDegraded = true;
-  json::Value Doc;
-  ASSERT_TRUE(json::parse(statsJson(CR, Meta).str(2), Doc, &Error)) << Error;
-  ASSERT_TRUE(Doc["server"].isObject());
-  const json::Value &S = Doc["server"];
+  // rapd's section, from the renderer its `stats` op shares: the serving
+  // counters, all non-negative ints.
+  server::ServiceCounters C;
+  C.CacheHits = 12;
+  C.CacheMisses = 3;
+  C.CacheBytes = 4096;
+  C.QueueDepthMax = 5;
+  C.RejectedRequests = 1;
+  C.DeadlineExceeded = 7;
+  C.Cancelled = 2;
+  C.WatchdogTrips = 1;
+  C.DrainMs = 2000;
+  C.DrainDegraded = true;
+  json::Value S;
+  ASSERT_TRUE(json::parse(server::serverStatsJson(C).str(2), S, &Error))
+      << Error;
   EXPECT_EQ(S["cache_hits"].asInt(), 12);
   EXPECT_EQ(S["cache_misses"].asInt(), 3);
   EXPECT_EQ(S["cache_bytes"].asInt(), 4096);
@@ -252,37 +254,29 @@ TEST(StatsSchema, ServerSectionOnlyWhenServing) {
   EXPECT_EQ(S["watchdog_trips"].asInt(), 1);
   EXPECT_EQ(S["drain_ms"].asInt(), 2000);
   EXPECT_TRUE(S["drain_degraded"].asBool());
-  expectNoNulls(Doc["server"], "$.server");
+  expectNoNulls(S, "$.server");
   // No --cache-dir: the recovery sub-object is absent so in-memory-only
   // documents stay byte-identical to pre-§15 output.
   EXPECT_FALSE(S.has("recovery"));
 
-  std::string Text = statsText(CR, Meta);
-  EXPECT_NE(Text.find("server: cache hits=12 misses=3"), std::string::npos);
-  EXPECT_NE(Text.find("server-drain: deadline-exceeded=7"), std::string::npos);
-  EXPECT_EQ(Text.find("server-recovery:"), std::string::npos);
-
   // With a persistent store attached (--cache-dir), the recovery block
   // carries the §15 counters, all typed and non-null.
-  Meta.Server.Recovery.Enabled = true;
-  Meta.Server.Recovery.JournalFramesReplayed = 42;
-  Meta.Server.Recovery.SnapshotLoaded = true;
-  Meta.Server.Recovery.TornTailDropped = 17;
-  Meta.Server.Recovery.Restarts = 3;
-  json::Value PersistDoc;
-  ASSERT_TRUE(json::parse(statsJson(CR, Meta).str(2), PersistDoc, &Error))
+  server::CacheStoreCounters Store;
+  Store.FramesReplayed = 42;
+  Store.SnapshotLoaded = true;
+  Store.TornTailBytes = 17;
+  C.Recovery = Store;
+  C.Restarts = 3;
+  json::Value Persist;
+  ASSERT_TRUE(json::parse(server::serverStatsJson(C).str(2), Persist, &Error))
       << Error;
-  const json::Value &Rec = PersistDoc["server"]["recovery"];
+  const json::Value &Rec = Persist["recovery"];
   ASSERT_TRUE(Rec.isObject());
   EXPECT_EQ(Rec["journal_frames_replayed"].asInt(), 42);
   EXPECT_TRUE(Rec["snapshot_loaded"].asBool());
   EXPECT_EQ(Rec["torn_tail_dropped"].asInt(), 17);
   EXPECT_EQ(Rec["restarts"].asInt(), 3);
-  expectNoNulls(PersistDoc["server"], "$.server");
-  std::string PersistText = statsText(CR, Meta);
-  EXPECT_NE(PersistText.find("server-recovery: frames-replayed=42 "
-                             "snapshot=yes torn-tail-dropped=17 restarts=3"),
-            std::string::npos);
+  expectNoNulls(Persist, "$.server");
 }
 
 //===----------------------------------------------------------------------===//
