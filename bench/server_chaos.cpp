@@ -324,17 +324,31 @@ PassStats runPass(const Trace &T, const ServerConfig &Base, bool Chaos) {
   }
 
   // Post-soak probes on the surviving server: no wedged shards, and a fresh
-  // compile still answers ok.
+  // compile still answers ok. The server keeps its chaos plan, so a `parse`
+  // arm the trace left unfired answers the probe with an injected
+  // internal-error. Each arm fires once: re-sending up to the plan's arm
+  // count reaches a dispatch no arm claims. Any other failure is fatal.
   ServiceCounters Final = S->service().counters();
   if (Final.ShardsDegraded != 0)
     fatal("shards left degraded after the soak");
   Stats.fold(Final);
   std::vector<unsigned> ProbeVersions(2, 99);
-  std::string Probe = S->handleLine(
-      compileRequest(999983, moduleSource(ProbeVersions), 0));
-  json::Value PR;
-  if (!json::parse(Probe, PR, nullptr) || !PR["ok"].asBool())
-    fatal("post-soak probe compile failed: %s", Probe.c_str());
+  const std::string ProbeLine =
+      compileRequest(999983, moduleSource(ProbeVersions), 0);
+  for (size_t Resent = 0;; ++Resent) {
+    std::string Probe = S->handleLine(ProbeLine);
+    json::Value PR;
+    if (!json::parse(Probe, PR, nullptr))
+      fatal("post-soak probe answered malformed JSON: %s", Probe.c_str());
+    if (PR["ok"].asBool())
+      break;
+    const bool Injected =
+        PR["kind"].isString() && PR["kind"].asString() == "internal-error" &&
+        PR["error"].isString() &&
+        PR["error"].asString().rfind("fault injected at site", 0) == 0;
+    if (!Injected || Resent == Base.Service.Chaos.Arms.size())
+      fatal("post-soak probe compile failed: %s", Probe.c_str());
+  }
   return Stats;
 }
 

@@ -39,32 +39,25 @@
 #include "server/Client.h"
 #include "support/Json.h"
 
+#include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define RAP_RECOVERY_HAVE_UNIX 1
-#include <chrono>
-#include <fcntl.h>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
-#else
-#define RAP_RECOVERY_HAVE_UNIX 0
-#endif
 
 using namespace rap;
 using namespace rap::server;
-
-#if RAP_RECOVERY_HAVE_UNIX
 
 namespace {
 
@@ -430,14 +423,3 @@ int main(int argc, char **argv) {
     fs::remove_all(Dir, EC);
   return 0;
 }
-
-#else // !RAP_RECOVERY_HAVE_UNIX
-
-int main() {
-  std::fprintf(stderr,
-               "server_recovery: requires fork/exec and unix sockets; "
-               "skipping on this platform\n");
-  return 0;
-}
-
-#endif

@@ -3,8 +3,9 @@
 # k in {3,5,7,9} with --verify (independent assignment verification before
 # the physical rewrite), asserting zero spill-everything fallbacks, then a
 # fault-injection end-to-end check that the rapcc degradation path works
-# (exit code 3, correct result), then that rapcc rejects a k above its
-# bound or with trailing junk as a usage error (exit 2).
+# (exit code 3, correct result), then that rapcc rejects a k, a thread
+# count or a fuel budget past its bound or with trailing junk as a usage
+# error (exit 2).
 #
 # Usage: scripts/checked_smoke.sh [build-dir]
 set -euo pipefail
@@ -62,5 +63,20 @@ for K in 257 5x; do
   fi
 done
 
+# The same holds for every integer flag (support/CmdLine.h). --threads sizes
+# an OS thread pool, so a count past MaxWorkerThreads (256) is refused before
+# any thread exists.
+for FLAG in --threads=2x --fuel=1000x --threads=257; do
+  set +e
+  "$BUILD_DIR/src/driver/rapcc" "$TMP_MC" --alloc=rap --run "$FLAG" \
+    >/dev/null 2>&1
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: rapcc $FLAG exited $STATUS, want 2 (usage error)" >&2
+    exit 1
+  fi
+done
+
 echo "checked-mode smoke OK (37 routines verified; fallback path exits 3;" \
-     "bad -k exits 2)"
+     "bad -k, --threads and --fuel exit 2)"

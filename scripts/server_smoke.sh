@@ -18,12 +18,14 @@
 #      that were in flight finish, and the exit code is 0 (fast drain) /
 #      3 (a tiny --drain-ms forced the drain watcher to cancel work);
 #   4. runs bench/server_chaos (seeded fault schedule over every server
-#      chaos site, mid-request shutdowns included) and asserts its
-#      exactly-one-response + bit-identical-output invariants;
+#      chaos site, mid-request shutdowns included) at seeds 1 and 2 and
+#      asserts its exactly-one-response + bit-identical-output invariants;
 #   5. runs bench/server_load (cold-vs-warm, 10% edit rate), writes its
 #      rap-bench-v1 JSON to <build-dir>/bench-artifacts/server_load.json
 #      (uploaded by CI), and asserts the acceptance bar: warm >= 2x cold
-#      functions/sec at a >= 80% hit rate.
+#      functions/sec at a >= 80% hit rate;
+#   6. checks that rapd refuses --shards past MaxWorkerThreads (256,
+#      support/CmdLine.h) as a usage error (exit 2) before any pool exists.
 #
 # Usage: scripts/server_smoke.sh [build-dir]
 set -euo pipefail
@@ -294,6 +296,8 @@ PYEOF
 
 # --- 4. chaos soak: every server fault site, exactly-one-response -----------
 "$BUILD_DIR/bench/server_chaos" --requests=200 --shards=4 --seed=1
+"$BUILD_DIR/bench/server_chaos" --requests=200 --shards=4 --seed=2 \
+  --no-deadline-probe
 
 # --- 5. load bench: cold vs warm --------------------------------------------
 "$BUILD_DIR/bench/server_load" --json --requests=100 --edit-rate=0.1 \
@@ -312,5 +316,16 @@ print(f"server load OK: {warm['speedup_vs_cold']:.2f}x functions/sec over "
       f"cold at {warm['hit_rate_pct']:.1f}% hit rate "
       f"(p50 {warm['p50_us']:.0f}us, p99 {warm['p99_us']:.0f}us)")
 PYEOF
+
+# --- 6. usage errors ---------------------------------------------------------
+set +e
+"$RAPD" --shards=257 </dev/null >/dev/null 2>&1
+STATUS=$?
+set -e
+if [ "$STATUS" -ne 2 ]; then
+  echo "FAIL: rapd --shards=257 exited $STATUS, want 2 (usage error)" >&2
+  exit 1
+fi
+echo "usage errors OK: rapd --shards=257 exits 2"
 
 echo "server smoke OK; load counters in $OUT/server_load.json"

@@ -61,10 +61,10 @@
 #include "driver/Report.h"
 #include "ir/Linearize.h"
 #include "pdg/Dot.h"
+#include "support/CmdLine.h"
 #include "support/Stats.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -124,15 +124,11 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strcmp(Arg, "-k") == 0 && I + 1 < argc) {
-      const char *Text = argv[++I];
-      char *End = nullptr;
-      unsigned long K = std::strtoul(Text, &End, 10);
-      if (End == Text || *End != '\0' || K < 3 || K > MaxK) {
+      if (!parseUnsigned(argv[++I], Opts.Alloc.K, 3, MaxK)) {
         std::fprintf(stderr, "rapcc: k must be an integer in [3, %u]\n",
                      MaxK);
         return 2;
       }
-      Opts.Alloc.K = static_cast<unsigned>(K);
     } else if (startsWith(Arg, "--granularity=")) {
       std::string G = Arg + 14;
       if (G == "stmt")
@@ -160,9 +156,9 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "--no-cleanup") == 0) {
       Opts.Alloc.GlobalCleanup = false;
     } else if (startsWith(Arg, "--threads=")) {
-      Opts.Alloc.Threads = static_cast<unsigned>(std::atoi(Arg + 10));
-      if (Opts.Alloc.Threads == 0) {
-        std::fprintf(stderr, "rapcc: --threads needs a positive count\n");
+      if (!parseUnsigned(Arg + 10, Opts.Alloc.Threads, 1, MaxWorkerThreads)) {
+        std::fprintf(stderr, "rapcc: --threads must be an integer in [1, %u]\n",
+                     MaxWorkerThreads);
         return 2;
       }
     } else if (std::strcmp(Arg, "--verify") == 0) {
@@ -189,12 +185,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (startsWith(Arg, "--fuel=")) {
-      long long Fuel = std::atoll(Arg + 7);
-      if (Fuel <= 0) {
+      if (!parseUnsigned(Arg + 7, Opts.InterpFuel, 1)) {
         std::fprintf(stderr, "rapcc: --fuel needs a positive budget\n");
         return 2;
       }
-      Opts.InterpFuel = static_cast<uint64_t>(Fuel);
     } else if (startsWith(Arg, "--interp=")) {
       const char *Mode = Arg + 9;
       if (std::strcmp(Mode, "threaded") == 0) {

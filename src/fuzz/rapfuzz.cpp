@@ -35,6 +35,7 @@
 #include "fuzz/RandomProgram.h"
 #include "fuzz/Reducer.h"
 #include "fuzz/Runner.h"
+#include "support/CmdLine.h"
 
 #include <chrono>
 #include <cstdio>
@@ -109,13 +110,21 @@ int main(int argc, char **argv) {
   for (int I = 1; I != argc; ++I) {
     const char *Arg = argv[I];
     if (startsWith(Arg, "--seeds=")) {
-      if (std::sscanf(Arg + 8, "%u:%u", &SeedLo, &SeedHi) != 2 ||
+      const std::string Range = Arg + 8;
+      const size_t Colon = Range.find(':');
+      if (Colon == std::string::npos ||
+          !parseUnsigned(Range.substr(0, Colon).c_str(), SeedLo) ||
+          !parseUnsigned(Range.c_str() + Colon + 1, SeedHi) ||
           SeedHi <= SeedLo) {
         std::fprintf(stderr, "rapfuzz: bad --seeds range '%s'\n", Arg + 8);
         return 2;
       }
     } else if (startsWith(Arg, "--mutations=")) {
-      Mutations = static_cast<unsigned>(std::atoi(Arg + 12));
+      if (!parseUnsigned(Arg + 12, Mutations)) {
+        std::fprintf(stderr, "rapfuzz: bad --mutations count '%s'\n",
+                     Arg + 12);
+        return 2;
+      }
     } else if (startsWith(Arg, "--level=")) {
       Level = Arg + 8;
       if (Level != "byte" && Level != "token" && Level != "ast" &&
@@ -126,12 +135,10 @@ int main(int argc, char **argv) {
     } else if (startsWith(Arg, "--out=")) {
       OutDir = Arg + 6;
     } else if (startsWith(Arg, "--fuel=")) {
-      long long F = std::atoll(Arg + 7);
-      if (F <= 0) {
+      if (!parseUnsigned(Arg + 7, Limits.Fuel, 1)) {
         std::fprintf(stderr, "rapfuzz: --fuel needs a positive budget\n");
         return 2;
       }
-      Limits.Fuel = static_cast<uint64_t>(F);
     } else if (startsWith(Arg, "--max-seconds=")) {
       MaxSeconds = std::atof(Arg + 14);
     } else if (startsWith(Arg, "--fault=")) {

@@ -8,6 +8,7 @@
 
 #include <cassert>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 using namespace rap;
@@ -645,7 +646,7 @@ DOp directFor(Opcode Op) {
 
 DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
                                         const IlocFunction &F,
-                                        const LinearCode &Code, Arena &A) {
+                                        const LinearCode &Code) {
   (void)F; // callee lookups go through Prog; F documents the contract
   const size_t N = Code.Instrs.size();
 
@@ -664,8 +665,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
   // (every label target is one, since fusion skips claimed interiors).
   constexpr uint32_t NotAStart = ~uint32_t(0);
   std::vector<uint32_t> Lin2Dec(N + 1, NotAStart);
-
-  DecodedFunc Out;
 
   auto internConst = [&](const RtValue &V) {
     Consts.push_back(V);
@@ -694,7 +693,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Aux = In->Dst;
         D.X = In->Slot;
         D.Y = St->Slot;
-        ++Out.FusedSpillTriple;
         Ops.push_back(D);
         I += 3;
         continue;
@@ -712,7 +710,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.B = In->Src[1];
         D.Aux = static_cast<uint32_t>(Br->Label0); // remapped below
         D.X = Br->Label1;                          // remapped below
-        ++Out.FusedCmpCbr;
         Ops.push_back(D);
         I += 2;
         continue;
@@ -738,7 +735,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.B = static_cast<uint32_t>(Br->Label1);   // remapped below
         D.X = static_cast<int32_t>(In->Dst);
         D.Y = static_cast<int32_t>(internConst(In->Imm));
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 3;
         continue;
@@ -768,7 +764,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Dst = Ad->Dst;
         D.Y = static_cast<int32_t>(Cp->Dst);
         D.B = static_cast<uint32_t>(Br->Label0); // remapped below
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 4;
         continue;
@@ -798,7 +793,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Y = static_cast<int32_t>(Ml->Dst);
         D.A = Ad->Src[0] == Ml->Dst ? Ad->Src[1] : Ad->Src[0];
         D.Dst = Ad->Dst;
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 4;
         continue;
@@ -827,7 +821,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Y = static_cast<int32_t>(Li->Dst);
         D.Dst = Ad->Dst;
         D.B = static_cast<uint32_t>(St->Addr);
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 4;
         continue;
@@ -851,7 +844,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.B = Cm->Src[1];
         D.Aux = static_cast<uint32_t>(Br->Label0); // remapped below
         D.X = Br->Label1;                          // remapped below
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 3;
         continue;
@@ -875,7 +867,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Z = static_cast<int32_t>(Ad->Dst);
         D.Aux = static_cast<uint32_t>(Ld->Addr);
         D.Dst = Ld->Dst;
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 3;
         continue;
@@ -897,7 +888,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.Aux = Cp->Src[0];
         D.Dst = Cp->Dst;
         D.Z = static_cast<int32_t>(Br->Label0); // remapped below
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 3;
         continue;
@@ -920,7 +910,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         if (OpI->Op == Opcode::Add || OpI->Op == Opcode::Mul)
           D.Y = static_cast<int32_t>(OpI->Src[0] == In->Dst ? OpI->Src[1]
                                                             : OpI->Src[0]);
-        ++Out.FusedLoadIOp;
         Ops.push_back(D);
         I += 2;
         continue;
@@ -1043,7 +1032,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
       }
       if (Fused) {
         D.NumInstrs = 2;
-        ++Out.FusedPair;
         Ops.push_back(D);
         I += 2;
         continue;
@@ -1244,10 +1232,5 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
   for (DecOp &D : Ops)
     scaleOffsets(D);
 
-  Out.NumOps = static_cast<uint32_t>(Ops.size());
-  Out.Ops = A.copy(Ops.data(), Ops.size());
-  Out.Consts = Consts.empty() ? nullptr : A.copy(Consts.data(), Consts.size());
-  Out.ArgPairs =
-      ArgPairs.empty() ? nullptr : A.copy(ArgPairs.data(), ArgPairs.size());
-  return Out;
+  return DecodedFunc{std::move(Ops), std::move(Consts), std::move(ArgPairs)};
 }

@@ -44,9 +44,8 @@
 /// guaranteed to end inside it, and execution falls back to the reference
 /// switch engine for an exactly-per-instruction finish.
 ///
-/// All decode storage lives in an Arena owned by the Interpreter: built
-/// once per Interpreter, freed together, never touched by the global heap
-/// during execution.
+/// Each DecodedFunc owns its buffers; they are built once per Interpreter
+/// and never grow during execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,14 +54,14 @@
 
 #include "ir/IlocProgram.h"
 #include "ir/Linearize.h"
-#include "support/Arena.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace rap::interp {
 
-/// Decoded opcodes. The X-macro keeps the enum, the threaded engine's jump
-/// table, and its switch fallback in one authoritative order.
+/// Decoded opcodes. The X-macro keeps the enum and the threaded engine's
+/// jump table in one authoritative order.
 #define RAP_DOP_LIST(X)                                                        \
   /* one-to-one translations of Opcode */                                      \
   X(LoadImm)                                                                   \
@@ -250,31 +249,23 @@ struct DecOp {
   uint32_t SuffixCycles = 0;
 };
 
-/// One function in decoded form. All pointers live in the decode Arena.
+/// One function in decoded form.
 struct DecodedFunc {
-  const DecOp *Ops = nullptr;
-  uint32_t NumOps = 0; ///< includes the ImplicitRet sentinel
+  /// Decoded ops, ending with the ImplicitRet sentinel.
+  std::vector<DecOp> Ops;
   /// Interned LoadI/LoadF immediates (DecOp::Aux indexes).
-  const RtValue *Consts = nullptr;
+  std::vector<RtValue> Consts;
   /// Call argument marshalling plan: flattened (calleeReg, callerReg)
   /// pairs; params the callee never reads (NoReg) are already dropped.
-  const uint32_t *ArgPairs = nullptr;
-  /// Superinstructions emitted, by kind — decode-time telemetry for tests
-  /// and the throughput harness.
-  uint32_t FusedCmpCbr = 0;
-  uint32_t FusedLoadIOp = 0;
-  uint32_t FusedSpillTriple = 0;
-  /// loadI+cmp+cbr triples, the two-op adjacent pairs, and the 3-4 instr
-  /// chains, combined.
-  uint32_t FusedPair = 0;
+  std::vector<uint32_t> ArgPairs;
 };
 
-/// Decodes \p Code (the linearization of \p F under \p Prog) into \p A.
+/// Decodes \p Code (the linearization of \p F under \p Prog).
 /// The program must outlive the decoded form; callee paramReg maps are
 /// resolved at decode time, so the program must not be reallocated between
 /// decoding and execution (the Interpreter's existing contract).
 DecodedFunc decodeFunction(const IlocProgram &Prog, const IlocFunction &F,
-                           const LinearCode &Code, Arena &A);
+                           const LinearCode &Code);
 
 /// One cached function of the interpreter: the linearized stream (reference
 /// engine, trap rendering) plus the decoded buffer (threaded engine) and

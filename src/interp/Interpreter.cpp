@@ -74,7 +74,7 @@ Interpreter::Interpreter(const IlocProgram &Prog, InterpOptions Opts)
     C.RegCount = F->isAllocated() ? F->numPhysRegs() : F->numVRegs();
     C.SpillCount = static_cast<uint32_t>(F->numSpillSlots());
     if (Dispatch == DispatchKind::Threaded)
-      C.Dec = decodeFunction(Prog, *F, C.Code, DecodeArena);
+      C.Dec = decodeFunction(Prog, *F, C.Code);
     Funcs.push_back(std::move(C));
   }
   GlobalEnd.assign(static_cast<size_t>(Prog.globalMemorySize()), -1);
@@ -84,39 +84,11 @@ Interpreter::Interpreter(const IlocProgram &Prog, InterpOptions Opts)
 
 Interpreter::~Interpreter() = default;
 
-uint64_t Interpreter::fusedCmpCbr() const {
-  uint64_t N = 0;
-  for (const CachedFunc &C : Funcs)
-    N += C.Dec.FusedCmpCbr;
-  return N;
-}
-
-uint64_t Interpreter::fusedLoadIOp() const {
-  uint64_t N = 0;
-  for (const CachedFunc &C : Funcs)
-    N += C.Dec.FusedLoadIOp;
-  return N;
-}
-
-uint64_t Interpreter::fusedSpillTriples() const {
-  uint64_t N = 0;
-  for (const CachedFunc &C : Funcs)
-    N += C.Dec.FusedSpillTriple;
-  return N;
-}
-
-uint64_t Interpreter::fusedPairs() const {
-  uint64_t N = 0;
-  for (const CachedFunc &C : Funcs)
-    N += C.Dec.FusedPair;
-  return N;
-}
-
 uint64_t Interpreter::decodedOpCount(const char *Name) const {
   uint64_t N = 0;
   for (const CachedFunc &C : Funcs)
-    for (uint32_t I = 0; I != C.Dec.NumOps; ++I)
-      if (std::strcmp(dopName(C.Dec.Ops[I].Op), Name) == 0)
+    for (const DecOp &D : C.Dec.Ops)
+      if (std::strcmp(dopName(D.Op), Name) == 0)
         ++N;
   return N;
 }

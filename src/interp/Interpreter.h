@@ -20,8 +20,7 @@
 ///
 ///   * Threaded (default): each function is pre-decoded once into a flat
 ///     buffer of resolved ops with fused superinstructions, dispatched via
-///     computed goto where the toolchain supports it (a portable switch
-///     otherwise), with fuel checked per basic-block stretch.
+///     computed goto, with fuel checked per basic-block stretch.
 ///   * Switch: the original one-instruction-at-a-time reference engine over
 ///     the linearized stream. It is the differential-testing oracle, the
 ///     benchmark baseline, and the fallback the threaded engine hands a run
@@ -37,7 +36,6 @@
 
 #include "ir/IlocProgram.h"
 #include "ir/Linearize.h"
-#include "support/Arena.h"
 
 #include <cstdint>
 #include <string>
@@ -121,7 +119,7 @@ DispatchKind defaultInterpDispatch();
 
 /// Per-interpreter configuration. The default engine follows RAP_INTERP so
 /// the whole test suite can be forced onto the reference engine without
-/// touching call sites (the CI switch-fallback job does exactly that).
+/// touching call sites (CI runs the tier-1 suite that way).
 struct InterpOptions {
   DispatchKind Dispatch = defaultInterpDispatch();
 };
@@ -150,18 +148,6 @@ public:
   /// The engine selected at construction.
   DispatchKind dispatch() const { return Dispatch; }
 
-  /// Superinstructions fused across all functions, by kind — decode
-  /// telemetry for tests and the throughput harness (zero under Switch,
-  /// which never decodes).
-  uint64_t fusedCmpCbr() const;
-  uint64_t fusedLoadIOp() const;
-  uint64_t fusedSpillTriples() const;
-  /// loadI+cmp+cbr triples plus the adjacent-pair superinstructions.
-  uint64_t fusedPairs() const;
-
-  /// Bytes of decoded-op storage held by the decode arena.
-  size_t decodeBytes() const { return DecodeArena.bytesAllocated(); }
-
   /// Static count of decoded ops with mnemonic \p Name ("mul_add_ldx",
   /// "loadi_cmp_lt_cbr", ...) across all functions — lets tests assert a
   /// source pattern actually decoded to the superinstruction under test.
@@ -171,7 +157,6 @@ public:
 private:
   const IlocProgram &Prog;
   DispatchKind Dispatch;
-  Arena DecodeArena; ///< owns every decoded buffer; freed with *this
   std::vector<interp::CachedFunc> Funcs;
   std::vector<RtValue> Glob;
   /// For strict array bounds checks: end address of the global that starts

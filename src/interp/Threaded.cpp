@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The fast path of the interpreter (DESIGN.md §11). Executes the pre-decoded
-// op buffers produced by Decode.cpp with computed-goto dispatch where the
-// compiler supports labels-as-values (each handler ends in its own indirect
-// jump, so the branch predictor learns per-op successor patterns) and a
-// portable switch loop otherwise. The handler bodies are written once; the
-// VM_* macros select the dispatch mechanism.
+// op buffers produced by Decode.cpp with computed-goto dispatch
+// (labels-as-values, a GNU extension GCC and Clang share): each handler ends
+// in its own indirect jump, so the branch predictor learns per-op successor
+// patterns.
 //
 // Fuel is checked per stretch, not per instruction: VM_ENTER — used at
 // function entry, branch targets, and post-call/post-return resume points —
@@ -38,27 +37,10 @@
 using namespace rap;
 using namespace rap::interp;
 
-// Configure-time dispatch selection (-DRAP_INTERP_COMPUTED_GOTO=ON/OFF maps
-// to 1/0). Default when CMake did not decide: use computed goto on
-// toolchains with the labels-as-values extension.
-#ifndef RAP_INTERP_COMPUTED_GOTO
-#if defined(__GNUC__) || defined(__clang__)
-#define RAP_INTERP_COMPUTED_GOTO 1
-#else
-#define RAP_INTERP_COMPUTED_GOTO 0
-#endif
-#endif
-
-#if RAP_INTERP_COMPUTED_GOTO
 /// Handlers are plain labels; dispatch is an indirect goto through the
 /// label-address table, replicated at the end of every handler.
 #define VM_CASE(N) lbl_##N:
 #define VM_JUMP() goto *JumpTable[static_cast<unsigned>(D->Op)]
-#else
-/// Handlers are cases of one switch; dispatch re-enters the switch.
-#define VM_CASE(N) case DOp::N:
-#define VM_JUMP() goto dispatch
-#endif
 
 /// Advance to the next op in the current stretch (no fuel check: the
 /// stretch's entry check covered it).
@@ -95,24 +77,20 @@ using namespace rap::interp;
     const Frame &Fr_ = Stack.back();                                           \
     FId = Fr_.FuncId;                                                          \
     const CachedFunc &C_ = Funcs[FId];                                         \
-    Ops = C_.Dec.Ops;                                                          \
-    Consts = C_.Dec.Consts;                                                    \
-    Pairs = C_.Dec.ArgPairs;                                                   \
+    Ops = C_.Dec.Ops.data();                                                   \
+    Consts = C_.Dec.Consts.data();                                             \
+    Pairs = C_.Dec.ArgPairs.data();                                            \
     Frm = Cells.data() + Fr_.Base;                                             \
     Spill = Frm + C_.RegCount;                                                 \
   } while (0)
 
 /// Bump a global counter, and its per-function twin when collecting.
-#ifdef RAP_DIAG_NO_COUNT
-#define VM_COUNT(Field, N) (void)0
-#else
 #define VM_COUNT(Field, N)                                                     \
   do {                                                                         \
     S.Field += (N);                                                            \
     if constexpr (WithPerF)                                                    \
       PerFP[FId].Field += (N);                                                 \
   } while (0)
-#endif
 
 /// Operand accessors. Decoded operand fields are pre-scaled byte offsets
 /// (Decode.cpp scaleOffsets): register and spill-slot fields are offsets
@@ -170,21 +148,15 @@ template <bool WithPerF> void runLoop(Engine &E) {
   const DecOp *D = nullptr;
   RtValue RetV;
 
-#if RAP_INTERP_COMPUTED_GOTO
   static const void *JumpTable[] = {
 #define RAP_DOP_LABEL(N) &&lbl_##N,
       RAP_DOP_LIST(RAP_DOP_LABEL)
 #undef RAP_DOP_LABEL
   };
-#endif
 
   VM_LOAD_FRAME();
   VM_ENTER(Stack.back().PC * sizeof(DecOp));
 
-#if !RAP_INTERP_COMPUTED_GOTO
-dispatch:
-  switch (D->Op)
-#endif
   {
     VM_CASE(LoadImm) {
       VM_REG(D->Dst) = VM_CONST(D->Aux);

@@ -9,21 +9,16 @@
 #include "support/Hash.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define RAP_CLIENT_HAVE_UNIX 1
-#include <cerrno>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define RAP_CLIENT_HAVE_UNIX 0
-#endif
 
 using namespace rap;
 using namespace rap::server;
@@ -33,10 +28,8 @@ Client::Client(const ClientConfig &Config) : Config(Config) {}
 Client::~Client() { close(); }
 
 void Client::close() {
-#if RAP_CLIENT_HAVE_UNIX
   if (Fd >= 0)
     ::close(Fd);
-#endif
   Fd = -1;
   // A torn connection's buffered bytes belong to a dead conversation.
   RecvBuf.clear();
@@ -45,8 +38,6 @@ void Client::close() {
 uint64_t Client::requestFingerprint(const std::string &RequestLine) {
   return hashString(RequestLine);
 }
-
-#if RAP_CLIENT_HAVE_UNIX
 
 bool Client::ensureConnected(std::string &Error) {
   if (Fd >= 0)
@@ -176,23 +167,6 @@ bool Client::readLine(std::string &Line, int TimeoutMs, std::string &Error) {
     RecvBuf.append(Buf, static_cast<size_t>(N));
   }
 }
-
-#else // !RAP_CLIENT_HAVE_UNIX
-
-bool Client::ensureConnected(std::string &Error) {
-  Error = "unix-domain sockets unsupported on this platform";
-  return false;
-}
-bool Client::sendAll(const std::string &, std::string &Error) {
-  Error = "unix-domain sockets unsupported on this platform";
-  return false;
-}
-bool Client::readLine(std::string &, int, std::string &Error) {
-  Error = "unix-domain sockets unsupported on this platform";
-  return false;
-}
-
-#endif
 
 bool Client::call(const json::Value &Request, json::Value &Response,
                   std::string &Error) {

@@ -6,26 +6,21 @@
 
 #include "server/Server.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define RAP_HAVE_UNIX_SOCKETS 1
-#include <cerrno>
-#include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#else
-#define RAP_HAVE_UNIX_SOCKETS 0
-#endif
 
 using namespace rap;
 using namespace rap::server;
@@ -249,8 +244,6 @@ int Server::serveStdio(std::istream &In, std::ostream &Out) {
   return Code;
 }
 
-#if RAP_HAVE_UNIX_SOCKETS
-
 namespace {
 
 /// Reads newline-delimited lines from \p Fd (no stdio buffering games: one
@@ -468,15 +461,3 @@ int Server::serveSocket(const std::string &Path) {
   } // joins the watcher: drainDegraded() is final past this point
   return drainDegraded() ? 3 : 0;
 }
-
-#else // !RAP_HAVE_UNIX_SOCKETS
-
-int Server::serveSocket(const std::string &Path) {
-  std::fprintf(stderr,
-               "rapd: unix-domain sockets unsupported on this platform "
-               "(asked for %s); use stdio mode\n",
-               Path.c_str());
-  return 1;
-}
-
-#endif

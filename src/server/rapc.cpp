@@ -34,9 +34,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Client.h"
+#include "support/CmdLine.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -56,15 +56,6 @@ void usage() {
       "            [--retries=N] [--run] [--dump] [--deadline-ms=N]\n"
       "            ping | stats | shutdown | compile FILE... | pipe\n"
       "exit codes: 0 all ok, 1 transport failure or ok:false, 2 usage\n");
-}
-
-bool parseUnsigned(const char *S, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0')
-    return false;
-  Out = V;
-  return true;
 }
 
 /// One call; prints the response line (or the transport error) and reports
@@ -100,27 +91,23 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I != argc; ++I) {
     const char *Arg = argv[I];
-    uint64_t N = 0;
     if (std::strncmp(Arg, "--socket=", 9) == 0) {
       Config.SocketPath = Arg + 9;
     } else if (std::strncmp(Arg, "--timeout-ms=", 13) == 0) {
-      if (!parseUnsigned(Arg + 13, N)) {
+      if (!parseUnsigned(Arg + 13, Config.RequestTimeoutMs)) {
         std::fprintf(stderr, "rapc: bad --timeout-ms value\n");
         return 2;
       }
-      Config.RequestTimeoutMs = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--connect-timeout-ms=", 21) == 0) {
-      if (!parseUnsigned(Arg + 21, N) || N == 0) {
+      if (!parseUnsigned(Arg + 21, Config.ConnectTimeoutMs, 1)) {
         std::fprintf(stderr, "rapc: bad --connect-timeout-ms value\n");
         return 2;
       }
-      Config.ConnectTimeoutMs = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--retries=", 10) == 0) {
-      if (!parseUnsigned(Arg + 10, N)) {
+      if (!parseUnsigned(Arg + 10, Config.MaxRetries)) {
         std::fprintf(stderr, "rapc: bad --retries value\n");
         return 2;
       }
-      Config.MaxRetries = static_cast<unsigned>(N);
     } else if (std::strcmp(Arg, "--run") == 0) {
       Run = true;
     } else if (std::strcmp(Arg, "--dump") == 0) {

@@ -74,6 +74,7 @@
 
 #include "driver/Report.h"
 #include "server/Server.h"
+#include "support/CmdLine.h"
 #include "support/Env.h"
 
 #include <algorithm>
@@ -89,13 +90,8 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define RAP_HAVE_SUPERVISOR 1
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define RAP_HAVE_SUPERVISOR 0
-#endif
 
 using namespace rap;
 using namespace rap::server;
@@ -114,7 +110,6 @@ void onStopSignal(int) { StopFlag = 1; }
 /// supervisor reuses the same flag: its blocking waitpid must return EINTR
 /// so the signal is forwarded to the child promptly.
 void installStopHandlers() {
-#if defined(__unix__) || defined(__APPLE__)
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = onStopSignal;
@@ -122,10 +117,6 @@ void installStopHandlers() {
   SA.sa_flags = 0; // no SA_RESTART
   sigaction(SIGTERM, &SA, nullptr);
   sigaction(SIGINT, &SA, nullptr);
-#else
-  std::signal(SIGTERM, onStopSignal);
-  std::signal(SIGINT, onStopSignal);
-#endif
 }
 
 void usage() {
@@ -143,15 +134,6 @@ void usage() {
       "            3 drain deadline hit or supervisor crash loop\n");
 }
 
-bool parseSize(const char *S, size_t &Out) {
-  char *End = nullptr;
-  long long V = std::strtoll(S, &End, 10);
-  if (End == S || *End != '\0' || V < 0)
-    return false;
-  Out = static_cast<size_t>(V);
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Supervisor mode (DESIGN.md §15): restart-on-crash with backoff, jitter,
 // crash-loop detection, and clean SIGTERM passthrough for drains.
@@ -165,8 +147,6 @@ struct SuperviseOptions {
   unsigned BackoffMs = 100;
   unsigned BackoffMaxMs = 5000;
 };
-
-#if RAP_HAVE_SUPERVISOR
 
 std::string selfExePath(const char *Argv0) {
   char Buf[4096];
@@ -318,17 +298,6 @@ int supervise(const std::string &Exe, const std::vector<std::string> &Args,
   }
 }
 
-#else // !RAP_HAVE_SUPERVISOR
-
-int supervise(const std::string &, const std::vector<std::string> &,
-              const SuperviseOptions &) {
-  std::fprintf(stderr,
-               "rapd: --supervise needs fork/exec (unsupported platform)\n");
-  return 2;
-}
-
-#endif
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -352,33 +321,25 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strncmp(Arg, "--max-crashes=", 14) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 14, N) || N == 0) {
+      if (!parseUnsigned(Arg + 14, Sup.MaxCrashes, 1)) {
         std::fprintf(stderr, "rapd: --max-crashes needs a positive count\n");
         return 2;
       }
-      Sup.MaxCrashes = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--crash-window-s=", 17) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 17, N) || N == 0) {
+      if (!parseUnsigned(Arg + 17, Sup.CrashWindowS, 1)) {
         std::fprintf(stderr, "rapd: --crash-window-s needs a positive count\n");
         return 2;
       }
-      Sup.CrashWindowS = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--backoff-ms=", 13) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 13, N) || N == 0) {
+      if (!parseUnsigned(Arg + 13, Sup.BackoffMs, 1)) {
         std::fprintf(stderr, "rapd: --backoff-ms needs a positive count\n");
         return 2;
       }
-      Sup.BackoffMs = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--backoff-max-ms=", 17) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 17, N) || N == 0) {
+      if (!parseUnsigned(Arg + 17, Sup.BackoffMaxMs, 1)) {
         std::fprintf(stderr, "rapd: --backoff-max-ms needs a positive count\n");
         return 2;
       }
-      Sup.BackoffMaxMs = static_cast<unsigned>(N);
     } else {
       SupervisorOnly = false;
     }
@@ -393,14 +354,14 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strncmp(Arg, "--shards=", 9) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 9, N) || N == 0) {
-        std::fprintf(stderr, "rapd: --shards needs a positive count\n");
+      if (!parseUnsigned(Arg + 9, Config.Service.Shards, 1,
+                         MaxWorkerThreads)) {
+        std::fprintf(stderr, "rapd: --shards must be an integer in [1, %u]\n",
+                     MaxWorkerThreads);
         return 2;
       }
-      Config.Service.Shards = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--cache-bytes=", 14) == 0) {
-      if (!parseSize(Arg + 14, Config.Service.CacheBytes)) {
+      if (!parseUnsigned(Arg + 14, Config.Service.CacheBytes)) {
         std::fprintf(stderr, "rapd: bad --cache-bytes value\n");
         return 2;
       }
@@ -419,36 +380,30 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (std::strncmp(Arg, "--compact-bytes=", 16) == 0) {
-      if (!parseSize(Arg + 16, Config.Service.CacheCompactBytes)) {
+      if (!parseUnsigned(Arg + 16, Config.Service.CacheCompactBytes)) {
         std::fprintf(stderr, "rapd: bad --compact-bytes value\n");
         return 2;
       }
     } else if (std::strncmp(Arg, "--max-inflight-bytes=", 21) == 0) {
-      if (!parseSize(Arg + 21, Config.MaxInflightBytes) ||
-          Config.MaxInflightBytes == 0) {
+      if (!parseUnsigned(Arg + 21, Config.MaxInflightBytes, 1)) {
         std::fprintf(stderr, "rapd: bad --max-inflight-bytes value\n");
         return 2;
       }
     } else if (std::strncmp(Arg, "--max-line-bytes=", 17) == 0) {
-      if (!parseSize(Arg + 17, Config.MaxLineBytes) ||
-          Config.MaxLineBytes == 0) {
+      if (!parseUnsigned(Arg + 17, Config.MaxLineBytes, 1)) {
         std::fprintf(stderr, "rapd: bad --max-line-bytes value\n");
         return 2;
       }
     } else if (std::strncmp(Arg, "--retry-after-ms=", 17) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 17, N) || N == 0) {
+      if (!parseUnsigned(Arg + 17, Config.RetryAfterMs, 1)) {
         std::fprintf(stderr, "rapd: bad --retry-after-ms value\n");
         return 2;
       }
-      Config.RetryAfterMs = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--drain-ms=", 11) == 0) {
-      size_t N = 0;
-      if (!parseSize(Arg + 11, N)) {
+      if (!parseUnsigned(Arg + 11, Config.DrainMs)) {
         std::fprintf(stderr, "rapd: bad --drain-ms value\n");
         return 2;
       }
-      Config.DrainMs = static_cast<unsigned>(N);
     } else if (std::strncmp(Arg, "--chaos=", 8) == 0) {
       try {
         Config.Service.Chaos = FaultPlan::fromString(Arg + 8);
@@ -474,22 +429,13 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (Sup.Enabled) {
-#if RAP_HAVE_SUPERVISOR
+  if (Sup.Enabled)
     return supervise(selfExePath(argv[0]), ChildArgs, Sup);
-#else
-    return supervise(std::string(), ChildArgs, Sup);
-#endif
-  }
 
   // A supervised child learns its restart ordinal from the environment and
   // reports it through the stats `recovery` block.
-  if (const std::optional<std::string> &R = env::get("RAPD_RESTARTS")) {
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(R->c_str(), &End, 10);
-    if (End != R->c_str() && *End == '\0')
-      Config.Service.Restarts = V;
-  }
+  if (const std::optional<std::string> &R = env::get("RAPD_RESTARTS"))
+    parseUnsigned(R->c_str(), Config.Service.Restarts);
 
   installStopHandlers();
   Config.StopFlag = &StopFlag;

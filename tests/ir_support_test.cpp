@@ -7,7 +7,7 @@
 #include "ir/IlocProgram.h"
 #include "ir/Instr.h"
 #include "ir/RtValue.h"
-#include "support/Arena.h"
+#include "support/CmdLine.h"
 #include "support/Diagnostics.h"
 #include "support/SmallVector.h"
 
@@ -124,61 +124,6 @@ TEST(IlocFunction, ParamRegsDefaultToIdentity) {
   EXPECT_EQ(F.paramReg(2), 1u);
 }
 
-TEST(Arena, AlignmentAndDistinctness) {
-  Arena A;
-  char *C = A.alloc<char>(3);
-  uint64_t *U = A.alloc<uint64_t>(2);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(U) % alignof(uint64_t), 0u);
-  U[0] = 1;
-  U[1] = 2;
-  C[0] = 'x';
-  EXPECT_EQ(U[0], 1u) << "allocations must not overlap";
-  EXPECT_EQ(A.bytesAllocated(), 3 + 2 * sizeof(uint64_t));
-}
-
-TEST(Arena, CopySurvivesSourceDeath) {
-  Arena A;
-  int *Copy;
-  {
-    std::vector<int> Src = {5, 6, 7, 8};
-    Copy = A.copy(Src.data(), Src.size());
-  }
-  EXPECT_EQ(Copy[0], 5);
-  EXPECT_EQ(Copy[3], 8);
-}
-
-TEST(Arena, GrowsAcrossChunksAndResetKeepsLargest) {
-  Arena A;
-  // Force several chunk growths well past the initial chunk size.
-  for (int I = 0; I != 8; ++I) {
-    char *P = A.alloc<char>(8192);
-    P[0] = static_cast<char>(I);
-    P[8191] = static_cast<char>(I);
-  }
-  EXPECT_EQ(A.bytesAllocated(), 8u * 8192);
-  size_t Reserved = A.bytesReserved();
-  EXPECT_GE(Reserved, A.bytesAllocated());
-
-  A.reset();
-  EXPECT_EQ(A.bytesAllocated(), 0u);
-  EXPECT_LT(A.bytesReserved(), Reserved)
-      << "reset keeps only the largest chunk";
-  EXPECT_GT(A.bytesReserved(), 0u);
-
-  // Steady-state reuse: an allocation fitting the kept chunk must not grow.
-  size_t Kept = A.bytesReserved();
-  char *P = A.alloc<char>(Kept / 2);
-  P[0] = 1;
-  EXPECT_EQ(A.bytesReserved(), Kept) << "reuse must not touch the heap";
-}
-
-TEST(Arena, ZeroByteAllocationIsSafe) {
-  Arena A;
-  void *P = A.allocate(0, 8);
-  EXPECT_NE(P, nullptr);
-  EXPECT_EQ(A.bytesAllocated(), 0u);
-}
-
 TEST(SmallVector, StaysInlineThenSpills) {
   SmallVector<int, 2> V;
   EXPECT_TRUE(V.empty());
@@ -234,6 +179,30 @@ TEST(SmallVector, IteratorsWorkWithStdAlgorithms) {
   EXPECT_EQ(V.size(), 2u);
   V.clear();
   EXPECT_TRUE(V.empty());
+}
+
+TEST(CmdLine, ParseUnsignedTakesTheWholeArgumentOrNothing) {
+  unsigned U = 7;
+  EXPECT_TRUE(parseUnsigned("42", U));
+  EXPECT_EQ(U, 42u);
+  for (const char *Bad : {"", "2x", "x2", "-1", "+1", " 1", "1 ", "0x10"}) {
+    EXPECT_FALSE(parseUnsigned(Bad, U)) << "'" << Bad << "'";
+    EXPECT_EQ(U, 42u) << "a rejected value leaves the target untouched";
+  }
+  uint64_t Big = 0;
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", Big));
+  EXPECT_EQ(Big, UINT64_MAX);
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", Big));
+  EXPECT_FALSE(parseUnsigned("4294967296", U)) << "no truncation to unsigned";
+}
+
+TEST(CmdLine, ParseUnsignedEnforcesTheFlagRange) {
+  unsigned Threads = 1;
+  EXPECT_TRUE(parseUnsigned("256", Threads, 1, MaxWorkerThreads));
+  EXPECT_EQ(Threads, MaxWorkerThreads);
+  EXPECT_FALSE(parseUnsigned("257", Threads, 1, MaxWorkerThreads));
+  EXPECT_FALSE(parseUnsigned("0", Threads, 1, MaxWorkerThreads));
+  EXPECT_EQ(Threads, MaxWorkerThreads);
 }
 
 TEST(Diagnostics, CollectsAndRenders) {
