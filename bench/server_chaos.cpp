@@ -41,6 +41,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
+#include "support/CmdLine.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -408,39 +409,33 @@ struct ChaosFlags {
 
 ChaosFlags parseChaosFlags(int argc, char **argv) {
   ChaosFlags F;
-  auto Unsigned = [&](const char *Arg, const char *Prefix, unsigned &Out) {
-    const char *P = Arg + std::strlen(Prefix);
-    char *End = nullptr;
-    long V = std::strtol(P, &End, 10);
-    if (End == P || *End != '\0' || V <= 0) {
-      F.Ok = false;
-      F.Error = std::string("bad value in '") + Arg + "'";
-      return;
-    }
-    Out = static_cast<unsigned>(V);
-  };
   for (int I = 1; I != argc; ++I) {
     const char *Arg = argv[I];
+    // Counts are positive. --shards sizes a ShardPool of OS threads, so it
+    // is bounded here, before any Server or ShardPool exists.
+    bool ValueOk = true;
     if (std::strcmp(Arg, "--json") == 0) {
       F.Json = true;
     } else if (std::strncmp(Arg, "--requests=", 11) == 0) {
-      Unsigned(Arg, "--requests=", F.Requests);
+      ValueOk = parseUnsigned(Arg + 11, F.Requests, 1);
     } else if (std::strncmp(Arg, "--functions=", 12) == 0) {
-      Unsigned(Arg, "--functions=", F.Functions);
+      ValueOk = parseUnsigned(Arg + 12, F.Functions, 1);
     } else if (std::strncmp(Arg, "--shards=", 9) == 0) {
-      Unsigned(Arg, "--shards=", F.Shards);
+      ValueOk = parseUnsigned(Arg + 9, F.Shards, 1, MaxWorkerThreads);
     } else if (std::strncmp(Arg, "--seed=", 7) == 0) {
-      unsigned S = 0;
-      Unsigned(Arg, "--seed=", S);
-      F.Seed = S;
+      ValueOk = parseUnsigned(Arg + 7, F.Seed, 1);
     } else if (std::strcmp(Arg, "--no-deadline-probe") == 0) {
       F.SkipDeadlineProbe = true;
     } else {
       F.Ok = false;
       F.Error = std::string("unknown option '") + Arg + "'";
-    }
-    if (!F.Ok)
       return F;
+    }
+    if (!ValueOk) {
+      F.Ok = false;
+      F.Error = std::string("bad value in '") + Arg + "'";
+      return F;
+    }
   }
   return F;
 }

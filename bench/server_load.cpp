@@ -26,6 +26,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/CompileService.h"
+#include "support/CmdLine.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -139,34 +140,27 @@ struct LoadFlags {
 
 LoadFlags parseLoadFlags(int argc, char **argv) {
   LoadFlags F;
-  auto Unsigned = [&](const char *Arg, const char *Prefix, unsigned &Out) {
-    const char *P = Arg + std::strlen(Prefix);
-    char *End = nullptr;
-    long V = std::strtol(P, &End, 10);
-    if (End == P || *End != '\0' || V <= 0) {
-      F.Ok = false;
-      F.Error = std::string("bad value in '") + Arg + "'";
-      return;
-    }
-    Out = static_cast<unsigned>(V);
-  };
   for (int I = 1; I != argc; ++I) {
     const char *Arg = argv[I];
+    // Counts are positive. --shards sizes a ShardPool of OS threads, so it
+    // is bounded here, before any CompileService or ShardPool exists.
+    bool ValueOk = true;
     if (std::strcmp(Arg, "--csv") == 0) {
       F.Csv = true;
     } else if (std::strcmp(Arg, "--json") == 0) {
       F.Json = true;
     } else if (std::strncmp(Arg, "--requests=", 11) == 0) {
-      Unsigned(Arg, "--requests=", F.Requests);
+      ValueOk = parseUnsigned(Arg + 11, F.Requests, 1);
     } else if (std::strncmp(Arg, "--functions=", 12) == 0) {
-      Unsigned(Arg, "--functions=", F.Functions);
+      ValueOk = parseUnsigned(Arg + 12, F.Functions, 1);
     } else if (std::strncmp(Arg, "--shards=", 9) == 0) {
-      Unsigned(Arg, "--shards=", F.Shards);
+      ValueOk = parseUnsigned(Arg + 9, F.Shards, 1, MaxWorkerThreads);
     } else if (std::strncmp(Arg, "--k=", 4) == 0) {
-      Unsigned(Arg, "--k=", F.K);
-      if (F.Ok && F.K < 3) {
+      ValueOk = parseUnsigned(Arg + 4, F.K, 1);
+      if (ValueOk && F.K < 3) {
         F.Ok = false;
         F.Error = "--k must be >= 3";
+        return F;
       }
     } else if (std::strncmp(Arg, "--edit-rate=", 12) == 0) {
       char *End = nullptr;
@@ -175,15 +169,19 @@ LoadFlags parseLoadFlags(int argc, char **argv) {
         F.Ok = false;
         F.Error = std::string("bad --edit-rate '") + (Arg + 12) +
                   "' (fraction in [0,1])";
-      } else {
-        F.EditRate = V;
+        return F;
       }
+      F.EditRate = V;
     } else {
       F.Ok = false;
       F.Error = std::string("unknown option '") + Arg + "'";
-    }
-    if (!F.Ok)
       return F;
+    }
+    if (!ValueOk) {
+      F.Ok = false;
+      F.Error = std::string("bad value in '") + Arg + "'";
+      return F;
+    }
   }
   if (F.Csv && F.Json) {
     F.Ok = false;

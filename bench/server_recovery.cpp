@@ -37,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Client.h"
+#include "support/CmdLine.h"
 #include "support/Json.h"
 
 #include <chrono>
@@ -211,39 +212,33 @@ json::Value mustCompile(Client &C, int64_t Id, const std::string &Source) {
 
 RecoveryFlags parseRecoveryFlags(int argc, char **argv) {
   RecoveryFlags F;
-  auto Unsigned = [&](const char *Arg, const char *Prefix, unsigned &Out) {
-    const char *P = Arg + std::strlen(Prefix);
-    char *End = nullptr;
-    long V = std::strtol(P, &End, 10);
-    if (End == P || *End != '\0' || V <= 0) {
-      F.Ok = false;
-      F.Error = std::string("bad value in '") + Arg + "'";
-      return;
-    }
-    Out = static_cast<unsigned>(V);
-  };
   for (int I = 1; I != argc; ++I) {
     const char *Arg = argv[I];
-    if (std::strcmp(Arg, "--json") == 0)
+    bool ValueOk = true; // counts are positive
+    if (std::strcmp(Arg, "--json") == 0) {
       F.Json = true;
-    else if (std::strcmp(Arg, "--keep") == 0)
+    } else if (std::strcmp(Arg, "--keep") == 0) {
       F.Keep = true;
-    else if (std::strncmp(Arg, "--rapd=", 7) == 0)
+    } else if (std::strncmp(Arg, "--rapd=", 7) == 0) {
       F.Rapd = Arg + 7;
-    else if (std::strncmp(Arg, "--dir=", 6) == 0)
+    } else if (std::strncmp(Arg, "--dir=", 6) == 0) {
       F.Dir = Arg + 6;
-    else if (std::strncmp(Arg, "--sources=", 10) == 0)
-      Unsigned(Arg, "--sources=", F.Sources);
-    else if (std::strncmp(Arg, "--kills=", 8) == 0)
-      Unsigned(Arg, "--kills=", F.Kills);
-    else if (std::strncmp(Arg, "--burst=", 8) == 0)
-      Unsigned(Arg, "--burst=", F.Burst);
-    else {
+    } else if (std::strncmp(Arg, "--sources=", 10) == 0) {
+      ValueOk = parseUnsigned(Arg + 10, F.Sources, 1);
+    } else if (std::strncmp(Arg, "--kills=", 8) == 0) {
+      ValueOk = parseUnsigned(Arg + 8, F.Kills, 1);
+    } else if (std::strncmp(Arg, "--burst=", 8) == 0) {
+      ValueOk = parseUnsigned(Arg + 8, F.Burst, 1);
+    } else {
       F.Ok = false;
       F.Error = std::string("unknown option '") + Arg + "'";
-    }
-    if (!F.Ok)
       return F;
+    }
+    if (!ValueOk) {
+      F.Ok = false;
+      F.Error = std::string("bad value in '") + Arg + "'";
+      return F;
+    }
   }
   if (F.Ok && F.Rapd.empty()) {
     F.Ok = false;

@@ -4,8 +4,8 @@
 # the physical rewrite), asserting zero spill-everything fallbacks, then a
 # fault-injection end-to-end check that the rapcc degradation path works
 # (exit code 3, correct result), then that rapcc rejects a k, a thread
-# count or a fuel budget past its bound or with trailing junk as a usage
-# error (exit 2).
+# count or a fuel budget past its bound or with trailing junk, and rapfuzz
+# a --max-seconds that is not whole seconds, as a usage error (exit 2).
 #
 # Usage: scripts/checked_smoke.sh [build-dir]
 set -euo pipefail
@@ -14,7 +14,8 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
 cmake -S "$REPO_ROOT" -B "$BUILD_DIR" >/dev/null
-cmake --build "$BUILD_DIR" --target rap_checked_mode_test rapcc -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target rap_checked_mode_test rapcc rapfuzz \
+  -j "$(nproc)"
 
 # The acceptance matrix: 37 routines x {gra,rap} x k in {3,5,7,9}, verified,
 # zero fallbacks, checksums equal to the unallocated reference.
@@ -78,5 +79,18 @@ for FLAG in --threads=2x --fuel=1000x --threads=257; do
   fi
 done
 
+# rapfuzz's time box is whole seconds; a typo must not read as 0 (no limit).
+for FLAG in --max-seconds=1x --max-seconds=abc; do
+  set +e
+  "$BUILD_DIR/src/fuzz/rapfuzz" --seeds=0:1 --mutations=0 -q "$FLAG" \
+    >/dev/null 2>&1
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: rapfuzz $FLAG exited $STATUS, want 2 (usage error)" >&2
+    exit 1
+  fi
+done
+
 echo "checked-mode smoke OK (37 routines verified; fallback path exits 3;" \
-     "bad -k, --threads and --fuel exit 2)"
+     "bad -k, --threads, --fuel and --max-seconds exit 2)"

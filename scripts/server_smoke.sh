@@ -24,8 +24,9 @@
 #      rap-bench-v1 JSON to <build-dir>/bench-artifacts/server_load.json
 #      (uploaded by CI), and asserts the acceptance bar: warm >= 2x cold
 #      functions/sec at a >= 80% hit rate;
-#   6. checks that rapd refuses --shards past MaxWorkerThreads (256,
-#      support/CmdLine.h) as a usage error (exit 2) before any pool exists.
+#   6. checks that rapd, server_load and server_chaos refuse --shards past
+#      MaxWorkerThreads (256, support/CmdLine.h) as a usage error (exit 2)
+#      before any pool exists.
 #
 # Usage: scripts/server_smoke.sh [build-dir]
 set -euo pipefail
@@ -318,14 +319,19 @@ print(f"server load OK: {warm['speedup_vs_cold']:.2f}x functions/sec over "
 PYEOF
 
 # --- 6. usage errors ---------------------------------------------------------
-set +e
-"$RAPD" --shards=257 </dev/null >/dev/null 2>&1
-STATUS=$?
-set -e
-if [ "$STATUS" -ne 2 ]; then
-  echo "FAIL: rapd --shards=257 exited $STATUS, want 2 (usage error)" >&2
-  exit 1
-fi
-echo "usage errors OK: rapd --shards=257 exits 2"
+# Only the bound plus one: a value that passed would start that many threads.
+for TOOL in "$RAPD" "$BUILD_DIR/bench/server_load" \
+            "$BUILD_DIR/bench/server_chaos"; do
+  set +e
+  "$TOOL" --shards=257 </dev/null >/dev/null 2>&1
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: $(basename "$TOOL") --shards=257 exited $STATUS," \
+         "want 2 (usage error)" >&2
+    exit 1
+  fi
+done
+echo "usage errors OK: rapd, server_load and server_chaos --shards=257 exit 2"
 
 echo "server smoke OK; load counters in $OUT/server_load.json"

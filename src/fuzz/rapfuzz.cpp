@@ -18,7 +18,8 @@
 ///     --level=byte|token|ast|mix   mutation level (default mix: cycle all)
 ///     --out=DIR           repro artifact directory (default FUZZ_repros)
 ///     --fuel=N            reference interpreter budget (default 2000000)
-///     --max-seconds=S     stop the sweep after S seconds (0 = no limit)
+///     --max-seconds=S     stop the sweep after S whole seconds (0 = no
+///                         limit)
 ///     --fault=SPEC        fault drill: inject SPEC (RAP_FAULT_INJECT
 ///                         syntax) with fallback disabled, so every input
 ///                         fails allocation and must reduce cleanly
@@ -102,7 +103,7 @@ int main(int argc, char **argv) {
   std::string Level = "mix";
   std::string OutDir = "FUZZ_repros";
   std::string ReplayPath;
-  double MaxSeconds = 0;
+  unsigned MaxSeconds = 0;
   bool Reduce = true;
   bool Quiet = false;
   FuzzLimits Limits;
@@ -140,7 +141,13 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (startsWith(Arg, "--max-seconds=")) {
-      MaxSeconds = std::atof(Arg + 14);
+      if (!parseUnsigned(Arg + 14, MaxSeconds)) {
+        std::fprintf(stderr,
+                     "rapfuzz: bad --max-seconds '%s' (whole seconds, 0 = "
+                     "no limit)\n",
+                     Arg + 14);
+        return 2;
+      }
     } else if (startsWith(Arg, "--fault=")) {
       try {
         Limits.Faults = FaultPlan::fromString(Arg + 8);
@@ -179,7 +186,7 @@ int main(int argc, char **argv) {
 
   auto StartTime = std::chrono::steady_clock::now();
   auto outOfTime = [&] {
-    if (MaxSeconds <= 0)
+    if (MaxSeconds == 0)
       return false;
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          StartTime)

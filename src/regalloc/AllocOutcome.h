@@ -48,8 +48,9 @@ struct AllocStats {
 
   //===------------------------------------------------------------------===//
   // Spill-instruction ledger. Every LdSpill/StSpill an allocator creates is
-  // counted at its creation site; every one a cleanup pass deletes (or
-  // rewrites to a copy) is counted above. The telemetry test suite holds
+  // counted as it is created (by CodeEditor, or as phase 2's HoistedLoads /
+  // SunkStores); every one a cleanup pass deletes (or rewrites to a copy)
+  // is counted above. The telemetry test suite holds
   // the books to the final code:
   //
   //   #ldm in output == SpillLoadsInserted + HoistedLoads

@@ -145,10 +145,25 @@ std::vector<FlowDep> RefInfo::flowDeps(Reg R, const Cfg &G) const {
 }
 
 //===----------------------------------------------------------------------===//
-// CodeEditor
+// Spill-code writer
 //===----------------------------------------------------------------------===//
 
-void CodeEditor::refresh() {
+Instr *rap::newSpillLoad(IlocFunction &F, Reg Dst, int Slot) {
+  Instr *Ld = F.createInstr(Opcode::LdSpill);
+  Ld->Dst = Dst;
+  Ld->Slot = Slot;
+  return Ld;
+}
+
+Instr *rap::newSpillStore(IlocFunction &F, Reg Src, int Slot) {
+  Instr *St = F.createInstr(Opcode::StSpill);
+  St->Slot = Slot;
+  St->Src = {Src};
+  return St;
+}
+
+CodeEditor::CodeEditor(IlocFunction &F, AllocStats &Stats)
+    : F(F), Stats(Stats) {
   Owners.assign(F.numInstrIds(), Owner{});
   F.root()->forEachNode([&](const PdgNode *N) {
     if (!N->isStatement() && !N->isPredicate())
@@ -169,53 +184,86 @@ CodeEditor::Owner CodeEditor::ownerOf(Instr *I) const {
 }
 
 void CodeEditor::setOwner(Instr *I, Owner O) {
-  // Fresh spill instructions get ids past the refresh-time arena size.
+  // Fresh spill instructions get ids past the construction-time arena size.
   if (I->Id >= Owners.size())
     Owners.resize(I->Id + 1, Owner{});
   Owners[I->Id] = O;
 }
 
-void CodeEditor::insertBefore(Instr *Anchor, Instr *NewI) {
+Instr *CodeEditor::reloadBeforeUse(Instr *User, Reg V, Reg Into, int Slot) {
+  Instr *Ld = load(Into, Slot);
+  insertNextTo(User, Ld, /*After=*/false);
+  for (Reg &R : User->Src)
+    if (R == V)
+      R = Into;
+  return Ld;
+}
+
+Instr *CodeEditor::storeAfterDef(Instr *Def, Reg From, int Slot) {
+  Def->Dst = From;
+  Instr *St = store(From, Slot);
+  insertNextTo(Def, St, /*After=*/true);
+  return St;
+}
+
+Instr *CodeEditor::reloadAtRegionEntry(PdgNode *V, Reg Into, int Slot) {
+  Instr *Ld = load(Into, Slot);
+  insertSpillNode(V, Ld, /*AtEntry=*/true);
+  return Ld;
+}
+
+Instr *CodeEditor::storeAtRegionEntry(PdgNode *V, Reg From, int Slot) {
+  Instr *St = store(From, Slot);
+  insertSpillNode(V, St, /*AtEntry=*/true);
+  return St;
+}
+
+Instr *CodeEditor::storeAtRegionExit(PdgNode *V, Reg From, int Slot) {
+  Instr *St = store(From, Slot);
+  insertSpillNode(V, St, /*AtEntry=*/false);
+  return St;
+}
+
+void CodeEditor::insertNextTo(Instr *Anchor, Instr *NewI, bool After) {
   Owner O = ownerOf(Anchor);
   if (O.IsBranch) {
+    allocCheck(!After, AllocErrorKind::InvariantViolation,
+               "cannot insert after a branch");
     // The branch consumes the end of the predicate's condition code.
     O.N->Code.push_back(NewI);
   } else {
     auto It = std::find(O.N->Code.begin(), O.N->Code.end(), Anchor);
     allocCheck(It != O.N->Code.end(), AllocErrorKind::InvariantViolation,
                "owner map out of date");
-    O.N->Code.insert(It, NewI);
+    O.N->Code.insert(After ? It + 1 : It, NewI);
   }
   setOwner(NewI, Owner{O.N, false});
 }
 
-void CodeEditor::insertAfter(Instr *Anchor, Instr *NewI) {
-  Owner O = ownerOf(Anchor);
-  allocCheck(!O.IsBranch, AllocErrorKind::InvariantViolation,
-             "cannot insert after a branch");
-  auto It = std::find(O.N->Code.begin(), O.N->Code.end(), Anchor);
-  allocCheck(It != O.N->Code.end(), AllocErrorKind::InvariantViolation,
-             "owner map out of date");
-  O.N->Code.insert(It + 1, NewI);
-  setOwner(NewI, Owner{O.N, false});
-}
-
-void CodeEditor::insertAtRegionEntry(PdgNode *V, Instr *NewI) {
+void CodeEditor::insertSpillNode(PdgNode *V, Instr *NewI, bool AtEntry) {
   allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
              "spill node insertion needs a region");
   PdgNode *S = F.createNode(PdgNodeKind::Statement);
   S->Parent = V;
   S->Code.push_back(NewI);
-  V->Children.insert(V->Children.begin(), S);
+  V->Children.insert(AtEntry ? V->Children.begin() : V->Children.end(), S);
   setOwner(NewI, Owner{S, false});
 }
 
-void CodeEditor::insertAtRegionExit(PdgNode *V, Instr *NewI) {
-  allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
-             "spill node insertion needs a region");
-  PdgNode *S = F.createNode(PdgNodeKind::Statement);
-  S->Parent = V;
-  S->Code.push_back(NewI);
-  V->Children.push_back(S);
-  setOwner(NewI, Owner{S, false});
+//===----------------------------------------------------------------------===//
+// Graph accounting
+//===----------------------------------------------------------------------===//
+
+void rap::accountGraph(const InterferenceGraph &G, const AllocOptions &Options,
+                       AllocStats &Stats, const std::string &Function,
+                       int Region) {
+  ++Stats.GraphBuilds;
+  Stats.MaxGraphNodes = std::max(Stats.MaxGraphNodes, G.numAliveNodes());
+  Stats.PeakGraphBytes = std::max(Stats.PeakGraphBytes, G.memoryBytes());
+  if (Options.MaxGraphBytes && G.memoryBytes() > Options.MaxGraphBytes)
+    throwAllocError(AllocErrorKind::ResourceLimit,
+                    "interference graph needs " +
+                        std::to_string(G.memoryBytes()) + " bytes (limit " +
+                        std::to_string(Options.MaxGraphBytes) + ")",
+                    Function, Region);
 }

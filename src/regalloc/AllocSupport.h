@@ -7,7 +7,8 @@
 /// \file
 /// Utilities shared by GRA and RAP: the analysis bundle recomputed after
 /// every code edit (linearization, CFG, liveness), per-register reference
-/// maps, and spill-code insertion into the region tree.
+/// maps, the spill-code writer, and the per-graph accounting and size
+/// guard.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,10 @@
 #include "ir/IlocFunction.h"
 #include "ir/Linearize.h"
 #include "pdg/DataDependence.h"
+#include "regalloc/Allocator.h"
+#include "regalloc/InterferenceGraph.h"
 
-#include <memory>
+#include <string>
 #include <vector>
 
 namespace rap {
@@ -113,36 +116,47 @@ private:
   std::vector<unsigned> UsePos, DefPos;
 };
 
-/// Edits ILOC attached to a function's region tree: locates an
-/// instruction's owning code vector and inserts spill code around it or at
-/// region boundaries. Anchors must exist in the tree; the editor walks the
-/// tree lazily and re-walks after external structural changes via refresh().
-/// The owner map is indexed by the function-unique instruction id, so
-/// lookups are O(1) and construction allocates a single vector.
+/// Creates an unplaced `ldm` of spill slot \p Slot into \p Dst: the one
+/// constructor of spill loads, used by CodeEditor and by phase 2's
+/// loop-boundary loads.
+Instr *newSpillLoad(IlocFunction &F, Reg Dst, int Slot);
+
+/// Creates an unplaced `stm` of \p Src to spill slot \p Slot (see
+/// newSpillLoad).
+Instr *newSpillStore(IlocFunction &F, Reg Src, int Slot);
+
+/// Writes the spill code of GRA, RAP and the spill-everything fallback into
+/// a function's region tree. Each method creates one `ldm` or `stm`, places
+/// it, counts it in the spill ledger (AllocStats::SpillLoadsInserted /
+/// SpillStoresInserted) at creation, and returns it. Anchors must exist in
+/// the tree. The owner map is indexed by the function-unique instruction
+/// id, so lookups are O(1) and construction walks the tree once.
 class CodeEditor {
 public:
-  explicit CodeEditor(IlocFunction &F) : F(F) { refresh(); }
+  CodeEditor(IlocFunction &F, AllocStats &Stats);
 
-  /// Re-scans the region tree (call after structural edits made elsewhere).
-  void refresh();
+  /// Loads \p Slot into \p Into just before \p User and makes \p User read
+  /// \p Into wherever it read \p V (a reload in place when they are equal).
+  /// When \p User is a predicate's branch, the load goes at the end of the
+  /// predicate's condition code.
+  Instr *reloadBeforeUse(Instr *User, Reg V, Reg Into, int Slot);
 
-  /// Inserts \p NewI immediately before \p Anchor. When the anchor is a
-  /// predicate's branch, the instruction goes at the end of the predicate's
-  /// condition code.
-  void insertBefore(Instr *Anchor, Instr *NewI);
+  /// Makes \p Def define \p From and stores \p From to \p Slot just after
+  /// it. \p Def must not be a branch.
+  Instr *storeAfterDef(Instr *Def, Reg From, int Slot);
 
-  /// Inserts \p NewI immediately after \p Anchor (which must not be a
-  /// branch).
-  void insertAfter(Instr *Anchor, Instr *NewI);
+  /// Loads \p Slot into \p Into in a spill node at the entry of region \p V
+  /// (before the loop head for loop regions — the paper's pre-loop spill
+  /// node position).
+  Instr *reloadAtRegionEntry(PdgNode *V, Reg Into, int Slot);
 
-  /// Prepends a spill statement node holding \p NewI at the entry of region
-  /// \p V (before the loop head for loop regions — the paper's pre-loop
-  /// spill node position).
-  void insertAtRegionEntry(PdgNode *V, Instr *NewI);
+  /// Stores \p From to \p Slot in a spill node at the entry of region \p V:
+  /// parks a parameter, whose value arrives in a register.
+  Instr *storeAtRegionEntry(PdgNode *V, Reg From, int Slot);
 
-  /// Appends a spill statement node holding \p NewI at the exit of region
-  /// \p V (after the loop for loop regions — the post-loop spill node).
-  void insertAtRegionExit(PdgNode *V, Instr *NewI);
+  /// Stores \p From to \p Slot in a spill node at the exit of region \p V
+  /// (after the loop for loop regions — the post-loop spill node).
+  Instr *storeAtRegionExit(PdgNode *V, Reg From, int Slot);
 
 private:
   struct Owner {
@@ -152,9 +166,33 @@ private:
   Owner ownerOf(Instr *I) const;
   void setOwner(Instr *I, Owner O);
 
+  Instr *load(Reg Dst, int Slot) {
+    ++Stats.SpillLoadsInserted;
+    return newSpillLoad(F, Dst, Slot);
+  }
+  Instr *store(Reg Src, int Slot) {
+    ++Stats.SpillStoresInserted;
+    return newSpillStore(F, Src, Slot);
+  }
+
+  /// Puts \p NewI just before or just \p After \p Anchor, in its owner.
+  void insertNextTo(Instr *Anchor, Instr *NewI, bool After);
+  /// Puts \p NewI in a fresh spill statement node, the first (\p AtEntry)
+  /// or the last child of region \p V.
+  void insertSpillNode(PdgNode *V, Instr *NewI, bool AtEntry);
+
   IlocFunction &F;
+  AllocStats &Stats;
   std::vector<Owner> Owners; ///< indexed by Instr::Id
 };
+
+/// Counts a freshly built interference graph in \p Stats (GraphBuilds,
+/// MaxGraphNodes, PeakGraphBytes) and raises AllocError(ResourceLimit) when
+/// its footprint exceeds Options.MaxGraphBytes. Shared by GRA and RAP;
+/// \p Region is -1 for GRA's whole-function graph.
+void accountGraph(const InterferenceGraph &G, const AllocOptions &Options,
+                  AllocStats &Stats, const std::string &Function,
+                  int Region = -1);
 
 } // namespace rap
 

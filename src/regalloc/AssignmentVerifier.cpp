@@ -9,6 +9,7 @@
 #include "cfg/Cfg.h"
 #include "cfg/Liveness.h"
 #include "ir/Linearize.h"
+#include "regalloc/AllocError.h"
 
 #include <sstream>
 
@@ -70,4 +71,14 @@ rap::verifyAssignment(IlocFunction &F, const InterferenceGraph &Final) {
       Out.push_back(std::move(V));
     }
   return Out;
+}
+
+void rap::checkAssignment(IlocFunction &F, const InterferenceGraph &Final) {
+  std::vector<AssignmentViolation> Violations = verifyAssignment(F, Final);
+  if (!Violations.empty())
+    throwAllocError(AllocErrorKind::VerifierReject,
+                    std::to_string(Violations.size()) +
+                        " assignment violation(s); first: " +
+                        Violations[0].Text,
+                    F.name());
 }

@@ -37,6 +37,11 @@ struct AssignmentViolation {
 std::vector<AssignmentViolation>
 verifyAssignment(IlocFunction &F, const InterferenceGraph &Final);
 
+/// Checked mode's gate for GRA and RAP: raises AllocError(VerifierReject),
+/// counting the violations and quoting the first, when verifyAssignment
+/// rejects \p Final.
+void checkAssignment(IlocFunction &F, const InterferenceGraph &Final);
+
 } // namespace rap
 
 #endif // RAP_REGALLOC_ASSIGNMENTVERIFIER_H

@@ -72,17 +72,7 @@ public:
       Stats.GraphBuildSeconds += secondsSince(BuildStart);
       if (Options.Coalesce)
         coalesceConservatively(G, CI->Code.Instrs, Options.K);
-      ++Stats.GraphBuilds;
-      Stats.MaxGraphNodes =
-          std::max(Stats.MaxGraphNodes, G.numAliveNodes());
-      Stats.PeakGraphBytes = std::max(Stats.PeakGraphBytes, G.memoryBytes());
-      if (Options.MaxGraphBytes && G.memoryBytes() > Options.MaxGraphBytes)
-        throwAllocError(AllocErrorKind::ResourceLimit,
-                        "interference graph needs " +
-                            std::to_string(G.memoryBytes()) +
-                            " bytes (limit " +
-                            std::to_string(Options.MaxGraphBytes) + ")",
-                        F.name());
+      accountGraph(G, Options, Stats, F.name());
       setSpillCosts(G, Refs);
       Injector.hit(FaultSite::Coloring);
       ColorResult CR = colorGraph(G, Options.K, &Stats);
@@ -90,16 +80,8 @@ public:
       RoundPhase.arg("nodes", G.numAliveNodes());
       RoundPhase.arg("spill_candidates", CR.SpillList.size());
       if (CR.fullyColored()) {
-        if (Options.VerifyAssignments) {
-          std::vector<AssignmentViolation> Violations =
-              verifyAssignment(F, G);
-          if (!Violations.empty())
-            throwAllocError(AllocErrorKind::VerifierReject,
-                            std::to_string(Violations.size()) +
-                                " assignment violation(s); first: " +
-                                Violations[0].Text,
-                            F.name());
-        }
+        if (Options.VerifyAssignments)
+          checkAssignment(F, G);
         Injector.hit(FaultSite::PhysicalRewrite);
         RoundPhase.finish();
         Stats.CopiesDeleted = rewriteToPhysical(F, G, Options.K, TS);
@@ -181,7 +163,7 @@ private:
 
   void spillRound(const InterferenceGraph &G, const ColorResult &CR,
                   const CodeInfo &CI, const RefInfo &Refs) {
-    CodeEditor Editor(F);
+    CodeEditor Editor(F, Stats);
     bool Progress = false;
     for (unsigned N : CR.SpillList) {
       for (Reg V : G.node(N).VRegs) {
@@ -207,41 +189,20 @@ private:
 
     // A parameter's value arrives in a register; park it in the slot at
     // function entry.
-    if (V < F.numParams() && CI.Live.liveBefore(0).test(V)) {
-      Instr *St = F.createInstr(Opcode::StSpill);
-      St->Slot = Slot;
-      St->Src = {V};
-      Editor.insertAtRegionEntry(F.root(), St);
-      ++Stats.SpillStoresInserted;
-    }
+    if (V < F.numParams() && CI.Live.liveBefore(0).test(V))
+      Editor.storeAtRegionEntry(F.root(), V, Slot);
 
-    // Load before every use.
-    for (unsigned P : Refs.usePositions(V)) {
-      Instr *User = CI.Code.Instrs[P];
+    // Load before every use and store after every definition, each through
+    // a fresh atomic live range.
+    auto Atomic = [&] {
       Reg T = F.newVReg();
       NoSpill.insert(T);
-      Instr *Ld = F.createInstr(Opcode::LdSpill);
-      Ld->Dst = T;
-      Ld->Slot = Slot;
-      Editor.insertBefore(User, Ld);
-      ++Stats.SpillLoadsInserted;
-      for (Reg &R : User->Src)
-        if (R == V)
-          R = T;
-    }
-
-    // Store after every definition.
-    for (unsigned P : Refs.defPositions(V)) {
-      Instr *Def = CI.Code.Instrs[P];
-      Reg D = F.newVReg();
-      NoSpill.insert(D);
-      Def->Dst = D;
-      Instr *St = F.createInstr(Opcode::StSpill);
-      St->Slot = Slot;
-      St->Src = {D};
-      Editor.insertAfter(Def, St);
-      ++Stats.SpillStoresInserted;
-    }
+      return T;
+    };
+    for (unsigned P : Refs.usePositions(V))
+      Editor.reloadBeforeUse(CI.Code.Instrs[P], V, Atomic(), Slot);
+    for (unsigned P : Refs.defPositions(V))
+      Editor.storeAfterDef(CI.Code.Instrs[P], Atomic(), Slot);
   }
 
   int slotOf(Reg V) {

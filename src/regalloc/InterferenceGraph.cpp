@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 
 using namespace rap;
 
@@ -195,28 +194,4 @@ InterferenceGraph InterferenceGraph::combinedByColor() const {
     }
   }
   return Out;
-}
-
-std::string InterferenceGraph::str() const {
-  std::ostringstream OS;
-  for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
-    const Node &N = Nodes[I];
-    if (!N.Alive)
-      continue;
-    OS << "n" << I << " {";
-    for (size_t V = 0; V != N.VRegs.size(); ++V)
-      OS << (V ? " " : "") << "%" << N.VRegs[V];
-    OS << "}";
-    if (N.Global)
-      OS << " global";
-    if (N.Color >= 0)
-      OS << " color=" << N.Color;
-    OS << " cost=" << N.SpillCost << " ->";
-    std::vector<unsigned> Sorted = Adj[I];
-    std::sort(Sorted.begin(), Sorted.end());
-    for (unsigned A : Sorted)
-      OS << " n" << A;
-    OS << "\n";
-  }
-  return OS.str();
 }

@@ -32,7 +32,6 @@
 #include "ir/Instr.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rap {
@@ -120,8 +119,6 @@ public:
   /// Heap bytes held by the adjacency structures (bit matrix plus adjacency
   /// vectors) — the space side of the paper's time/space trade-off.
   size_t memoryBytes() const;
-
-  std::string str() const;
 
 private:
   /// Index of the (\p N1, \p N2) pair in the lower-triangular matrix;

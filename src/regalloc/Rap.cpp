@@ -13,12 +13,10 @@
 #include "regalloc/Peephole.h"
 #include "regalloc/PhysicalRewrite.h"
 #include "regalloc/SpillCodeMovement.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 using namespace rap;
 
@@ -29,14 +27,6 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-bool rapDebug() {
-  static const bool On = env::flag("RAP_DEBUG");
-  return On;
-}
-
-} // namespace
-
-namespace {
 constexpr double LocalOrSpilledCost = 999999.0; // paper Figure 5
 constexpr double InfiniteCost = 1e18;           // atomic spill temporaries
 constexpr unsigned MaxSpillActions = 50000;
@@ -46,7 +36,7 @@ RapAllocator::RapAllocator(IlocFunction &F, const AllocOptions &Options)
     : F(F), Options(Options),
       Injector(Options.Faults.empty() ? envFaultPlan() : Options.Faults,
                F.name()),
-      StartTime(std::chrono::steady_clock::now()), Editor(F) {
+      StartTime(std::chrono::steady_clock::now()), Editor(F, Stats) {
   refresh();
 }
 
@@ -98,45 +88,53 @@ RapAllocator::globalOrigins(const InterferenceGraph &G, const PdgNode *V,
 // Phase 1a: building the region interference graph (paper §3.1.1)
 //===----------------------------------------------------------------------===//
 
-InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
-  allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
-             "allocation works on region nodes");
-  InterferenceGraph G;
-
-  std::vector<Instr *> PC = V->parentCode();
-  // The reference sets are bit vectors: the loops below visit their
-  // intersections with liveness sets a word at a time, in the ascending
-  // order node creation depends on.
-  unsigned NumVRegs = F.numVRegs();
-  BitVector RefsPC(NumVRegs);
+RapAllocator::RegionRefs::RegionRefs(const PdgNode *V, unsigned NumVRegs)
+    : PC(V->parentCode()), RefsPC(NumVRegs) {
   for (const Instr *I : PC) {
     for (Reg R : I->Src)
       RefsPC.set(R);
     if (I->hasDef())
       RefsPC.set(I->Dst);
   }
-
-  BitVector Vars = RefsPC; // parent code is part of the subtree walk below
+  Vars = RefsPC; // parent code is part of the subtree walk below
   V->forEachInstr([&](Instr *I) {
     for (Reg R : I->Src)
       Vars.set(R);
     if (I->hasDef())
       Vars.set(I->Dst);
   });
+}
 
-  //--- add_region_conflicts -----------------------------------------------
-  RefsPC.forEach([&](unsigned R) { G.getOrCreateNode(R); });
+InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
+  allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
+             "allocation works on region nodes");
+  InterferenceGraph G;
+  RegionRefs RR(V, F.numVRegs());
+  addRegionConflicts(G, V, RR);
+  addSubregionConflicts(G, V, RR);
+  mergeSameOriginPieces(G, V);
+  if (Options.Coalesce)
+    coalesceConservatively(G, RR.PC, Options.K, [&](unsigned A, unsigned B) {
+      return globalOrigins(G, V, {A, B}) <= 1;
+    });
+  markGlobalNodes(G, V);
+  return G;
+}
+
+void RapAllocator::addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
+                                      const RegionRefs &RR) const {
+  RR.RefsPC.forEach([&](unsigned R) { G.getOrCreateNode(R); });
 
   // Definition points: the defined register interferes with every register
   // that is live after the instruction (minus the source of a copy). Live
   // registers referenced only in subregions get a node now and are merged
-  // with the subregion import below; registers referenced entirely outside
+  // with the subregion import later; registers referenced entirely outside
   // this region are live-in and handled by the Figure 4 rules.
-  for (const Instr *I : PC) {
+  for (const Instr *I : RR.PC) {
     if (!I->hasDef())
       continue;
     Reg D = I->Dst;
-    Vars.forEachCommon(CI->Live.liveAfter(I->LinPos), [&](unsigned L) {
+    RR.Vars.forEachCommon(CI->Live.liveAfter(I->LinPos), [&](unsigned L) {
       if (L == D)
         return;
       if (I->Op == Opcode::Mv && L == I->Src[0])
@@ -147,19 +145,22 @@ InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
   }
 
   // Registers live on entrance to the region and referenced here coexist.
-  const BitVector &LiveInV = CI->Live.liveInOf(*V);
   std::vector<Reg> LiveRefs;
-  RefsPC.forEachCommon(LiveInV, [&](unsigned R) { LiveRefs.push_back(R); });
+  RR.RefsPC.forEachCommon(CI->Live.liveInOf(*V),
+                          [&](unsigned R) { LiveRefs.push_back(R); });
   for (size_t A = 0; A != LiveRefs.size(); ++A)
     for (size_t B = A + 1; B != LiveRefs.size(); ++B)
       G.addEdge(LiveRefs[A], LiveRefs[B]);
+}
 
-  //--- add_subregion_conflicts (Figure 4) ----------------------------------
+void RapAllocator::addSubregionConflicts(InterferenceGraph &G,
+                                         const PdgNode *V,
+                                         const RegionRefs &RR) const {
   // Live-in registers not referenced at this level conflict with every node
   // referenced here (Figure 3's virtual register d).
   std::vector<unsigned> PreNodes = G.aliveNodes();
-  Vars.forEachCommon(LiveInV, [&](unsigned VK) {
-    if (RefsPC.test(VK))
+  RR.Vars.forEachCommon(CI->Live.liveInOf(*V), [&](unsigned VK) {
+    if (RR.RefsPC.test(VK))
       return;
     unsigned N = G.getOrCreateNode(VK);
     for (unsigned M : PreNodes)
@@ -208,7 +209,7 @@ InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
 
     // Registers live across (but unreferenced in) the subregion conflict
     // with everything allocated inside it.
-    Vars.forEachCommon(CI->Live.liveInOf(*S), [&](unsigned VK) {
+    RR.Vars.forEachCommon(CI->Live.liveInOf(*S), [&](unsigned VK) {
       if (Refs->referencedWithin(VK, S->LinBegin, S->LinEnd))
         return;
       unsigned N = G.getOrCreateNode(VK);
@@ -216,93 +217,88 @@ InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
         G.addEdgeNodes(N, Imported[NS]);
     });
   }
+}
 
-  // Pieces of one split register represent the same virtual register
-  // (paper §3.1.1); merge their nodes when they do not interfere so they
-  // allocate — and later move — as a unit. Each pass scans the pieces in
-  // (node, register) order, merges the first one that can join the first
-  // node holding its origin, and starts over.
-  {
-    struct Piece {
-      unsigned Node;
-      Reg R;
-      unsigned Origin; ///< index into Origins
-    };
-    struct OriginInfo {
-      Reg Origin;
-      unsigned FirstNode; ///< node of its first piece
-      bool Spread;        ///< some piece lies in another node
-    };
-    std::vector<Piece> Pieces;
-    std::vector<OriginInfo> Origins; // a few per region: searched linearly
-    for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
-      if (!G.node(N).Alive)
-        continue;
-      for (Reg R : G.node(N).VRegs) {
-        Reg Origin = originOf(R);
-        if (Origin == R && !hasSlot(Origin))
-          continue; // never split
-        if (NoMergeOrigins.count(Origin))
-          continue; // merging proved uncolorable earlier
-        auto It = std::find_if(
-            Origins.begin(), Origins.end(),
-            [&](const OriginInfo &O) { return O.Origin == Origin; });
-        if (It == Origins.end())
-          It = Origins.insert(It, OriginInfo{Origin, N, false});
-        It->Spread |= It->FirstNode != N;
-        Pieces.push_back({N, R, static_cast<unsigned>(It - Origins.begin())});
-      }
-    }
-    // An origin whose pieces share one node never merges (merges move whole
-    // nodes, so they stay together) and never affects another origin's
-    // scan, so its pieces are dropped.
-    std::erase_if(Pieces,
-                  [&](const Piece &P) { return !Origins[P.Origin].Spread; });
-    auto ByNode = [](const Piece &X, const Piece &Y) {
-      return X.Node != Y.Node ? X.Node < Y.Node : X.R < Y.R;
-    };
-
-    std::vector<int> FirstNode(Origins.size());
-    auto MergeOnePair = [&]() -> bool {
-      std::fill(FirstNode.begin(), FirstNode.end(), -1);
-      for (const Piece &P : Pieces) {
-        int &First = FirstNode[P.Origin];
-        if (First < 0 || First == static_cast<int>(P.Node)) {
-          First = static_cast<int>(P.Node);
-          continue;
-        }
-        unsigned A = static_cast<unsigned>(First), B = P.Node;
-        if (G.interfere(A, B))
-          continue; // overlapping pieces (e.g. two loads at one instr)
-        // Keep the global-global invariant: the union may cover at most
-        // one global origin (same-origin pieces count once).
-        if (globalOrigins(G, V, {A, B}) > 1)
-          continue;
-        G.mergeNodes(A, B);
-        // Only B's pieces moved, so insertion sort restores the order in
-        // about linear time.
-        for (Piece &Q : Pieces)
-          if (Q.Node == B)
-            Q.Node = A;
-        for (size_t I = 1; I < Pieces.size(); ++I)
-          for (size_t J = I; J && ByNode(Pieces[J], Pieces[J - 1]); --J)
-            std::swap(Pieces[J], Pieces[J - 1]);
-        return true;
-      }
-      return false;
-    };
-    while (MergeOnePair()) {
+void RapAllocator::mergeSameOriginPieces(InterferenceGraph &G,
+                                         const PdgNode *V) const {
+  // Each pass scans the pieces in (node, register) order, merges the first
+  // one that can join the first node holding its origin, and starts over.
+  struct Piece {
+    unsigned Node;
+    Reg R;
+    unsigned Origin; ///< index into Origins
+  };
+  struct OriginInfo {
+    Reg Origin;
+    unsigned FirstNode; ///< node of its first piece
+    bool Spread;        ///< some piece lies in another node
+  };
+  std::vector<Piece> Pieces;
+  std::vector<OriginInfo> Origins; // a few per region: searched linearly
+  for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
+    if (!G.node(N).Alive)
+      continue;
+    for (Reg R : G.node(N).VRegs) {
+      Reg Origin = originOf(R);
+      if (Origin == R && !hasSlot(Origin))
+        continue; // never split
+      if (NoMergeOrigins.count(Origin))
+        continue; // merging proved uncolorable earlier
+      auto It = std::find_if(
+          Origins.begin(), Origins.end(),
+          [&](const OriginInfo &O) { return O.Origin == Origin; });
+      if (It == Origins.end())
+        It = Origins.insert(It, OriginInfo{Origin, N, false});
+      It->Spread |= It->FirstNode != N;
+      Pieces.push_back({N, R, static_cast<unsigned>(It - Origins.begin())});
     }
   }
+  // An origin whose pieces share one node never merges (merges move whole
+  // nodes, so they stay together) and never affects another origin's scan,
+  // so its pieces are dropped.
+  std::erase_if(Pieces,
+                [&](const Piece &P) { return !Origins[P.Origin].Spread; });
+  auto ByNode = [](const Piece &X, const Piece &Y) {
+    return X.Node != Y.Node ? X.Node < Y.Node : X.R < Y.R;
+  };
 
-  if (Options.Coalesce)
-    coalesceConservatively(G, PC, Options.K, [&](unsigned A, unsigned B) {
-      return globalOrigins(G, V, {A, B}) <= 1;
-    });
+  std::vector<int> FirstNode(Origins.size());
+  auto MergeOnePair = [&]() -> bool {
+    std::fill(FirstNode.begin(), FirstNode.end(), -1);
+    for (const Piece &P : Pieces) {
+      int &First = FirstNode[P.Origin];
+      if (First < 0 || First == static_cast<int>(P.Node)) {
+        First = static_cast<int>(P.Node);
+        continue;
+      }
+      unsigned A = static_cast<unsigned>(First), B = P.Node;
+      if (G.interfere(A, B))
+        continue; // overlapping pieces (e.g. two loads at one instr)
+      // Keep the global-global invariant: the union may cover at most one
+      // global origin (same-origin pieces count once).
+      if (globalOrigins(G, V, {A, B}) > 1)
+        continue;
+      G.mergeNodes(A, B);
+      // Only B's pieces moved, so insertion sort restores the order in
+      // about linear time.
+      for (Piece &Q : Pieces)
+        if (Q.Node == B)
+          Q.Node = A;
+      for (size_t I = 1; I < Pieces.size(); ++I)
+        for (size_t J = I; J && ByNode(Pieces[J], Pieces[J - 1]); --J)
+          std::swap(Pieces[J], Pieces[J - 1]);
+      return true;
+    }
+    return false;
+  };
+  while (MergeOnePair()) {
+  }
+}
 
-  // Classify nodes and check the single-global invariant implied by the
-  // global-global coloring rule (pieces of one origin count once: they
-  // never coexist, so sharing a color is always sound for them).
+void RapAllocator::markGlobalNodes(InterferenceGraph &G,
+                                   const PdgNode *V) const {
+  // Pieces of one origin count once: they never coexist, so sharing a color
+  // is always sound for them.
   for (unsigned N : G.aliveNodes()) {
     unsigned Globals = globalOrigins(G, V, {N});
     G.node(N).Global = Globals != 0;
@@ -312,7 +308,6 @@ InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
                       "registers",
                       F.name(), V->Id);
   }
-  return G;
 }
 
 //===----------------------------------------------------------------------===//
@@ -414,30 +409,13 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
     auto BuildStart = std::chrono::steady_clock::now();
     InterferenceGraph G = buildRegionGraph(V);
     Stats.GraphBuildSeconds += secondsSince(BuildStart);
-    ++Stats.GraphBuilds;
-    Stats.MaxGraphNodes = std::max(Stats.MaxGraphNodes, G.numAliveNodes());
-    Stats.PeakGraphBytes = std::max(Stats.PeakGraphBytes, G.memoryBytes());
-    if (Options.MaxGraphBytes && G.memoryBytes() > Options.MaxGraphBytes)
-      throwAllocError(AllocErrorKind::ResourceLimit,
-                      "interference graph needs " +
-                          std::to_string(G.memoryBytes()) +
-                          " bytes (limit " +
-                          std::to_string(Options.MaxGraphBytes) + ")",
-                      F.name(), V->Id);
+    accountGraph(G, Options, Stats, F.name(), V->Id);
     calcSpillCosts(V, G);
     Injector.hit(FaultSite::Coloring);
     ColorResult CR = colorGraph(G, Options.K, &Stats);
     Phase.arg("round", Round);
     Phase.arg("nodes", G.numAliveNodes());
     Phase.arg("spill_candidates", CR.SpillList.size());
-    if (rapDebug()) {
-      std::fprintf(stderr, "[rap] region R%d round %u nodes=%u spills=%zu\n",
-                   V->Id, Round, G.numAliveNodes(), CR.SpillList.size());
-      if (!CR.SpillList.empty()) {
-        std::fprintf(stderr, "%s", G.str().c_str());
-        std::fprintf(stderr, "%s", CI->Code.str().c_str());
-      }
-    }
     if (CR.fullyColored()) {
       SavedGraphs[V] = G.combinedByColor();
       for (PdgNode *S : V->subregions())
@@ -632,8 +610,6 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
     if (InsideR(D.UsePos) || LoadedUses.count(D.UsePos))
       StoredDefs.insert(D.DefPos);
   }
-  bool NeedParamStore =
-      V < F.numParams() && !ParamStoreDone.count(V);
 
   bool AnyCode = !PCUses.empty() || !PCDefs.empty() || !LoadedUses.empty() ||
                  !StoredDefs.empty();
@@ -658,49 +634,13 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   SpilledIn[R].insert(V);
   ++Stats.SpilledVRegs;
   int Slot = slotOf(V);
-  if (rapDebug())
-    std::fprintf(stderr,
-                 "[spill] %%%u at R%d (pcuses=%zu pcdefs=%zu subs=%zu "
-                 "loadedU=%zu storedD=%zu)\n",
-                 V, R->Id, PCUses.size(), PCDefs.size(), SubActions.size(),
-                 LoadedUses.size(), StoredDefs.size());
-
-  // Parameter values arrive in a register; park them in the slot once.
-  if (NeedParamStore) {
-    ParamStoreDone.insert(V);
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {V};
-    Editor.insertAtRegionEntry(F.root(), St);
-    ParamStores[V] = St;
-    ++Stats.SpillStoresInserted;
-  }
+  parkParam(V, Slot);
 
   // Parent-level references go through fresh atomic live ranges...
-  for (Instr *User : PCUses) {
-    Reg T = F.newVReg();
-    NoSpill.insert(T);
-    setOriginFrom(T, V);
-    Instr *Ld = F.createInstr(Opcode::LdSpill);
-    Ld->Dst = T;
-    Ld->Slot = Slot;
-    Editor.insertBefore(User, Ld);
-    ++Stats.SpillLoadsInserted;
-    for (Reg &Op : User->Src)
-      if (Op == V)
-        Op = T;
-  }
-  for (Instr *Def : PCDefs) {
-    Reg D = F.newVReg();
-    NoSpill.insert(D);
-    setOriginFrom(D, V);
-    Def->Dst = D;
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {D};
-    Editor.insertAfter(Def, St);
-    ++Stats.SpillStoresInserted;
-  }
+  for (Instr *User : PCUses)
+    Editor.reloadBeforeUse(User, V, atomicPiece(V), Slot);
+  for (Instr *Def : PCDefs)
+    Editor.storeAfterDef(Def, atomicPiece(V), Slot);
 
   // ...each referencing subregion loads the value on entry, stores escaping
   // definitions on exit, and renames the register so it becomes local
@@ -708,20 +648,10 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   for (const SubAction &A : SubActions) {
     Reg VS = F.newVReg();
     setOriginFrom(VS, V);
-    if (A.Load) {
-      Instr *Ld = F.createInstr(Opcode::LdSpill);
-      Ld->Dst = VS;
-      Ld->Slot = Slot;
-      Editor.insertAtRegionEntry(A.S, Ld);
-      ++Stats.SpillLoadsInserted;
-    }
-    if (A.Store) {
-      Instr *St = F.createInstr(Opcode::StSpill);
-      St->Slot = Slot;
-      St->Src = {VS};
-      Editor.insertAtRegionExit(A.S, St);
-      ++Stats.SpillStoresInserted;
-    }
+    if (A.Load)
+      Editor.reloadAtRegionEntry(A.S, VS, Slot);
+    if (A.Store)
+      Editor.storeAtRegionExit(A.S, VS, Slot);
     renameInSubtree(A.S, V, VS);
   }
 
@@ -730,20 +660,10 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
     Instr *Def = CI->Code.Instrs[Pos];
     allocCheck(Def->Dst == V, AllocErrorKind::InvariantViolation,
                "stale reaching-definition information");
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {V};
-    Editor.insertAfter(Def, St);
-    ++Stats.SpillStoresInserted;
+    Editor.storeAfterDef(Def, V, Slot);
   }
-  for (unsigned Pos : LoadedUses) {
-    Instr *User = CI->Code.Instrs[Pos];
-    Instr *Ld = F.createInstr(Opcode::LdSpill);
-    Ld->Dst = V;
-    Ld->Slot = Slot;
-    Editor.insertBefore(User, Ld);
-    ++Stats.SpillLoadsInserted;
-  }
+  for (unsigned Pos : LoadedUses)
+    Editor.reloadBeforeUse(CI->Code.Instrs[Pos], V, V, Slot);
   return true;
 }
 
@@ -754,20 +674,7 @@ bool RapAllocator::spillEverywhere(Reg V) {
   GloballySpilled.insert(V);
   ++Stats.SpilledVRegs;
   int Slot = slotOf(V);
-  if (rapDebug())
-    std::fprintf(stderr, "[spill] %%%u everywhere (uses=%zu defs=%zu)\n", V,
-                 Refs->usePositions(V).size(), Refs->defPositions(V).size());
-
-  if (V < F.numParams() && !ParamStoreDone.count(V)) {
-    ParamStoreDone.insert(V);
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {V};
-    Editor.insertAtRegionEntry(F.root(), St);
-    ParamStores[V] = St;
-    ++Stats.SpillStoresInserted;
-  }
-  Instr *Park = ParamStores.count(V) ? ParamStores[V] : nullptr;
+  Instr *Park = parkParam(V, Slot);
 
   // Reload the value just before every use and park it just after every
   // definition. References inside already-allocated subregions keep the
@@ -775,23 +682,28 @@ bool RapAllocator::spillEverywhere(Reg V) {
   // (the ranges only shrink).
   for (unsigned Pos : Refs->usePositions(V)) {
     Instr *User = CI->Code.Instrs[Pos];
-    if (User == Park)
-      continue;
-    Instr *Ld = F.createInstr(Opcode::LdSpill);
-    Ld->Dst = V;
-    Ld->Slot = Slot;
-    Editor.insertBefore(User, Ld);
-    ++Stats.SpillLoadsInserted;
+    if (User != Park)
+      Editor.reloadBeforeUse(User, V, V, Slot);
   }
-  for (unsigned Pos : Refs->defPositions(V)) {
-    Instr *Def = CI->Code.Instrs[Pos];
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {V};
-    Editor.insertAfter(Def, St);
-    ++Stats.SpillStoresInserted;
-  }
+  for (unsigned Pos : Refs->defPositions(V))
+    Editor.storeAfterDef(CI->Code.Instrs[Pos], V, Slot);
   return true;
+}
+
+Instr *RapAllocator::parkParam(Reg V, int Slot) {
+  if (V >= F.numParams())
+    return nullptr;
+  Instr *&Park = ParamStores[V];
+  if (!Park)
+    Park = Editor.storeAtRegionEntry(F.root(), V, Slot);
+  return Park;
+}
+
+Reg RapAllocator::atomicPiece(Reg V) {
+  Reg T = F.newVReg();
+  NoSpill.insert(T);
+  setOriginFrom(T, V);
+  return T;
 }
 
 //===----------------------------------------------------------------------===//
@@ -814,13 +726,7 @@ AllocStats RapAllocator::run() {
   // pass to run on virtual code) with the independent oracle.
   if (Options.VerifyAssignments) {
     telemetry::ScopedPhase Phase(TS, "verify");
-    std::vector<AssignmentViolation> Violations = verifyAssignment(F, Final);
-    if (!Violations.empty())
-      throwAllocError(AllocErrorKind::VerifierReject,
-                      std::to_string(Violations.size()) +
-                          " assignment violation(s); first: " +
-                          Violations[0].Text,
-                      F.name());
+    checkAssignment(F, Final);
   }
 
   Injector.hit(FaultSite::PhysicalRewrite);

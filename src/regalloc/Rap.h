@@ -52,8 +52,10 @@ public:
   /// Rebuilds linearization, liveness and reference maps after code edits.
   void refresh();
 
-  /// Paper §3.1.1: add_region_conflicts + add_subregion_conflicts for
-  /// region \p V. Subregions must already be allocated (their combined
+  /// Paper §3.1.1: region \p V's interference graph, built by the paper's
+  /// steps in order — addRegionConflicts, addSubregionConflicts,
+  /// mergeSameOriginPieces, the optional conservative coalescing, and
+  /// markGlobalNodes. Subregions must already be allocated (their combined
   /// graphs saved).
   InterferenceGraph buildRegionGraph(PdgNode *V);
 
@@ -94,6 +96,44 @@ private:
     std::vector<char> Flags;
   };
 
+  /// One graph build's view of its region: the parent code and the
+  /// registers it references (RefsPC), and the registers referenced anywhere
+  /// in the subtree (Vars). Bit vectors, so the steps visit their
+  /// intersections with liveness sets a word at a time, in the ascending
+  /// order node creation depends on.
+  struct RegionRefs {
+    RegionRefs(const PdgNode *V, unsigned NumVRegs);
+    std::vector<Instr *> PC;
+    BitVector RefsPC;
+    BitVector Vars;
+  };
+
+  /// add_region_conflicts: a node per register referenced in the parent
+  /// code; each parent-level definition interferes with the subtree
+  /// registers live after it; registers live into \p V and referenced at
+  /// this level coexist.
+  void addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
+                          const RegionRefs &RR) const;
+
+  /// add_subregion_conflicts (Figure 4): registers live into \p V but
+  /// unreferenced at this level conflict with every node so far (Figure 3's
+  /// d); each subregion's combined graph is imported, merging nodes that
+  /// name one register; registers live across a subregion without a
+  /// reference in it conflict with everything imported from it.
+  void addSubregionConflicts(InterferenceGraph &G, const PdgNode *V,
+                             const RegionRefs &RR) const;
+
+  /// §3.1.1: pieces of one split register represent the same virtual
+  /// register, so their nodes merge when they do not interfere and the
+  /// union still holds at most one \p V-global origin. They then allocate —
+  /// and later move — as a unit.
+  void mergeSameOriginPieces(InterferenceGraph &G, const PdgNode *V) const;
+
+  /// §3.1.2: flags each node holding a \p V-global register, and raises
+  /// InvariantViolation if a node holds two global origins (the
+  /// global-global coloring rule could not honor it).
+  void markGlobalNodes(InterferenceGraph &G, const PdgNode *V) const;
+
   void spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue);
 
   /// Applies the paper's §3.1.4 spill-code insertion for \p V in region
@@ -114,6 +154,14 @@ private:
   /// paper's "first candidates for spilling" — whose pressure cannot be
   /// relieved by local rewrites.
   bool spillEverywhere(Reg V);
+
+  /// Parks parameter \p V in \p Slot at function entry, once. Returns its
+  /// park store, or null when \p V is not a parameter.
+  Instr *parkParam(Reg V, int Slot);
+
+  /// A fresh atomic live range standing for \p V at one parent-level
+  /// reference: never spilled again, and a piece of \p V's origin.
+  Reg atomicPiece(Reg V);
 
   void renameInSubtree(PdgNode *S, Reg OldReg, Reg NewReg);
   int slotOf(Reg V);
@@ -141,8 +189,9 @@ private:
   std::unique_ptr<CodeInfo> CI;
   std::unique_ptr<RefInfo> Refs;
 
-  /// Places all spill code. Its owner map stays current across spills (every
-  /// phase-1 insertion goes through it), so it is built once per allocator.
+  /// Writes and counts all phase-1 spill code. Its owner map stays current
+  /// across spills (every insertion goes through it), so it is built once
+  /// per allocator.
   CodeEditor Editor;
 
   /// Combined interference graphs of completed regions. Non-loop entries
@@ -164,7 +213,6 @@ private:
   /// Spill slot per origin register, -1 = none yet.
   std::vector<int> SlotOf;
   RegSet GloballySpilled;
-  std::set<Reg> ParamStoreDone;
 
   /// Registers whose references were edited since the last refresh(). Spill
   /// rewrites touch only the spilled register and fresh no-spill
@@ -173,9 +221,9 @@ private:
   /// being processed names an edited register.
   std::set<Reg> EditedSinceRefresh;
 
-  /// The function-entry stores that park spilled parameters. They must read
-  /// the incoming register itself, so later spill rewrites of the same
-  /// parameter skip them.
+  /// The function-entry stores that park spilled parameters, one per parked
+  /// parameter. They must read the incoming register itself, so later spill
+  /// rewrites of the same parameter skip them.
   std::map<Reg, Instr *> ParamStores;
 
   /// Atomic live ranges created by spill rewrites. Spilling them again can

@@ -6,12 +6,10 @@
 
 #include "regalloc/SpillCodeMovement.h"
 
-#include "support/Env.h"
+#include "regalloc/AllocSupport.h"
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
 #include <map>
 #include <set>
 #include <vector>
@@ -56,21 +54,10 @@ private:
   }
 
   void processLoop(PdgNode *L) {
-    std::map<int, SlotOps> Ops = collectOps(L);
-    const InterferenceGraph *LG = nullptr;
-    auto It = SavedGraphs.find(L);
-    if (It != SavedGraphs.end())
-      LG = &It->second;
-
-    static const bool Debug = env::flag("RAP_DEBUG");
+    std::map<int, SlotOps> Ops;
+    if (SavedGraphs.count(L))
+      Ops = collectOps(L);
     for (auto &[Slot, SO] : Ops) {
-      if (!LG) {
-        if (Debug)
-          std::fprintf(stderr, "[move] L=R%d s%d: no loop graph\n", L->Id,
-                       Slot);
-        continue;
-      }
-
       // All in-loop accessors of the slot are renamed pieces of one
       // original virtual register (paper §3.2 / Figure 7: "a single load
       // for a may be placed prior to the entrance ... and the two loads
@@ -83,21 +70,10 @@ private:
       int Color = Final.colorOf(VL);
       if (Color < 0)
         continue;
-      const char *Reject = nullptr;
-      for (Reg R : SO.Regs) {
-        if (Final.colorOf(R) != Color) {
-          Reject = "color mismatch among accessors";
-          break;
-        }
-      }
-      if (!Reject && !colorExclusiveInLoop(L, SO.Regs, Color))
-        Reject = "physical register not exclusive in loop";
-      if (Reject) {
-        if (Debug)
-          std::fprintf(stderr, "[move] L=R%d s%d (%zu regs): %s\n", L->Id,
-                       Slot, SO.Regs.size(), Reject);
+      if (std::any_of(SO.Regs.begin(), SO.Regs.end(),
+                      [&](Reg R) { return Final.colorOf(R) != Color; }) ||
+          !colorExclusiveInLoop(L, SO.Regs, Color))
         continue;
-      }
 
       // Move: rewrite every accessor to one name, delete the in-loop
       // traffic, load once before the head, store once after the exit.
@@ -181,9 +157,7 @@ private:
   /// A fresh spill node immediately before the loop head: after any
   /// existing pre-loop children (region-entry stores must stay first).
   void insertPreLoopLoad(PdgNode *L, Reg VL, int Slot) {
-    Instr *Ld = F.createInstr(Opcode::LdSpill);
-    Ld->Dst = VL;
-    Ld->Slot = Slot;
+    Instr *Ld = newSpillLoad(F, VL, Slot);
     PdgNode *SN = F.createNode(PdgNodeKind::Statement);
     SN->Parent = L;
     SN->Code.push_back(Ld);
@@ -194,9 +168,7 @@ private:
   /// A fresh spill node immediately after the loop exit: before any
   /// existing post-loop children (region-exit loads must stay last).
   void insertPostLoopStore(PdgNode *L, Reg VL, int Slot) {
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = Slot;
-    St->Src = {VL};
+    Instr *St = newSpillStore(F, VL, Slot);
     PdgNode *SN = F.createNode(PdgNodeKind::Statement);
     SN->Parent = L;
     SN->Code.push_back(St);

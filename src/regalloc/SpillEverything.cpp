@@ -68,7 +68,7 @@ AllocStats rap::allocateSpillEverything(IlocFunction &F,
 
   // Park referenced parameters. They are simultaneously live at entry, so
   // each needs its own color; ranks compact out unreferenced parameters.
-  CodeEditor Editor(F);
+  CodeEditor Editor(F, Stats);
   std::vector<Reg> Parked;
   for (Reg P = 0; P != F.numParams(); ++P)
     if (SlotOf[P] >= 0)
@@ -79,15 +79,11 @@ AllocStats rap::allocateSpillEverything(IlocFunction &F,
                         " live parameters but only " +
                         std::to_string(Options.K) + " registers",
                     F.name());
-  // insertAtRegionEntry prepends, so walk backwards to park in order.
+  // storeAtRegionEntry prepends, so walk backwards to park in order.
   for (size_t I = Parked.size(); I--;) {
     Reg P = Parked[I];
     SetColor(P, static_cast<int>(I));
-    Instr *St = F.createInstr(Opcode::StSpill);
-    St->Slot = SlotOf[P];
-    St->Src = {P};
-    Editor.insertAtRegionEntry(F.root(), St);
-    ++Stats.SpillStoresInserted;
+    Editor.storeAtRegionEntry(F.root(), P, SlotOf[P]);
   }
 
   // Rewrite each original instruction to load/operate/store form. The
@@ -110,26 +106,13 @@ AllocStats rap::allocateSpillEverything(IlocFunction &F,
       Reg V = Srcs[Idx];
       Reg T = F.newVReg();
       SetColor(T, static_cast<int>(Idx));
-      Instr *Ld = F.createInstr(Opcode::LdSpill);
-      Ld->Dst = T;
-      Ld->Slot = SlotOf[V];
-      Editor.insertBefore(I, Ld);
-      ++Stats.SpillLoadsInserted;
-      for (Reg &R : I->Src)
-        if (R == V)
-          R = T;
+      Editor.reloadBeforeUse(I, V, T, SlotOf[V]);
     }
 
     if (I->hasDef()) {
-      Reg OrigDst = I->Dst;
       Reg D = F.newVReg();
       SetColor(D, 0); // source temporaries are dead here
-      I->Dst = D;
-      Instr *St = F.createInstr(Opcode::StSpill);
-      St->Slot = SlotOf[OrigDst];
-      St->Src = {D};
-      Editor.insertAfter(I, St);
-      ++Stats.SpillStoresInserted;
+      Editor.storeAfterDef(I, D, SlotOf[I->Dst]);
     }
   }
 

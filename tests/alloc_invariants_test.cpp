@@ -13,7 +13,9 @@
 ///   * parameter registers are pairwise distinct when the parameters are
 ///     simultaneously live at entry;
 ///   * no trivial copies (mv rX, rX) survive rewriting;
-///   * spill slots referenced by the code were actually allocated.
+///   * spill slots referenced by the code were actually allocated;
+///   * RAP's refresh after a spill warm-starts liveness from the previous
+///     solution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,5 +101,29 @@ std::string invName(const ::testing::TestParamInfo<int> &Info) {
 INSTANTIATE_TEST_SUITE_P(
     Table1, AllocInvariants,
     ::testing::Range(0, static_cast<int>(benchPrograms().size())), invName);
+
+// RAP_VERIFY_LIVENESS cross-checks only warm solves, so a refresh that always
+// solved cold would pass every other test while voiding that check and
+// paying for a full solve per spill.
+TEST(RapRefresh, LivenessWarmStartsAfterSpills) {
+  const BenchProgram *P = findBenchProgram("hsort");
+  ASSERT_NE(P, nullptr);
+  CompileResult CR = compileMiniC(P->Source, CompileOptions());
+  ASSERT_TRUE(CR.ok()) << CR.Errors;
+  unsigned Spilled = 0;
+  for (const auto &F : CR.Prog->functions()) {
+    AllocOptions AO;
+    AO.K = 3;
+    RapAllocator RA(*F, AO);
+    // The first snapshot has no predecessor: a cold solve.
+    EXPECT_FALSE(RA.codeInfo().Live.reusedPreviousSolution()) << F->name();
+    RA.allocRegion(F->root());
+    if (RA.stats().SpilledVRegs == 0)
+      continue;
+    ++Spilled;
+    EXPECT_TRUE(RA.codeInfo().Live.reusedPreviousSolution()) << F->name();
+  }
+  EXPECT_GT(Spilled, 0u) << "hsort should spill at k=3";
+}
 
 } // namespace
