@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -63,6 +64,10 @@ using namespace rap::server;
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Crashes the supervisor tolerates beyond the planned kills, so only a
+/// crash loop (not the soak itself) trips its bar.
+constexpr unsigned CrashHeadroom = 5;
 
 struct RecoveryFlags {
   bool Json = false;
@@ -153,7 +158,7 @@ pid_t spawnSupervisor(const RecoveryFlags &Flags, const std::string &Socket,
     ::close(LogFd);
   }
   std::string MaxCrashes =
-      "--max-crashes=" + std::to_string(Flags.Kills + 5);
+      "--max-crashes=" + std::to_string(Flags.Kills + CrashHeadroom);
   std::vector<std::string> Args = {
       Flags.Rapd,
       "--supervise",
@@ -226,7 +231,10 @@ RecoveryFlags parseRecoveryFlags(int argc, char **argv) {
     } else if (std::strncmp(Arg, "--sources=", 10) == 0) {
       ValueOk = parseUnsigned(Arg + 10, F.Sources, 1);
     } else if (std::strncmp(Arg, "--kills=", 8) == 0) {
-      ValueOk = parseUnsigned(Arg + 8, F.Kills, 1);
+      // Bounded so Kills + CrashHeadroom cannot wrap.
+      ValueOk = parseUnsigned(Arg + 8, F.Kills, 1,
+                              std::numeric_limits<unsigned>::max() -
+                                  CrashHeadroom);
     } else if (std::strncmp(Arg, "--burst=", 8) == 0) {
       ValueOk = parseUnsigned(Arg + 8, F.Burst, 1);
     } else {

@@ -14,7 +14,10 @@
 #      error and exit 1;
 #   3. asserts fingerprint invalidation: a store written under one
 #      fingerprint is wiped (never stale-hit) by a server opening it with
-#      another.
+#      another;
+#   4. asserts that `server_recovery --kills=4294967295` is a usage error
+#      (exit 2): the kill count is bounded so the supervisor's crash bar,
+#      kills + 5, cannot wrap to a small number.
 #
 # On failure the soak leaves its working directory (journal, snapshot,
 # supervisor log) on disk and prints the path — CI uploads it as an
@@ -117,6 +120,16 @@ assert c4["cache_hits"] > 0 and c4["cache_misses"] == 0, c4
 print("fingerprint invalidation OK: mismatch wiped the store cold, "
       "never a stale hit")
 PYEOF
+
+# --- 4. --kills is bounded so rapd's --max-crashes=kills+5 cannot wrap ------
+# Rejected while parsing flags, before any fork.
+set +e
+"$BUILD_DIR/bench/server_recovery" --rapd="$RAPD" --kills=4294967295 \
+  2>"$WORK/kills.log"
+KILLS_EXIT=$?
+set -e
+[ "$KILLS_EXIT" -eq 2 ] || { echo "--kills=4294967295 exited $KILLS_EXIT, want 2"; exit 1; }
+echo "kill-count bound OK: --kills=4294967295 is a usage error (exit 2)"
 
 rm -rf "$WORK"
 echo "server recovery smoke OK; soak counters in $OUT/server_recovery.json"

@@ -1,4 +1,4 @@
-//===- cfg/Liveness.cpp - Per-instruction liveness --------------------------===//
+//===- cfg/Liveness.cpp - Block-level liveness ------------------------------===//
 //
 // Part of the RAP reproduction of Norris & Pollock, PLDI 1994.
 //
@@ -9,6 +9,7 @@
 #include "support/Env.h"
 
 #include <cassert>
+#include <cstdlib>
 
 using namespace rap;
 
@@ -19,28 +20,33 @@ bool verifyLivenessEnv() {
 }
 } // namespace
 
-void Liveness::computeBlockSets(const LinearCode &Code, const Cfg &G,
-                                unsigned NumVRegs) {
-  unsigned NumBlocks = G.numBlocks();
+void Liveness::computeBlockSets(const LinearCode &Code, unsigned NumVRegs) {
+  unsigned NumBlocks = Graph->numBlocks();
   Use.assign(NumBlocks, BitVector(NumVRegs));
   Def.assign(NumBlocks, BitVector(NumVRegs));
-  Succs.resize(NumBlocks);
+  size_t N = Code.Instrs.size();
+  DefAt.resize(N);
+  UseBegin.resize(N + 1);
   for (unsigned B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = G.block(B);
+    const BasicBlock &BB = Graph->block(B);
     for (unsigned P = BB.Begin; P != BB.End; ++P) {
       const Instr *I = Code.Instrs[P];
-      for (Reg R : I->Src)
+      UseBegin[P] = static_cast<unsigned>(Uses.size());
+      for (Reg R : I->Src) {
+        Uses.push_back(R);
         if (!Def[B].test(R))
           Use[B].set(R);
+      }
+      DefAt[P] = I->Dst;
       if (I->hasDef())
         Def[B].set(I->Dst);
     }
-    Succs[B] = BB.Succs;
   }
+  UseBegin[N] = static_cast<unsigned>(Uses.size());
 }
 
-void Liveness::solve(const Cfg &G) {
-  unsigned NumBlocks = G.numBlocks();
+void Liveness::solve() {
+  unsigned NumBlocks = Graph->numBlocks();
   BitVector NewOut(Use.empty() ? 0 : Use[0].size());
   BitVector NewIn(NewOut.size());
   bool Changed = true;
@@ -48,7 +54,7 @@ void Liveness::solve(const Cfg &G) {
     Changed = false;
     for (unsigned BI = NumBlocks; BI-- > 0;) {
       NewOut.clear();
-      for (unsigned S : G.block(BI).Succs)
+      for (unsigned S : Graph->block(BI).Succs)
         NewOut.unionWith(In[S]);
       NewIn = NewOut;
       NewIn.subtract(Def[BI]);
@@ -62,64 +68,21 @@ void Liveness::solve(const Cfg &G) {
   }
 }
 
-void Liveness::refine(const LinearCode &Code, const Cfg &G,
-                      unsigned NumVRegs) {
-  unsigned N = static_cast<unsigned>(Code.Instrs.size());
-  // Recycle per-position sets scavenged from a consumed previous solution
-  // (see the incremental constructor): vector::assign would reallocate
-  // every element once the position count grows past the old capacity, so
-  // reshape the survivors in place and only construct the tail.
-  auto Reshape = [NumVRegs](std::vector<BitVector> &V, unsigned Count) {
-    if (V.size() > Count)
-      V.resize(Count);
-    for (BitVector &B : V)
-      B.resetUniverse(NumVRegs);
-    V.reserve(Count);
-    while (V.size() < Count)
-      V.emplace_back(NumVRegs);
-  };
-  Reshape(Before, N + 1);
-  Reshape(After, N);
-  BitVector Live;
-  for (unsigned B = 0, E = G.numBlocks(); B != E; ++B) {
-    const BasicBlock &BB = G.block(B);
-    Live = Out[B];
-    for (unsigned P = BB.End; P-- > BB.Begin;) {
-      const Instr *I = Code.Instrs[P];
-      After[P] = Live;
-      if (I->hasDef())
-        Live.reset(I->Dst);
-      for (Reg R : I->Src)
-        Live.set(R);
-      Before[P] = Live;
-    }
-    assert(Live == In[B] && "per-instruction refinement disagrees with "
-                            "block-level dataflow");
-  }
-}
-
-bool Liveness::sameShape(const Liveness &Prev, const Cfg &G) const {
-  if (Prev.Succs.size() != G.numBlocks())
+bool Liveness::sameShape(const Liveness &Prev) const {
+  if (Prev.Graph->numBlocks() != Graph->numBlocks())
     return false;
-  for (unsigned B = 0, E = G.numBlocks(); B != E; ++B)
-    if (Prev.Succs[B] != G.block(B).Succs)
+  for (unsigned B = 0, E = Graph->numBlocks(); B != E; ++B)
+    if (Prev.Graph->block(B).Succs != Graph->block(B).Succs)
       return false;
   return true;
 }
 
-Liveness::Liveness(const LinearCode &Code, const Cfg &G, unsigned NumVRegs) {
-  computeBlockSets(Code, G, NumVRegs);
-  In.assign(G.numBlocks(), BitVector(NumVRegs));
-  Out.assign(G.numBlocks(), BitVector(NumVRegs));
-  solve(G);
-  refine(Code, G, NumVRegs);
-}
-
 Liveness::Liveness(const LinearCode &Code, const Cfg &G, unsigned NumVRegs,
-                   Liveness *Prev) {
-  computeBlockSets(Code, G, NumVRegs);
+                   Liveness *Prev)
+    : Graph(&G), Walked(G.numBlocks()), Empty(NumVRegs) {
+  computeBlockSets(Code, NumVRegs);
   unsigned NumBlocks = G.numBlocks();
-  if (Prev && sameShape(*Prev, G)) {
+  if (Prev && sameShape(*Prev)) {
     // Liveness is independent per register bit: a register whose use/def
     // bits are identical in every block (over unchanged CFG edges) has the
     // same equations as before, so its old In/Out bits are already the
@@ -144,15 +107,7 @@ Liveness::Liveness(const LinearCode &Code, const Cfg &G, unsigned NumVRegs,
     In.assign(NumBlocks, BitVector(NumVRegs));
     Out.assign(NumBlocks, BitVector(NumVRegs));
   }
-  if (Prev) {
-    // Scavenge the consumed solution's per-position buffers; refine()'s
-    // assign() then mostly reuses their heap storage instead of
-    // reallocating ~2 bitsets per instruction on every spill round.
-    Before = std::move(Prev->Before);
-    After = std::move(Prev->After);
-  }
-  solve(G);
-  refine(Code, G, NumVRegs);
+  solve();
 
   if (WarmStarted && verifyLivenessEnv()) {
     Liveness Cold(Code, G, NumVRegs);
@@ -161,4 +116,31 @@ Liveness::Liveness(const LinearCode &Code, const Cfg &G, unsigned NumVRegs,
       std::abort(); // keep the check meaningful even if NDEBUG sneaks in
     }
   }
+}
+
+const std::vector<BitVector> &Liveness::walked(unsigned B) const {
+  std::vector<BitVector> &Sets = Walked[B];
+  const BasicBlock &BB = Graph->block(B);
+  if (Sets.empty() && BB.End - BB.Begin > 1) {
+    Sets.resize(BB.End - BB.Begin - 1);
+    walkBlock(B, [&](unsigned P, const BitVector &LiveAfter) {
+      if (P + 1 != BB.End)
+        Sets[P - BB.Begin] = LiveAfter;
+    });
+  }
+  return Sets;
+}
+
+const BitVector &Liveness::liveBefore(unsigned Pos) const {
+  if (Pos == DefAt.size())
+    return Empty;
+  unsigned B = Graph->blockOf(Pos);
+  unsigned Begin = Graph->block(B).Begin;
+  return Pos == Begin ? In[B] : walked(B)[Pos - Begin - 1];
+}
+
+const BitVector &Liveness::liveAfter(unsigned Pos) const {
+  unsigned B = Graph->blockOf(Pos);
+  const BasicBlock &BB = Graph->block(B);
+  return Pos + 1 == BB.End ? Out[B] : walked(B)[Pos - BB.Begin];
 }

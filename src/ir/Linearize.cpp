@@ -15,7 +15,6 @@ namespace {
 class Linearizer {
 public:
   Linearizer(IlocFunction &F, LinearCode &Out) : F(F), Out(Out) {
-    Out.Instrs.clear();
     Out.LabelPos.assign(F.numLabels(), 0);
   }
 
@@ -112,8 +111,4 @@ LinearCode rap::linearize(IlocFunction &F) {
   LinearCode Out;
   Linearizer(F, Out).run();
   return Out;
-}
-
-void rap::linearize(IlocFunction &F, LinearCode &Out) {
-  Linearizer(F, Out).run();
 }

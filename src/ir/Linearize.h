@@ -45,11 +45,6 @@ struct LinearCode {
 /// LinEnd range of every node as a side effect.
 LinearCode linearize(IlocFunction &F);
 
-/// Linearizes into \p Out, reusing its vectors' capacity. The allocators
-/// relinearize after every spill round; threading the previous round's
-/// LinearCode through here keeps that loop free of heap churn.
-void linearize(IlocFunction &F, LinearCode &Out);
-
 } // namespace rap
 
 #endif // RAP_IR_LINEARIZE_H

@@ -42,3 +42,11 @@ std::vector<PdgNode *> PdgNode::subregions() const {
   }
   return Out;
 }
+
+void PdgNode::eraseInstrs(const std::set<Instr *> &Dead) {
+  forEachNode([&](const PdgNode *N) {
+    if (N->isStatement() || N->isPredicate())
+      std::erase_if(const_cast<PdgNode *>(N)->Code,
+                    [&](Instr *I) { return Dead.count(I) != 0; });
+  });
+}

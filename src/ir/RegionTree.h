@@ -27,6 +27,7 @@
 
 #include <cassert>
 #include <functional>
+#include <set>
 #include <vector>
 
 namespace rap {
@@ -121,6 +122,11 @@ public:
   /// The child regions of this region, including branch arms of direct
   /// predicate children.
   std::vector<PdgNode *> subregions() const;
+
+  /// Erases the instructions in \p Dead from the code of every statement and
+  /// predicate node in the subtree rooted here. Branches and join jumps are
+  /// not code and stay.
+  void eraseInstrs(const std::set<Instr *> &Dead);
 
   /// Visits every instruction in the subtree rooted here, in linear order.
   /// Templated (not std::function) so the per-instruction callback inlines —

@@ -29,33 +29,27 @@
 namespace rap {
 
 /// Linearization + CFG + liveness of one function. Invalidated by any code
-/// edit; allocators rebuild it after each spill round — passing the stale
-/// CodeInfo so the liveness fixpoint warm-starts from the previous solution
-/// instead of solving from scratch (see Liveness).
+/// edit; allocators rebuild it after each spill round, passing the stale
+/// CodeInfo so the liveness fixpoint warm-starts from the previous block
+/// solution instead of solving from scratch (see Liveness). Liveness keeps
+/// only block sets and walks a block on its first per-position query, so a
+/// rebuild costs the block-level solve, not a set per instruction.
 struct CodeInfo {
   LinearCode Code;
   Cfg Graph;
   double LivenessSeconds = 0; ///< wall time of the Liveness construction
   Liveness Live;
 
-  /// \p Prev is consumed (its liveness buffers are scavenged and its
-  /// linearization vectors reused); callers replace the old CodeInfo with
-  /// this one immediately after.
+  /// \p Prev's liveness block sets are consumed; callers replace the old
+  /// CodeInfo with this one immediately after.
   explicit CodeInfo(IlocFunction &F, CodeInfo *Prev = nullptr)
-      : Code(relinearized(F, Prev)), Graph(Code),
+      : Code(linearize(F)), Graph(Code),
         Live(timedLiveness(*this, F.numVRegs(),
                            Prev ? &Prev->Live : nullptr)) {}
 
 private:
   static Liveness timedLiveness(CodeInfo &CI, unsigned NumVRegs,
                                 Liveness *Prev);
-
-  /// Relinearizes \p F, scavenging the previous round's vectors.
-  static LinearCode relinearized(IlocFunction &F, CodeInfo *Prev) {
-    LinearCode Out = Prev ? std::move(Prev->Code) : LinearCode();
-    linearize(F, Out);
-    return Out;
-  }
 };
 
 /// A view of consecutive linear positions (ascending) in RefInfo's flat

@@ -13,7 +13,6 @@
 #include "support/BitVector.h"
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <cassert>
 #include <set>
 #include <vector>
@@ -168,17 +167,8 @@ GlobalCleanupResult availableReloadPass(IlocFunction &F) {
     }
   }
 
-  if (!Dead.empty()) {
-    F.root()->forEachNode([&](const PdgNode *CN) {
-      auto *N = const_cast<PdgNode *>(CN);
-      if (!N->isStatement() && !N->isPredicate())
-        return;
-      N->Code.erase(
-          std::remove_if(N->Code.begin(), N->Code.end(),
-                         [&](Instr *I) { return Dead.count(I) != 0; }),
-          N->Code.end());
-    });
-  }
+  if (!Dead.empty())
+    F.root()->eraseInstrs(Dead);
   return Res;
 }
 
@@ -241,17 +231,8 @@ unsigned deadStorePass(IlocFunction &F) {
     }
   }
 
-  if (!Dead.empty()) {
-    F.root()->forEachNode([&](const PdgNode *CN) {
-      auto *N = const_cast<PdgNode *>(CN);
-      if (!N->isStatement() && !N->isPredicate())
-        return;
-      N->Code.erase(
-          std::remove_if(N->Code.begin(), N->Code.end(),
-                         [&](Instr *I) { return Dead.count(I) != 0; }),
-          N->Code.end());
-    });
-  }
+  if (!Dead.empty())
+    F.root()->eraseInstrs(Dead);
   return static_cast<unsigned>(Dead.size());
 }
 

@@ -113,21 +113,24 @@ private:
       if (Refs.isReferenced(R))
         G.getOrCreateNode(R);
 
-    for (unsigned P = 0, E = static_cast<unsigned>(CI.Code.Instrs.size());
-         P != E; ++P) {
-      const Instr *I = CI.Code.Instrs[P];
-      if (!I->hasDef())
-        continue;
-      Reg D = I->Dst;
-      CI.Live.liveAfter(P).forEach([&](unsigned L) {
-        if (L == D)
+    // Each block is walked once, backward, with one running live set. Only
+    // the order of adjacency lists depends on the visiting order, and
+    // neither coloring nor coalescing reads that order.
+    for (unsigned B = 0, E = CI.Graph.numBlocks(); B != E; ++B)
+      CI.Live.walkBlock(B, [&](unsigned P, const BitVector &LiveAfter) {
+        const Instr *I = CI.Code.Instrs[P];
+        if (!I->hasDef())
           return;
-        if (I->Op == Opcode::Mv && L == I->Src[0])
-          return; // copy source may share the register
-        if (G.hasReg(L))
-          G.addEdge(D, static_cast<Reg>(L));
+        Reg D = I->Dst;
+        LiveAfter.forEach([&](unsigned L) {
+          if (L == D)
+            return;
+          if (I->Op == Opcode::Mv && L == I->Src[0])
+            return; // copy source may share the register
+          if (G.hasReg(L))
+            G.addEdge(D, static_cast<Reg>(L));
+        });
       });
-    }
 
     // Values live on entry (parameters) coexist without a defining
     // instruction in the body.

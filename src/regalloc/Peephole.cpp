@@ -12,7 +12,6 @@
 #include "ir/Linearize.h"
 #include "support/Stats.h"
 
-#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -146,16 +145,7 @@ PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
     }
   }
 
-  if (ToDelete.empty())
-    return Res;
-
-  F.root()->forEachNode([&](const PdgNode *CN) {
-    auto *N = const_cast<PdgNode *>(CN);
-    if (!N->isStatement() && !N->isPredicate())
-      return;
-    N->Code.erase(std::remove_if(N->Code.begin(), N->Code.end(),
-                                 [&](Instr *I) { return ToDelete.count(I); }),
-                  N->Code.end());
-  });
+  if (!ToDelete.empty())
+    F.root()->eraseInstrs(ToDelete);
   return Res;
 }

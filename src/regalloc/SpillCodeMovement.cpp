@@ -143,15 +143,7 @@ private:
     Dead.insert(SO.Stores.begin(), SO.Stores.end());
     Res.RemovedLoads += static_cast<unsigned>(SO.Loads.size());
     Res.RemovedStores += static_cast<unsigned>(SO.Stores.size());
-    L->forEachNode([&](const PdgNode *CN) {
-      auto *N = const_cast<PdgNode *>(CN);
-      if (!N->isStatement() && !N->isPredicate())
-        return;
-      N->Code.erase(
-          std::remove_if(N->Code.begin(), N->Code.end(),
-                         [&](Instr *I) { return Dead.count(I) != 0; }),
-          N->Code.end());
-    });
+    L->eraseInstrs(Dead);
   }
 
   /// A fresh spill node immediately before the loop head: after any

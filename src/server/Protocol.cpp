@@ -6,6 +6,7 @@
 
 #include "server/Protocol.h"
 
+#include "support/Deadline.h"
 #include "support/Hash.h"
 
 using namespace rap;
@@ -102,8 +103,13 @@ bool server::parseRequest(const json::Value &V, Request &Out,
       return false;
     }
   }
-  if (Opts.has("run"))
+  if (Opts.has("run")) {
+    if (!Opts["run"].isBool()) {
+      Error = "'run' must be a boolean";
+      return false;
+    }
     Out.Options.Run = Opts["run"].asBool();
+  }
   if (Opts.has("fuel")) {
     if (!Opts["fuel"].isInt() || Opts["fuel"].asInt() <= 0) {
       Error = "'fuel' must be a positive integer";
@@ -111,11 +117,19 @@ bool server::parseRequest(const json::Value &V, Request &Out,
     }
     Out.Options.Fuel = static_cast<uint64_t>(Opts["fuel"].asInt());
   }
-  if (Opts.has("dump"))
+  if (Opts.has("dump")) {
+    if (!Opts["dump"].isBool()) {
+      Error = "'dump' must be a boolean";
+      return false;
+    }
     Out.Dump = Opts["dump"].asBool();
+  }
   if (Opts.has("deadline_ms")) {
-    if (!Opts["deadline_ms"].isInt() || Opts["deadline_ms"].asInt() <= 0) {
-      Error = "'deadline_ms' must be a positive integer";
+    const json::Value &D = Opts["deadline_ms"];
+    if (!D.isInt() || D.asInt() <= 0 ||
+        static_cast<uint64_t>(D.asInt()) > MaxDeadlineMs) {
+      Error = "'deadline_ms' must be an integer in [1, " +
+              std::to_string(MaxDeadlineMs) + "]";
       return false;
     }
     Out.Options.DeadlineMs =

@@ -25,7 +25,8 @@
 ///       --retries=N           resend budget per request (default 50)
 ///       --run                 compile: execute main() and report counters
 ///       --dump                compile: include allocated ILOC text
-///       --deadline-ms=N       compile: server-side deadline_ms
+///       --deadline-ms=N       compile: server-side deadline_ms (at most
+///                             MaxDeadlineMs, one day; 0 = none)
 ///
 /// Exit codes: 0 every response said ok:true, 1 transport failure or any
 /// ok:false response, 2 usage error. Responses go to stdout (one line
@@ -35,6 +36,7 @@
 
 #include "server/Client.h"
 #include "support/CmdLine.h"
+#include "support/Deadline.h"
 
 #include <cstdio>
 #include <cstring>
@@ -113,7 +115,7 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "--dump") == 0) {
       Dump = true;
     } else if (std::strncmp(Arg, "--deadline-ms=", 14) == 0) {
-      if (!parseUnsigned(Arg + 14, DeadlineMs)) {
+      if (!parseUnsigned(Arg + 14, DeadlineMs, 0, MaxDeadlineMs)) {
         std::fprintf(stderr, "rapc: bad --deadline-ms value\n");
         return 2;
       }

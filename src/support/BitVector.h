@@ -46,15 +46,6 @@ public:
     Words.resize((NumBits + 63) / 64, 0);
   }
 
-  /// Re-shapes this set to an empty set over [0, NewNumBits), reusing the
-  /// existing word storage when it is large enough. Lets dataflow code
-  /// recycle per-position sets across recomputations instead of
-  /// reallocating them.
-  void resetUniverse(unsigned NewNumBits) {
-    NumBits = NewNumBits;
-    Words.assign((NumBits + 63) / 64, 0);
-  }
-
   bool test(unsigned Idx) const {
     assert(Idx < NumBits && "BitVector index out of range");
     return (Words[Idx / 64] >> (Idx % 64)) & 1;

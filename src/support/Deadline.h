@@ -35,6 +35,12 @@
 
 namespace rap {
 
+/// The largest budget, in milliseconds, that outside input may ask for
+/// (rapd's `deadline_ms`, rapc's `--deadline-ms`): one day. Deadline::afterMs
+/// adds the budget to steady_clock::now() in signed nanoseconds, so a budget
+/// of about 292 years or more overflows into a deadline already past.
+constexpr uint64_t MaxDeadlineMs = 24ull * 60 * 60 * 1000;
+
 /// An absolute point on the monotonic clock, or "never" (default). Copyable
 /// and cheap; expiry is a pure function of the clock, so once expired() is
 /// true it stays true.

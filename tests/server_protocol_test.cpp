@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
+#include "support/Deadline.h"
 
 #include "gtest/gtest.h"
 
@@ -168,7 +169,9 @@ TEST(ParseRequest, AcceptsTheDocumentedSchema) {
       parseJson("{\"id\":7,\"op\":\"compile\",\"source\":\"int main() { "
                 "return 0; }\",\"options\":{\"alloc\":\"gra\",\"k\":4,"
                 "\"granularity\":\"merged\",\"copies\":\"direct\","
-                "\"run\":true,\"fuel\":1000}}"),
+                "\"run\":true,\"fuel\":1000,\"dump\":true,"
+                "\"deadline_ms\":" +
+                std::to_string(MaxDeadlineMs) + "}}"),
       R, Error))
       << Error;
   EXPECT_TRUE(R.HasId);
@@ -180,6 +183,8 @@ TEST(ParseRequest, AcceptsTheDocumentedSchema) {
   EXPECT_EQ(R.Options.Copies, CopyStyle::Direct);
   EXPECT_TRUE(R.Options.Run);
   EXPECT_EQ(R.Options.Fuel, 1000u);
+  EXPECT_TRUE(R.Dump);
+  EXPECT_EQ(R.Options.DeadlineMs, MaxDeadlineMs);
 }
 
 TEST(ParseRequest, RejectsEachMalformedField) {
@@ -209,6 +214,24 @@ TEST(ParseRequest, RejectsEachMalformedField) {
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":{\"alloc\":\"x\"}}");
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":{\"fuel\":0}}");
   Fails("{\"op\":\"compile\",\"source\":\"\",\"options\":3}");
+  // run and dump are booleans: "run":1 must not be answered ok without the
+  // exec section it asked for.
+  for (const char *Field : {"run", "dump"})
+    EXPECT_NE(Fails(std::string("{\"op\":\"compile\",\"source\":\"\","
+                                "\"options\":{\"") +
+                    Field + "\":1}}")
+                  .find(Field),
+              std::string::npos)
+        << Field;
+  // A deadline past MaxDeadlineMs would overflow Deadline::afterMs into one
+  // already expired.
+  for (const char *Ms : {"86400001", "10000000000000"})
+    EXPECT_NE(Fails(std::string("{\"op\":\"compile\",\"source\":\"\","
+                                "\"options\":{\"deadline_ms\":") +
+                    Ms + "}}")
+                  .find("'deadline_ms'"),
+              std::string::npos)
+        << Ms;
 }
 
 //===----------------------------------------------------------------------===//
