@@ -13,7 +13,9 @@
 /// Only the allocation phase is measured: each iteration compiles the MiniC
 /// source to unallocated ILOC outside the clock (manual timing), then times
 /// allocateProgramChecked alone. Counters break the allocator's cost down into
-/// graph construction time, liveness time, and peak adjacency memory.
+/// graph construction time, liveness time, peak adjacency memory, and the
+/// heap allocations the allocation makes (heap_allocs): this binary replaces
+/// the global operator new with a counting one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,12 +26,48 @@
 
 #include "benchmark/benchmark.h"
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 using namespace rap;
 
 namespace {
+std::atomic<uint64_t> HeapAllocs{0};
+} // namespace
+
+// Every operator new form the program uses reaches this one (the array and
+// nothrow forms call it), so it counts each heap allocation once.
+void *operator new(std::size_t Size) {
+  HeapAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void *P = std::malloc(Size ? Size : 1))
+    return P;
+  throw std::bad_alloc();
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+
+namespace {
+
+/// Allocates \p Prog with \p Kind; returns the stats, the seconds taken
+/// and the heap allocations made.
+struct TimedAlloc {
+  AllocStats Stats;
+  double Seconds;
+  uint64_t HeapAllocs;
+};
+TimedAlloc timedAllocate(IlocProgram &Prog, AllocatorKind Kind,
+                         const AllocOptions &Alloc) {
+  uint64_t Allocs = HeapAllocs.load(std::memory_order_relaxed);
+  auto Start = std::chrono::steady_clock::now();
+  AllocStats S = allocateProgramChecked(Prog, Kind, Alloc).Total;
+  auto End = std::chrono::steady_clock::now();
+  return {S, std::chrono::duration<double>(End - Start).count(),
+          HeapAllocs.load(std::memory_order_relaxed) - Allocs};
+}
 
 void allocBench(benchmark::State &State, const char *Program,
                 AllocatorKind Kind, unsigned K) {
@@ -44,28 +82,29 @@ void allocBench(benchmark::State &State, const char *Program,
   unsigned MaxNodes = 0;
   double GraphSeconds = 0, LivenessSeconds = 0;
   size_t PeakGraphBytes = 0;
+  uint64_t Allocs = 0;
   for (auto _ : State) {
     CompileResult CR = compileMiniC(P->Source, FrontendOpts);
     if (!CR.ok()) {
       State.SkipWithError("compilation failed");
       return;
     }
-    auto Start = std::chrono::steady_clock::now();
-    AllocStats S = allocateProgramChecked(*CR.Prog, Kind, Alloc).Total;
-    auto End = std::chrono::steady_clock::now();
-    State.SetIterationTime(
-        std::chrono::duration<double>(End - Start).count());
+    TimedAlloc T = timedAllocate(*CR.Prog, Kind, Alloc);
+    State.SetIterationTime(T.Seconds);
     benchmark::DoNotOptimize(CR.Prog.get());
+    const AllocStats &S = T.Stats;
     MaxNodes = std::max(MaxNodes, S.MaxGraphNodes);
     GraphSeconds = S.GraphBuildSeconds;
     LivenessSeconds = S.LivenessSeconds;
     PeakGraphBytes = std::max(PeakGraphBytes, S.PeakGraphBytes);
+    Allocs = T.HeapAllocs;
   }
   State.counters["max_graph_nodes"] = MaxNodes;
   State.counters["graph_build_s"] = GraphSeconds;
   State.counters["liveness_s"] = LivenessSeconds;
   State.counters["peak_graph_bytes"] =
       static_cast<double>(PeakGraphBytes);
+  State.counters["heap_allocs"] = static_cast<double>(Allocs);
 }
 
 void registerAll() {
@@ -110,18 +149,14 @@ int runJsonMode() {
         }
         AllocOptions Alloc;
         Alloc.K = K;
-        auto Start = std::chrono::steady_clock::now();
-        AllocStats S = allocateProgramChecked(*CR.Prog, Kind, Alloc).Total;
-        double Seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          Start)
-                .count();
+        TimedAlloc T = timedAllocate(*CR.Prog, Kind, Alloc);
         json::Object Row;
         Row["benchmark"] = Prog;
         Row["allocator"] = Kind == AllocatorKind::Rap ? "rap" : "gra";
         Row["k"] = K;
-        Row["alloc_s"] = Seconds;
-        Row["alloc"] = allocStatsJson(S);
+        Row["alloc_s"] = T.Seconds;
+        Row["heap_allocs"] = T.HeapAllocs;
+        Row["alloc"] = allocStatsJson(T.Stats);
         Rows.push_back(json::Value(std::move(Row)));
       }
     }

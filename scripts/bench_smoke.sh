@@ -7,7 +7,7 @@
 # Artifacts (in <build-dir>/bench-artifacts/, uploaded by CI; nothing in the
 # source tree is written):
 #   alloc_cost.json         machine-readable "rap-bench-v1" counters
-#                           (alloc_cost --json)
+#                           (alloc_cost --json), heap_allocs in every row
 #   alloc_cost_gbench.json  the google-benchmark run's own JSON output
 #   trace.json              sample Chrome trace of a rapcc allocation (--trace)
 #
@@ -23,13 +23,17 @@ cmake --build "$BUILD_DIR" --target alloc_cost rapcc -j "$(nproc)"
 mkdir -p "$OUT"
 
 # Machine-readable counters, shared rap-bench-v1 schema; fail unless the
-# harness printed such a document with rows.
+# harness printed such a document with rows, each counting its heap
+# allocations.
 "$BUILD_DIR/bench/alloc_cost" --json > "$OUT/alloc_cost.json"
 python3 - "$OUT/alloc_cost.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 if doc.get("schema") != "rap-bench-v1" or not doc.get("rows"):
     sys.exit(f"{sys.argv[1]} is not a rap-bench-v1 document with rows")
+missing = [r for r in doc["rows"] if not isinstance(r.get("heap_allocs"), int)]
+if missing:
+    sys.exit(f"{len(missing)} alloc_cost rows lack heap_allocs")
 PYEOF
 
 # Sample allocation trace (Chrome trace-event JSON, one rapcc compile).

@@ -8,6 +8,7 @@
 
 #include "support/Env.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -118,29 +119,33 @@ Liveness::Liveness(const LinearCode &Code, const Cfg &G, unsigned NumVRegs,
   }
 }
 
-const std::vector<BitVector> &Liveness::walked(unsigned B) const {
-  std::vector<BitVector> &Sets = Walked[B];
+BitSetView Liveness::walkedAfter(unsigned B, unsigned Pos) const {
+  std::vector<uint64_t> &Sets = Walked[B];
   const BasicBlock &BB = Graph->block(B);
-  if (Sets.empty() && BB.End - BB.Begin > 1) {
-    Sets.resize(BB.End - BB.Begin - 1);
+  size_t SetWords = BitSetView(Empty).numWords();
+  if (Sets.empty() && SetWords != 0) {
+    Sets.resize((BB.End - BB.Begin - 1) * SetWords);
     walkBlock(B, [&](unsigned P, const BitVector &LiveAfter) {
-      if (P + 1 != BB.End)
-        Sets[P - BB.Begin] = LiveAfter;
+      if (P + 1 == BB.End)
+        return;
+      BitSetView V = LiveAfter;
+      std::copy(V.words(), V.words() + SetWords,
+                Sets.begin() + (P - BB.Begin) * SetWords);
     });
   }
-  return Sets;
+  return {Sets.data() + (Pos - BB.Begin) * SetWords, Empty.size()};
 }
 
-const BitVector &Liveness::liveBefore(unsigned Pos) const {
+BitSetView Liveness::liveBefore(unsigned Pos) const {
   if (Pos == DefAt.size())
     return Empty;
   unsigned B = Graph->blockOf(Pos);
   unsigned Begin = Graph->block(B).Begin;
-  return Pos == Begin ? In[B] : walked(B)[Pos - Begin - 1];
+  return Pos == Begin ? BitSetView(In[B]) : walkedAfter(B, Pos - 1);
 }
 
-const BitVector &Liveness::liveAfter(unsigned Pos) const {
+BitSetView Liveness::liveAfter(unsigned Pos) const {
   unsigned B = Graph->blockOf(Pos);
-  const BasicBlock &BB = Graph->block(B);
-  return Pos + 1 == BB.End ? Out[B] : walked(B)[Pos - BB.Begin];
+  return Pos + 1 == Graph->block(B).End ? BitSetView(Out[B])
+                                         : walkedAfter(B, Pos);
 }

@@ -12,8 +12,10 @@
 ///
 /// Only the block-level Use/Def/In/Out sets are solved and stored. A
 /// per-position answer is derived on demand: the first query in a block
-/// walks that block backward from its Out set and keeps the sets it passes
-/// until the object is discarded. The walk reads a snapshot of each
+/// walks that block backward from its Out set and keeps the sets it passes,
+/// packed in one buffer per block, until the object is discarded. Answers
+/// are views into those buffers and the block sets, valid as long as the
+/// object. The walk reads a snapshot of each
 /// position's definition and uses taken at construction, not the
 /// instructions themselves: RAP's lazy refresh renames operands in place
 /// and still queries the old solution, which must keep answering for the
@@ -62,18 +64,18 @@ public:
 
   /// Registers live immediately before instruction position \p Pos. The
   /// position may equal the instruction count (function end: empty set).
-  const BitVector &liveBefore(unsigned Pos) const;
+  BitSetView liveBefore(unsigned Pos) const;
 
   /// Registers live immediately after instruction position \p Pos. For a
   /// block terminator this is the union of the successors' live-ins, not the
   /// live-before of the next linear position.
-  const BitVector &liveAfter(unsigned Pos) const;
+  BitSetView liveAfter(unsigned Pos) const;
 
   /// Region-level queries (see file comment).
-  const BitVector &liveInOf(const PdgNode &Region) const {
+  BitSetView liveInOf(const PdgNode &Region) const {
     return liveBefore(Region.LinBegin);
   }
-  const BitVector &liveOutOf(const PdgNode &Region) const {
+  BitSetView liveOutOf(const PdgNode &Region) const {
     return liveBefore(Region.LinEnd);
   }
 
@@ -111,9 +113,9 @@ private:
   /// True when \p Prev's solution has the same block structure and may seed
   /// this one.
   bool sameShape(const Liveness &Prev) const;
-  /// The live-after sets of block \p B's positions but its last, walked on
-  /// the first call.
-  const std::vector<BitVector> &walked(unsigned B) const;
+  /// The live-after set of position \p Pos of block \p B, which must not be
+  /// the block's last; walks the block on the first call.
+  BitSetView walkedAfter(unsigned B, unsigned Pos) const;
 
   const Cfg *Graph;
   /// Block-level sets, kept so the next computation can diff and re-seed
@@ -125,8 +127,10 @@ private:
   std::vector<Reg> DefAt;
   std::vector<unsigned> UseBegin;
   std::vector<Reg> Uses;
-  /// Per block, filled by walked(): live after Begin + i at index i.
-  mutable std::vector<std::vector<BitVector>> Walked;
+  /// Per block, filled by walkedAfter(): the live-after sets of its
+  /// positions but the last in one buffer, Begin + i's set at word
+  /// i * Empty.numWords().
+  mutable std::vector<std::vector<uint64_t>> Walked;
   BitVector Empty; ///< live before the function end
   bool WarmStarted = false;
 };

@@ -13,10 +13,10 @@
 ///
 /// A *region* (paper terminology) is a region node plus all of its control
 /// dependence successors; the *parent region* is the topmost region node.
-/// parentCode() returns the intermediate code attached at the parent level
-/// (statement leaves and predicate condition code that are direct children);
-/// subregions() returns the child region nodes, including the branch arms
-/// hanging off direct predicate children.
+/// forEachParentInstr() visits the intermediate code attached at the parent
+/// level (statement leaves and predicate condition code that are direct
+/// children); forEachSubregion() visits the child region nodes, including
+/// the branch arms hanging off direct predicate children.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,13 +115,37 @@ public:
     return 0;
   }
 
-  /// The intermediate code attached directly at this region's level:
+  /// Visits the intermediate code attached directly at this region's level:
   /// statement leaves and predicate condition code + branch, in order.
-  std::vector<Instr *> parentCode() const;
+  template <typename FnT> void forEachParentInstr(FnT &&Fn) const {
+    assert(isRegion() && "parent code is a region query");
+    for (const PdgNode *C : Children) {
+      if (C->isRegion())
+        continue;
+      for (Instr *I : C->Code)
+        Fn(I);
+      if (C->isPredicate() && C->Branch)
+        Fn(C->Branch);
+    }
+  }
 
-  /// The child regions of this region, including branch arms of direct
-  /// predicate children.
-  std::vector<PdgNode *> subregions() const;
+  /// Visits the child regions of this region, including branch arms of
+  /// direct predicate children, in order.
+  template <typename FnT> void forEachSubregion(FnT &&Fn) const {
+    assert(isRegion() && "subregions is a region query");
+    for (PdgNode *C : Children) {
+      if (C->isRegion()) {
+        Fn(C);
+        continue;
+      }
+      if (C->isPredicate()) {
+        if (C->TrueRegion)
+          Fn(C->TrueRegion);
+        if (C->FalseRegion)
+          Fn(C->FalseRegion);
+      }
+    }
+  }
 
   /// Erases the instructions in \p Dead from the code of every statement and
   /// predicate node in the subtree rooted here. Branches and join jumps are

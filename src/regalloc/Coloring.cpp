@@ -14,16 +14,25 @@
 using namespace rap;
 
 ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
-                            AllocStats *Stats) {
-  std::vector<unsigned> Alive = G.aliveNodes();
-  for (unsigned N : Alive)
-    G.node(N).Color = -1;
+                            AllocStats *Stats, ColorScratch *Scratch) {
+  ColorScratch Local;
+  ColorScratch &S = Scratch ? *Scratch : Local;
+  std::vector<unsigned> &Alive = S.Alive;
+  Alive.clear();
+  for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N)
+    if (G.node(N).Alive) {
+      Alive.push_back(N);
+      G.node(N).Color = -1;
+    }
 
   // Dynamic degree bookkeeping while nodes leave the graph.
   unsigned Total = G.numNodesTotal();
-  std::vector<char> InGraph(Total, 0);
-  std::vector<unsigned> AdjCount(Total, 0);      // alive, in-graph neighbors
-  std::vector<unsigned> AdjGlobalCount(Total, 0);
+  std::vector<char> &InGraph = S.InGraph;
+  std::vector<unsigned> &AdjCount = S.AdjCount; // alive, in-graph neighbors
+  std::vector<unsigned> &AdjGlobalCount = S.AdjGlobalCount;
+  InGraph.assign(Total, 0);
+  AdjCount.assign(Total, 0);
+  AdjGlobalCount.assign(Total, 0);
   unsigned GlobalsInGraph = 0;
   for (unsigned N : Alive) {
     InGraph[N] = 1;
@@ -60,8 +69,10 @@ ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
   };
 
   // Simplify: build the coloring stack.
-  std::vector<unsigned> Stack;
-  std::vector<char> CostPick(Total, 0); // blocked picks, for the stats
+  std::vector<unsigned> &Stack = S.Stack;
+  std::vector<char> &CostPick = S.CostPick; // blocked picks, for the stats
+  Stack.clear();
+  CostPick.assign(Total, 0);
   unsigned Remaining = static_cast<unsigned>(Alive.size());
   while (Remaining != 0) {
     int Pick = -1;
@@ -95,11 +106,13 @@ ColorResult rap::colorGraph(InterferenceGraph &G, unsigned K,
 
   // Color in reverse removal order, first-fit.
   ColorResult Res;
-  std::vector<char> GlobalColorUsed(K, 0);
+  std::vector<char> &GlobalColorUsed = S.GlobalColorUsed;
+  std::vector<char> &Forbidden = S.Forbidden;
+  GlobalColorUsed.assign(K, 0);
   while (!Stack.empty()) {
     unsigned N = Stack.back();
     Stack.pop_back();
-    std::vector<char> Forbidden(K, 0);
+    Forbidden.assign(K, 0);
     for (unsigned A : G.adjacency(N)) {
       int C = G.node(A).Color;
       if (C >= 0)

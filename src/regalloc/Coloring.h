@@ -37,15 +37,25 @@ struct ColorResult {
   bool fullyColored() const { return SpillList.empty(); }
 };
 
+/// colorGraph's per-node working arrays. An allocator that colors a graph
+/// every round keeps one and passes it to each call, so the arrays keep
+/// their capacity from call to call.
+struct ColorScratch {
+  std::vector<unsigned> Alive, AdjCount, AdjGlobalCount, Stack;
+  std::vector<char> InGraph, CostPick, GlobalColorUsed, Forbidden;
+};
+
 /// Colors \p G with \p K colors. Spill costs must already be set (and
 /// divided by degree, per Figure 5). Nodes on the spill list end with
 /// Color == -1; all others receive a color in [0, K).
 ///
 /// With \p Stats, counts the call into the Color* fields: nodes seen,
 /// cost-forced (blocked) picks, blocked nodes rescued by Briggs optimism,
-/// and nodes sent to the spill list.
+/// and nodes sent to the spill list. Without \p Scratch, the call uses
+/// arrays of its own.
 ColorResult colorGraph(InterferenceGraph &G, unsigned K,
-                       AllocStats *Stats = nullptr);
+                       AllocStats *Stats = nullptr,
+                       ColorScratch *Scratch = nullptr);
 
 } // namespace rap
 

@@ -19,18 +19,36 @@ void InterferenceGraph::mapReg(Reg R, unsigned Id) {
   NodeOfReg[R] = static_cast<int>(Id);
 }
 
+void InterferenceGraph::clear() {
+  for (unsigned I = 0; I != NumNodes; ++I)
+    for (Reg R : Nodes[I].VRegs)
+      NodeOfReg[R] = -1;
+  std::fill(TriWords.begin(), TriWords.begin() + triWords(NumNodes), 0);
+  NumNodes = 0;
+  NumAlive = 0;
+}
+
 unsigned InterferenceGraph::getOrCreateNode(Reg R) {
   int Existing = nodeOf(R);
   if (Existing >= 0)
     return static_cast<unsigned>(Existing);
-  unsigned Id = static_cast<unsigned>(Nodes.size());
-  Node N;
-  N.VRegs.push_back(R);
-  Nodes.push_back(std::move(N));
-  Adj.emplace_back();
-  // Grow the triangular matrix to cover the new node's row of Id bits.
-  size_t Bits = static_cast<size_t>(Id) * (Id + 1) / 2;
-  TriWords.resize((Bits + 63) / 64, 0);
+  unsigned Id = NumNodes++;
+  if (Id == Nodes.size()) {
+    Nodes.emplace_back();
+    Adj.emplace_back();
+  }
+  // Reset the slot field by field: its vectors keep their capacity.
+  Node &N = Nodes[Id];
+  N.VRegs.assign(1, R);
+  N.SpillCost = 0.0;
+  N.Color = -1;
+  N.Global = false;
+  N.Alive = true;
+  Adj[Id].clear();
+  // Cover the new node's row of Id bits; words past the old rows are zero.
+  size_t Words = triWords(NumNodes);
+  if (TriWords.size() < Words)
+    TriWords.resize(Words, 0);
   mapReg(R, Id);
   ++NumAlive;
   return Id;
@@ -64,11 +82,16 @@ unsigned InterferenceGraph::mergeNodes(unsigned N1, unsigned N2) {
              "global-global rule should have prevented this");
   Node &A = Nodes[N1];
   Node &B = Nodes[N2];
-  for (Reg R : B.VRegs) {
-    A.VRegs.push_back(R);
+  // Both member lists are sorted and disjoint: merge them from the back, in
+  // place.
+  size_t I = A.VRegs.size(), J = B.VRegs.size();
+  A.VRegs.resize(I + J);
+  for (size_t Out = I + J; J != 0;)
+    A.VRegs[--Out] = I != 0 && A.VRegs[I - 1] > B.VRegs[J - 1]
+                         ? A.VRegs[--I]
+                         : B.VRegs[--J];
+  for (Reg R : B.VRegs)
     mapReg(R, N1);
-  }
-  std::sort(A.VRegs.begin(), A.VRegs.end());
   A.Global = A.Global || B.Global;
   for (unsigned Other : Adj[N2]) {
     clearBit(N2, Other);
@@ -114,7 +137,7 @@ void InterferenceGraph::addRegToNode(unsigned Id, Reg R) {
 std::vector<unsigned> InterferenceGraph::aliveNodes() const {
   std::vector<unsigned> Out;
   Out.reserve(NumAlive);
-  for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I)
+  for (unsigned I = 0; I != NumNodes; ++I)
     if (Nodes[I].Alive)
       Out.push_back(I);
   return Out;
@@ -126,7 +149,7 @@ unsigned InterferenceGraph::effectiveDegree(unsigned Id) const {
   // Adjacency lists only ever name alive nodes (see class comment).
   unsigned Deg = static_cast<unsigned>(Adj[Id].size());
   if (Nodes[Id].Global) {
-    for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I)
+    for (unsigned I = 0; I != NumNodes; ++I)
       if (I != Id && Nodes[I].Alive && Nodes[I].Global && !testBit(Id, I))
         ++Deg;
   }
@@ -134,64 +157,63 @@ unsigned InterferenceGraph::effectiveDegree(unsigned Id) const {
 }
 
 size_t InterferenceGraph::memoryBytes() const {
-  size_t Bytes = TriWords.capacity() * sizeof(uint64_t) +
-                 NodeOfReg.capacity() * sizeof(int);
-  for (const auto &A : Adj)
-    Bytes += A.capacity() * sizeof(unsigned);
+  size_t Bytes = triWords(NumNodes) * sizeof(uint64_t);
+  for (unsigned I = 0; I != NumNodes; ++I)
+    Bytes += Adj[I].size() * sizeof(unsigned) +
+             Nodes[I].VRegs.size() * (sizeof(Reg) + sizeof(int));
   return Bytes;
 }
 
-InterferenceGraph InterferenceGraph::combinedByColor() const {
-  InterferenceGraph Out;
+void InterferenceGraph::combineByColor(InterferenceGraph &Out) const {
+  Out.clear();
   // Size the reg -> node map once, for the largest member register.
   size_t MapSize = 0;
-  for (const Node &N : Nodes)
-    if (N.Alive)
-      MapSize = std::max<size_t>(MapSize, N.VRegs.back() + size_t(1));
-  Out.NodeOfReg.assign(MapSize, -1);
-  std::vector<int> NodeOfColor; // color -> Out node id, -1 = none yet
-  for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
+  for (unsigned I = 0; I != NumNodes; ++I)
+    if (Nodes[I].Alive)
+      MapSize = std::max<size_t>(MapSize, Nodes[I].VRegs.back() + size_t(1));
+  if (Out.NodeOfReg.size() < MapSize)
+    Out.NodeOfReg.resize(MapSize, -1);
+  for (unsigned I = 0; I != NumNodes; ++I) {
     const Node &N = Nodes[I];
     if (!N.Alive)
       continue;
     allocCheck(N.Color >= 0, AllocErrorKind::InvariantViolation,
                "combining an uncolored graph");
-    unsigned C = static_cast<unsigned>(N.Color);
-    if (C >= NodeOfColor.size())
-      NodeOfColor.resize(C + 1, -1);
-    if (NodeOfColor[C] < 0) {
-      unsigned NewId = Out.getOrCreateNode(N.VRegs.front());
+    // Out holds one node per color seen so far (at most K): a scan finds
+    // this color's node.
+    unsigned Tgt = 0;
+    while (Tgt != Out.NumNodes && Out.Nodes[Tgt].Color != N.Color)
+      ++Tgt;
+    if (Tgt == Out.NumNodes) {
+      Out.getOrCreateNode(N.VRegs.front());
+      Out.Nodes[Tgt].Color = N.Color;
       for (size_t V = 1; V < N.VRegs.size(); ++V) {
-        Out.Nodes[NewId].VRegs.push_back(N.VRegs[V]);
-        Out.mapReg(N.VRegs[V], NewId);
+        Out.Nodes[Tgt].VRegs.push_back(N.VRegs[V]);
+        Out.mapReg(N.VRegs[V], Tgt);
       }
-      Out.Nodes[NewId].Global = N.Global;
-      Out.Nodes[NewId].Color = N.Color;
-      NodeOfColor[C] = static_cast<int>(NewId);
     } else {
-      unsigned Tgt = static_cast<unsigned>(NodeOfColor[C]);
       for (Reg R : N.VRegs) {
         Out.Nodes[Tgt].VRegs.push_back(R);
         Out.mapReg(R, Tgt);
       }
-      Out.Nodes[Tgt].Global = Out.Nodes[Tgt].Global || N.Global;
     }
+    Out.Nodes[Tgt].Global = Out.Nodes[Tgt].Global || N.Global;
   }
-  for (auto &N : Out.Nodes)
-    std::sort(N.VRegs.begin(), N.VRegs.end());
-  // Edges: colors interfere when any member nodes interfered.
-  for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
+  for (unsigned I = 0; I != Out.NumNodes; ++I)
+    std::sort(Out.Nodes[I].VRegs.begin(), Out.Nodes[I].VRegs.end());
+  // Edges: colors interfere when any member nodes interfered. A node's
+  // first member names its color's node in Out.
+  for (unsigned I = 0; I != NumNodes; ++I) {
     if (!Nodes[I].Alive)
       continue;
+    unsigned A = static_cast<unsigned>(Out.nodeOf(Nodes[I].VRegs.front()));
     for (unsigned J : Adj[I]) {
       if (J < I)
         continue;
-      unsigned A = static_cast<unsigned>(NodeOfColor[Nodes[I].Color]);
-      unsigned B = static_cast<unsigned>(NodeOfColor[Nodes[J].Color]);
+      unsigned B = static_cast<unsigned>(Out.nodeOf(Nodes[J].VRegs.front()));
       allocCheck(A != B, AllocErrorKind::InvariantViolation,
                  "properly colored graphs cannot merge adjacent nodes");
       Out.addEdgeNodes(A, B);
     }
   }
-  return Out;
 }

@@ -21,8 +21,10 @@
 /// lives in a lower-triangular bit matrix for O(1) interfere(); per-node
 /// flat adjacency vectors (deduplicated against the matrix, alive neighbors
 /// only) serve iteration; and the reg -> node map is a dense Reg-indexed
-/// vector. Node ids are never reused, and only mergeNodes removes edges (the
-/// dead node's), so adjacency vectors only ever name alive nodes.
+/// vector. Node ids are never reused within a build, and only mergeNodes
+/// removes edges (the dead node's), so adjacency vectors only ever name
+/// alive nodes. clear() starts a new build in the same storage: RAP rebuilds
+/// one graph object every region round.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +51,13 @@ public:
   //===------------------------------------------------------------------===//
   // Construction
   //===------------------------------------------------------------------===//
+
+  /// Empties the graph for a new build but keeps its storage: node slots
+  /// with their member lists, adjacency lists, matrix words and the
+  /// reg -> node map keep their capacity, so rebuilding allocates only when
+  /// a build outgrows every earlier one. Costs O(nodes + members + matrix
+  /// words in use).
+  void clear();
 
   /// Returns the node containing \p R, creating a singleton if absent.
   unsigned getOrCreateNode(Reg R);
@@ -82,9 +91,7 @@ public:
   // Queries
   //===------------------------------------------------------------------===//
 
-  unsigned numNodesTotal() const {
-    return static_cast<unsigned>(Nodes.size());
-  }
+  unsigned numNodesTotal() const { return NumNodes; }
   unsigned numAliveNodes() const { return NumAlive; }
   std::vector<unsigned> aliveNodes() const;
 
@@ -111,18 +118,29 @@ public:
     return N < 0 ? -1 : Nodes[N].Color;
   }
 
-  /// Builds the combined graph: one node per used color, members unioned,
-  /// edges connecting colors whose nodes interfered (paper §3.1.5). All
-  /// alive nodes must be colored.
-  InterferenceGraph combinedByColor() const;
+  /// Writes the combined graph into \p Out, replacing its content but
+  /// reusing its storage: one node per used color, members unioned, edges
+  /// connecting colors whose nodes interfered (paper §3.1.5). All alive
+  /// nodes must be colored.
+  void combineByColor(InterferenceGraph &Out) const;
 
-  /// Heap bytes held by the adjacency structures (bit matrix plus adjacency
-  /// vectors) — the space side of the paper's time/space trade-off.
+  /// Bytes this graph's content needs in exactly sized storage: the edge
+  /// matrix over its node ids, two adjacency entries per edge, and each
+  /// member register once in its node and once in the reg -> node map —
+  /// the space side of the paper's time/space trade-off. A function of the
+  /// content only, so a graph built into reused storage reports what the
+  /// same graph built fresh does.
   size_t memoryBytes() const;
 
 private:
   /// Index of the (\p N1, \p N2) pair in the lower-triangular matrix;
   /// requires N1 != N2.
+  /// Matrix words covering \p NumNodes node ids.
+  static size_t triWords(unsigned NumNodes) {
+    size_t Bits = NumNodes ? static_cast<size_t>(NumNodes) * (NumNodes - 1) / 2
+                           : 0;
+    return (Bits + 63) / 64;
+  }
   static size_t triIndex(unsigned N1, unsigned N2) {
     unsigned Hi = N1 > N2 ? N1 : N2;
     unsigned Lo = N1 > N2 ? N2 : N1;
@@ -142,14 +160,20 @@ private:
   }
   void mapReg(Reg R, unsigned Id);
 
+  /// Node slots; [0, NumNodes) hold this build's nodes and the rest are
+  /// storage kept from earlier builds.
   std::vector<Node> Nodes;
-  /// Alive-neighbor lists, kept duplicate-free via the bit matrix.
+  /// Alive-neighbor lists, kept duplicate-free via the bit matrix; indexed
+  /// like Nodes.
   std::vector<std::vector<unsigned>> Adj;
   /// Lower-triangular edge matrix over node ids: bit (i,j), i > j, at index
-  /// i*(i-1)/2 + j. Sized for Nodes.size() nodes.
+  /// i*(i-1)/2 + j. At least triWords(NumNodes) words; every word past
+  /// those is zero.
   std::vector<uint64_t> TriWords;
-  /// Dense reg -> node id map; -1 = not in the graph.
+  /// Dense reg -> node id map; -1 = not in the graph. Every register it
+  /// maps is a member of an alive node.
   std::vector<int> NodeOfReg;
+  unsigned NumNodes = 0;
   unsigned NumAlive = 0;
 };
 

@@ -13,6 +13,7 @@
 #include "regalloc/Peephole.h"
 #include "regalloc/PhysicalRewrite.h"
 #include "regalloc/SpillCodeMovement.h"
+#include "support/SmallVector.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -30,6 +31,19 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 constexpr double LocalOrSpilledCost = 999999.0; // paper Figure 5
 constexpr double InfiniteCost = 1e18;           // atomic spill temporaries
 constexpr unsigned MaxSpillActions = 50000;
+
+// PieceMerger::NodeGlobal values besides an origin register.
+constexpr Reg NoGlobal = NoReg;
+constexpr Reg ManyGlobals = NoReg - 1;
+constexpr Reg NotSummarized = NoReg - 2;
+constexpr unsigned NoIndex = ~0u;
+
+/// The global origins of the union of two nodes with summaries \p A, \p B.
+Reg unionOfGlobals(Reg A, Reg B) {
+  if (A == NoGlobal)
+    return B;
+  return B == NoGlobal || A == B ? A : ManyGlobals;
+}
 } // namespace
 
 RapAllocator::RapAllocator(IlocFunction &F, const AllocOptions &Options)
@@ -88,8 +102,12 @@ RapAllocator::globalOrigins(const InterferenceGraph &G, const PdgNode *V,
 // Phase 1a: building the region interference graph (paper §3.1.1)
 //===----------------------------------------------------------------------===//
 
-RapAllocator::RegionRefs::RegionRefs(const PdgNode *V, unsigned NumVRegs)
-    : PC(V->parentCode()), RefsPC(NumVRegs) {
+void RapAllocator::RegionRefs::fill(const PdgNode *V, unsigned NumVRegs) {
+  PC.clear();
+  V->forEachParentInstr([&](Instr *I) { PC.push_back(I); });
+  // NumVRegs never shrinks, so growing keeps the universe exact.
+  RefsPC.growTo(NumVRegs);
+  RefsPC.clear();
   for (const Instr *I : PC) {
     for (Reg R : I->Src)
       RefsPC.set(R);
@@ -105,13 +123,14 @@ RapAllocator::RegionRefs::RegionRefs(const PdgNode *V, unsigned NumVRegs)
   });
 }
 
-InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
+InterferenceGraph &RapAllocator::buildRegionGraph(PdgNode *V) {
   allocCheck(V->isRegion(), AllocErrorKind::InvariantViolation,
              "allocation works on region nodes");
-  InterferenceGraph G;
-  RegionRefs RR(V, F.numVRegs());
-  addRegionConflicts(G, V, RR);
-  addSubregionConflicts(G, V, RR);
+  InterferenceGraph &G = Work;
+  G.clear();
+  RR.fill(V, F.numVRegs());
+  addRegionConflicts(G, V);
+  addSubregionConflicts(G, V);
   mergeSameOriginPieces(G, V);
   if (Options.Coalesce)
     coalesceConservatively(G, RR.PC, Options.K, [&](unsigned A, unsigned B) {
@@ -121,8 +140,8 @@ InterferenceGraph RapAllocator::buildRegionGraph(PdgNode *V) {
   return G;
 }
 
-void RapAllocator::addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
-                                      const RegionRefs &RR) const {
+void RapAllocator::addRegionConflicts(InterferenceGraph &G,
+                                      const PdgNode *V) {
   RR.RefsPC.forEach([&](unsigned R) { G.getOrCreateNode(R); });
 
   // Definition points: the defined register interferes with every register
@@ -145,7 +164,7 @@ void RapAllocator::addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
   }
 
   // Registers live on entrance to the region and referenced here coexist.
-  std::vector<Reg> LiveRefs;
+  LiveRefs.clear();
   RR.RefsPC.forEachCommon(CI->Live.liveInOf(*V),
                           [&](unsigned R) { LiveRefs.push_back(R); });
   for (size_t A = 0; A != LiveRefs.size(); ++A)
@@ -154,20 +173,20 @@ void RapAllocator::addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
 }
 
 void RapAllocator::addSubregionConflicts(InterferenceGraph &G,
-                                         const PdgNode *V,
-                                         const RegionRefs &RR) const {
+                                         const PdgNode *V) {
   // Live-in registers not referenced at this level conflict with every node
-  // referenced here (Figure 3's virtual register d).
-  std::vector<unsigned> PreNodes = G.aliveNodes();
+  // referenced here (Figure 3's virtual register d). addRegionConflicts
+  // merges nothing, so those are the nodes [0, NumPre).
+  unsigned NumPre = G.numNodesTotal();
   RR.Vars.forEachCommon(CI->Live.liveInOf(*V), [&](unsigned VK) {
     if (RR.RefsPC.test(VK))
       return;
     unsigned N = G.getOrCreateNode(VK);
-    for (unsigned M : PreNodes)
+    for (unsigned M = 0; M != NumPre; ++M)
       G.addEdgeNodes(N, M);
   });
 
-  for (PdgNode *S : V->subregions()) {
+  V->forEachSubregion([&](const PdgNode *S) {
     auto SavedIt = SavedGraphs.find(S);
     allocCheck(SavedIt != SavedGraphs.end(),
                AllocErrorKind::InvariantViolation,
@@ -176,9 +195,12 @@ void RapAllocator::addSubregionConflicts(InterferenceGraph &G,
 
     // Import each combined subregion node, merging with existing nodes that
     // name the same virtual register.
-    std::vector<unsigned> SubNodes = GS.aliveNodes();
-    std::vector<unsigned> Imported(GS.numNodesTotal()); // by subregion node
-    for (unsigned NS : SubNodes) {
+    unsigned NumSub = GS.numNodesTotal();
+    allocCheck(GS.numAliveNodes() == NumSub,
+               AllocErrorKind::InvariantViolation,
+               "a subregion summary holds a dead node");
+    Imported.assign(NumSub, 0); // by subregion node
+    for (unsigned NS = 0; NS != NumSub; ++NS) {
       int Target = -1;
       for (Reg R : GS.node(NS).VRegs) {
         int Existing = G.nodeOf(R);
@@ -202,7 +224,7 @@ void RapAllocator::addSubregionConflicts(InterferenceGraph &G,
                  "empty subregion node");
       Imported[NS] = static_cast<unsigned>(Target);
     }
-    for (unsigned NS : SubNodes)
+    for (unsigned NS = 0; NS != NumSub; ++NS)
       for (unsigned MS : GS.adjacency(NS))
         if (MS > NS)
           G.addEdgeNodes(Imported[NS], Imported[MS]);
@@ -213,58 +235,65 @@ void RapAllocator::addSubregionConflicts(InterferenceGraph &G,
       if (Refs->referencedWithin(VK, S->LinBegin, S->LinEnd))
         return;
       unsigned N = G.getOrCreateNode(VK);
-      for (unsigned NS : SubNodes)
+      for (unsigned NS = 0; NS != NumSub; ++NS)
         G.addEdgeNodes(N, Imported[NS]);
     });
-  }
+  });
 }
 
-void RapAllocator::mergeSameOriginPieces(InterferenceGraph &G,
-                                         const PdgNode *V) const {
-  // Each pass scans the pieces in (node, register) order, merges the first
-  // one that can join the first node holding its origin, and starts over.
-  struct Piece {
-    unsigned Node;
-    Reg R;
-    unsigned Origin; ///< index into Origins
-  };
-  struct OriginInfo {
-    Reg Origin;
-    unsigned FirstNode; ///< node of its first piece
-    bool Spread;        ///< some piece lies in another node
-  };
-  std::vector<Piece> Pieces;
-  std::vector<OriginInfo> Origins; // a few per region: searched linearly
+Reg PieceMerger::globalOf(const InterferenceGraph &G, unsigned N,
+                          const std::function<Reg(Reg)> &GlobalOrigin) {
+  Reg &Summary = NodeGlobal[N];
+  if (Summary == NotSummarized) {
+    Summary = NoGlobal;
+    for (Reg R : G.node(N).VRegs) {
+      Reg Origin = GlobalOrigin(R);
+      if (Origin != NoReg)
+        Summary = unionOfGlobals(Summary, Origin);
+    }
+  }
+  return Summary;
+}
+
+void PieceMerger::run(InterferenceGraph &G,
+                      const std::function<Reg(Reg)> &PieceOrigin,
+                      const std::function<Reg(Reg)> &GlobalOrigin) {
+  Pieces.clear();
+  Origins.clear();
   for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
     if (!G.node(N).Alive)
       continue;
     for (Reg R : G.node(N).VRegs) {
-      Reg Origin = originOf(R);
-      if (Origin == R && !hasSlot(Origin))
-        continue; // never split
-      if (NoMergeOrigins.count(Origin))
-        continue; // merging proved uncolorable earlier
-      auto It = std::find_if(
-          Origins.begin(), Origins.end(),
-          [&](const OriginInfo &O) { return O.Origin == Origin; });
-      if (It == Origins.end())
-        It = Origins.insert(It, OriginInfo{Origin, N, false});
-      It->Spread |= It->FirstNode != N;
-      Pieces.push_back({N, R, static_cast<unsigned>(It - Origins.begin())});
+      Reg Origin = PieceOrigin(R);
+      if (Origin == NoReg)
+        continue;
+      if (Origin >= OriginIndex.size())
+        OriginIndex.resize(Origin + size_t(1), NoIndex);
+      unsigned &Index = OriginIndex[Origin];
+      if (Index == NoIndex) {
+        Index = static_cast<unsigned>(Origins.size());
+        Origins.push_back(OriginInfo{Origin, N, false});
+      }
+      Origins[Index].Spread |= Origins[Index].FirstNode != N;
+      Pieces.push_back({N, R, Index});
     }
   }
+  for (const OriginInfo &O : Origins)
+    OriginIndex[O.Origin] = NoIndex;
   // An origin whose pieces share one node never merges (merges move whole
   // nodes, so they stay together) and never affects another origin's scan,
   // so its pieces are dropped.
   std::erase_if(Pieces,
                 [&](const Piece &P) { return !Origins[P.Origin].Spread; });
+  if (Pieces.empty())
+    return;
+  NodeGlobal.assign(G.numNodesTotal(), NotSummarized);
   auto ByNode = [](const Piece &X, const Piece &Y) {
     return X.Node != Y.Node ? X.Node < Y.Node : X.R < Y.R;
   };
 
-  std::vector<int> FirstNode(Origins.size());
   auto MergeOnePair = [&]() -> bool {
-    std::fill(FirstNode.begin(), FirstNode.end(), -1);
+    FirstNode.assign(Origins.size(), -1);
     for (const Piece &P : Pieces) {
       int &First = FirstNode[P.Origin];
       if (First < 0 || First == static_cast<int>(P.Node)) {
@@ -276,9 +305,12 @@ void RapAllocator::mergeSameOriginPieces(InterferenceGraph &G,
         continue; // overlapping pieces (e.g. two loads at one instr)
       // Keep the global-global invariant: the union may cover at most one
       // global origin (same-origin pieces count once).
-      if (globalOrigins(G, V, {A, B}) > 1)
+      Reg Union = unionOfGlobals(globalOf(G, A, GlobalOrigin),
+                                 globalOf(G, B, GlobalOrigin));
+      if (Union == ManyGlobals)
         continue;
       G.mergeNodes(A, B);
+      NodeGlobal[A] = Union;
       // Only B's pieces moved, so insertion sort restores the order in
       // about linear time.
       for (Piece &Q : Pieces)
@@ -295,11 +327,28 @@ void RapAllocator::mergeSameOriginPieces(InterferenceGraph &G,
   }
 }
 
+void RapAllocator::mergeSameOriginPieces(InterferenceGraph &G,
+                                         const PdgNode *V) {
+  Merger.run(
+      G,
+      [&](Reg R) {
+        Reg Origin = originOf(R);
+        if (Origin == R && !hasSlot(Origin))
+          return NoReg; // never split
+        if (NoMergeOrigins.count(Origin))
+          return NoReg; // merging proved uncolorable earlier
+        return Origin;
+      },
+      [&](Reg R) { return isGlobalTo(R, V) ? originOf(R) : NoReg; });
+}
+
 void RapAllocator::markGlobalNodes(InterferenceGraph &G,
                                    const PdgNode *V) const {
   // Pieces of one origin count once: they never coexist, so sharing a color
   // is always sound for them.
-  for (unsigned N : G.aliveNodes()) {
+  for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
+    if (!G.node(N).Alive)
+      continue;
     unsigned Globals = globalOrigins(G, V, {N});
     G.node(N).Global = Globals != 0;
     if (Globals > 1)
@@ -315,23 +364,30 @@ void RapAllocator::markGlobalNodes(InterferenceGraph &G,
 //===----------------------------------------------------------------------===//
 
 void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
-  std::vector<PdgNode *> Subs = V->subregions();
+  // Each subregion with its live-in and live-out sets, looked up once.
+  std::vector<SubregionLiveness> &Subs = CostSubs;
+  Subs.clear();
+  V->forEachSubregion([&](const PdgNode *S) {
+    Subs.push_back({S, CI->Live.liveInOf(*S), CI->Live.liveOutOf(*S)});
+  });
 
   // One entry per (parent-level instruction, register it uses) and per
   // parent-level definition, sorted: the references "in the parent region".
-  std::vector<Reg> PCRefs;
-  for (const Instr *I : V->parentCode()) {
+  PCRefs.clear();
+  V->forEachParentInstr([&](const Instr *I) {
     for (auto It = I->Src.begin(); It != I->Src.end(); ++It)
       if (std::find(I->Src.begin(), It, *It) == It)
         PCRefs.push_back(*It);
     if (I->hasDef())
       PCRefs.push_back(I->Dst);
-  }
+  });
   std::sort(PCRefs.begin(), PCRefs.end());
 
   const std::set<Reg> &Spilled = SpilledIn[V];
 
-  for (unsigned N : G.aliveNodes()) {
+  for (unsigned N = 0, E = G.numNodesTotal(); N != E; ++N) {
+    if (!G.node(N).Alive)
+      continue;
     auto &Node = G.node(N);
 
     // Classify the members. Combining can put unspillable atomic spill
@@ -348,8 +404,8 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
       // rewrite is a deferred spill inside the subregion) — unprofitable
       // but still able to make progress.
       bool LocalToSub = false;
-      for (PdgNode *S : Subs)
-        if (Refs->allRefsWithin(R, S->LinBegin, S->LinEnd)) {
+      for (const SubregionLiveness &SL : Subs)
+        if (Refs->allRefsWithin(R, SL.S->LinBegin, SL.S->LinEnd)) {
           LocalToSub = true;
           break;
         }
@@ -375,13 +431,13 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
 
     // Boundary loads/stores for subregions (Figure 5's Livein/Liveout
     // increments).
-    for (PdgNode *S : Subs) {
-      const BitVector &LiveInS = CI->Live.liveInOf(*S);
-      const BitVector &LiveOutS = CI->Live.liveOutOf(*S);
+    for (const SubregionLiveness &SL : Subs) {
+      const PdgNode *S = SL.S;
       bool In = false, Out = false;
       for (Reg R : Node.VRegs) {
-        In |= LiveInS.test(R) && Refs->usedWithin(R, S->LinBegin, S->LinEnd);
-        Out |= LiveOutS.test(R) &&
+        In |= SL.LiveIn.test(R) &&
+              Refs->usedWithin(R, S->LinBegin, S->LinEnd);
+        Out |= SL.LiveOut.test(R) &&
                Refs->definedWithin(R, S->LinBegin, S->LinEnd);
       }
       Cost += In;
@@ -397,30 +453,31 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
 // Phase 1c: the per-region driver (paper Figure 2)
 //===----------------------------------------------------------------------===//
 
-InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
+const InterferenceGraph &RapAllocator::allocRegion(PdgNode *V) {
   Injector.hit(FaultSite::RegionAlloc);
   InProgress.insert(V);
-  for (PdgNode *S : V->subregions())
+  // Snapshot the subregions first: spill code that allocating one of them
+  // inserts (a parameter's park store at the root) lands in V's children.
+  SmallVector<PdgNode *, 8> Subs;
+  V->forEachSubregion([&](PdgNode *S) { Subs.push_back(S); });
+  for (PdgNode *S : Subs)
     allocRegion(S);
 
   for (unsigned Round = 0; Round != Options.MaxSpillRounds; ++Round) {
     checkTimeBudget(V->Id);
     telemetry::ScopedPhase Phase(Options.Scope, "rap_region", V->Id);
     auto BuildStart = std::chrono::steady_clock::now();
-    InterferenceGraph G = buildRegionGraph(V);
+    InterferenceGraph &G = buildRegionGraph(V);
     Stats.GraphBuildSeconds += secondsSince(BuildStart);
     accountGraph(G, Options, Stats, F.name(), V->Id);
     calcSpillCosts(V, G);
     Injector.hit(FaultSite::Coloring);
-    ColorResult CR = colorGraph(G, Options.K, &Stats);
+    ColorResult CR = colorGraph(G, Options.K, &Stats, &Colors);
     Phase.arg("round", Round);
     Phase.arg("nodes", G.numAliveNodes());
     Phase.arg("spill_candidates", CR.SpillList.size());
     if (CR.fullyColored()) {
-      SavedGraphs[V] = G.combinedByColor();
-      for (PdgNode *S : V->subregions())
-        if (!S->IsLoop)
-          SavedGraphs.erase(S);
+      G.combineByColor(summaryFor(V));
       ++Stats.RegionsProcessed;
       InProgress.erase(V);
       return G;
@@ -455,6 +512,24 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
                   "region allocation did not converge within " +
                       std::to_string(Options.MaxSpillRounds) + " rounds",
                   F.name(), V->Id);
+}
+
+InterferenceGraph &RapAllocator::summaryFor(const PdgNode *V) {
+  // V's graph folds in its subregions' summaries: retire the non-loop ones.
+  V->forEachSubregion([&](const PdgNode *S) {
+    auto It = SavedGraphs.find(S);
+    if (!S->IsLoop && It != SavedGraphs.end())
+      RetiredSummaries.push_back(SavedGraphs.extract(It));
+  });
+  auto It = SavedGraphs.find(V);
+  if (It != SavedGraphs.end())
+    return It->second; // a re-allocated region
+  if (RetiredSummaries.empty())
+    return SavedGraphs[V];
+  auto Entry = std::move(RetiredSummaries.back());
+  RetiredSummaries.pop_back();
+  Entry.key() = V;
+  return SavedGraphs.insert(std::move(Entry)).position->second;
 }
 
 void RapAllocator::spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue) {
@@ -563,17 +638,16 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
     return spillEverywhere(V);
   }
 
-  std::vector<Instr *> PC = R->parentCode();
   auto ParkIt = ParamStores.find(V);
   Instr *Park = ParkIt == ParamStores.end() ? nullptr : ParkIt->second;
   std::vector<Instr *> PCUses, PCDefs;
-  for (Instr *I : PC) {
+  R->forEachParentInstr([&](Instr *I) {
     if (I != Park &&
         std::find(I->Src.begin(), I->Src.end(), V) != I->Src.end())
       PCUses.push_back(I);
     if (I->hasDef() && I->Dst == V)
       PCDefs.push_back(I);
-  }
+  });
 
   struct SubAction {
     PdgNode *S;
@@ -581,14 +655,14 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
     bool Store;
   };
   std::vector<SubAction> SubActions;
-  for (PdgNode *S : R->subregions()) {
+  R->forEachSubregion([&](PdgNode *S) {
     if (!Refs->referencedWithin(V, S->LinBegin, S->LinEnd))
-      continue;
+      return;
     bool Load = CI->Live.liveInOf(*S).test(V);
     bool Store = CI->Live.liveOutOf(*S).test(V) &&
                  Refs->definedWithin(V, S->LinBegin, S->LinEnd);
     SubActions.push_back(SubAction{S, Load, Store});
-  }
+  });
 
   // The outside-the-region fixup (paper §3.1.4): definitions outside R
   // whose value flows into R must store it to the slot, uses outside R
@@ -712,7 +786,7 @@ Reg RapAllocator::atomicPiece(Reg V) {
 
 AllocStats RapAllocator::run() {
   telemetry::FunctionScope *TS = Options.Scope;
-  InterferenceGraph Final = allocRegion(F.root());
+  const InterferenceGraph &Final = allocRegion(F.root());
 
   if (Options.SpillMovement) {
     MovementResult MR = moveSpillCodeOutOfLoops(F, Final, SavedGraphs, TS);

@@ -26,9 +26,11 @@
 
 #include "regalloc/AllocSupport.h"
 #include "regalloc/Allocator.h"
+#include "regalloc/Coloring.h"
 #include "regalloc/InterferenceGraph.h"
 
 #include <chrono>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -37,6 +39,49 @@
 #include <vector>
 
 namespace rap {
+
+/// §3.1.1: pieces of one split register represent the same virtual
+/// register, so their nodes merge when they do not interfere and the union
+/// still holds at most one region-global origin. They then allocate — and
+/// later move — as a unit. A class of its own, holding its working lists,
+/// so the allocator reuses them every round and tests can drive the merge
+/// on hand-built graphs.
+class PieceMerger {
+public:
+  /// Merges \p G's nodes. \p PieceOrigin(R) is the origin register \p R is
+  /// a mergeable piece of, or NoReg; \p GlobalOrigin(R) is R's origin when R
+  /// is global to the region, or NoReg. Each pass scans the pieces in
+  /// (node, register) order, merges the first one that can join the first
+  /// node holding its origin, and starts over.
+  void run(InterferenceGraph &G, const std::function<Reg(Reg)> &PieceOrigin,
+           const std::function<Reg(Reg)> &GlobalOrigin);
+
+private:
+  struct Piece {
+    unsigned Node;
+    Reg R;
+    unsigned Origin; ///< index into Origins
+  };
+  struct OriginInfo {
+    Reg Origin;
+    unsigned FirstNode; ///< node of its first piece
+    bool Spread;        ///< some piece lies in another node
+  };
+  /// Node \p N's global origins (see NodeGlobal), summarized from its
+  /// members on first use.
+  Reg globalOf(const InterferenceGraph &G, unsigned N,
+               const std::function<Reg(Reg)> &GlobalOrigin);
+
+  std::vector<Piece> Pieces;
+  std::vector<OriginInfo> Origins;
+  /// Dense origin register -> index into Origins; all NoIndex between runs.
+  std::vector<unsigned> OriginIndex;
+  std::vector<int> FirstNode; ///< per origin index, within one pass
+  /// Per node id: its global origins — none, the one origin register, or
+  /// several — or not yet summarized. A merge stores the union's, so the
+  /// guard against two global origins is O(1) per candidate.
+  std::vector<Reg> NodeGlobal;
+};
 
 class RapAllocator {
 public:
@@ -56,15 +101,17 @@ public:
   /// steps in order — addRegionConflicts, addSubregionConflicts,
   /// mergeSameOriginPieces, the optional conservative coalescing, and
   /// markGlobalNodes. Subregions must already be allocated (their combined
-  /// graphs saved).
-  InterferenceGraph buildRegionGraph(PdgNode *V);
+  /// graphs saved). The graph is the allocator's working graph, valid until
+  /// the next build.
+  InterferenceGraph &buildRegionGraph(PdgNode *V);
 
   /// Paper Figure 5: attaches a spill cost to every node of \p G.
   void calcSpillCosts(PdgNode *V, InterferenceGraph &G);
 
   /// Paper Figure 2: the full allocation loop for one region (recursing
-  /// into subregions first). Returns the region's colored graph.
-  InterferenceGraph allocRegion(PdgNode *V);
+  /// into subregions first). Returns the region's colored graph, valid
+  /// until the next build.
+  const InterferenceGraph &allocRegion(PdgNode *V);
 
   const std::map<const PdgNode *, InterferenceGraph> &savedGraphs() const {
     return SavedGraphs;
@@ -102,7 +149,8 @@ private:
   /// intersections with liveness sets a word at a time, in the ascending
   /// order node creation depends on.
   struct RegionRefs {
-    RegionRefs(const PdgNode *V, unsigned NumVRegs);
+    /// Refills the lists for \p V, keeping their storage.
+    void fill(const PdgNode *V, unsigned NumVRegs);
     std::vector<Instr *> PC;
     BitVector RefsPC;
     BitVector Vars;
@@ -112,27 +160,29 @@ private:
   /// code; each parent-level definition interferes with the subtree
   /// registers live after it; registers live into \p V and referenced at
   /// this level coexist.
-  void addRegionConflicts(InterferenceGraph &G, const PdgNode *V,
-                          const RegionRefs &RR) const;
+  void addRegionConflicts(InterferenceGraph &G, const PdgNode *V);
 
   /// add_subregion_conflicts (Figure 4): registers live into \p V but
   /// unreferenced at this level conflict with every node so far (Figure 3's
   /// d); each subregion's combined graph is imported, merging nodes that
   /// name one register; registers live across a subregion without a
   /// reference in it conflict with everything imported from it.
-  void addSubregionConflicts(InterferenceGraph &G, const PdgNode *V,
-                             const RegionRefs &RR) const;
+  void addSubregionConflicts(InterferenceGraph &G, const PdgNode *V);
 
-  /// §3.1.1: pieces of one split register represent the same virtual
-  /// register, so their nodes merge when they do not interfere and the
-  /// union still holds at most one \p V-global origin. They then allocate —
-  /// and later move — as a unit.
-  void mergeSameOriginPieces(InterferenceGraph &G, const PdgNode *V) const;
+  /// §3.1.1 through PieceMerger: a register is a mergeable piece when it
+  /// was split (or its origin was spilled) and its origin is not in
+  /// NoMergeOrigins; origins count as global to \p V by isGlobalTo.
+  void mergeSameOriginPieces(InterferenceGraph &G, const PdgNode *V);
 
   /// §3.1.2: flags each node holding a \p V-global register, and raises
   /// InvariantViolation if a node holds two global origins (the
   /// global-global coloring rule could not honor it).
   void markGlobalNodes(InterferenceGraph &G, const PdgNode *V) const;
+
+  /// The SavedGraphs entry to write completed region \p V's summary into.
+  /// Retires the summaries of V's non-loop subregions first, and reuses
+  /// one retired entry's storage when V has no entry yet.
+  InterferenceGraph &summaryFor(const PdgNode *V);
 
   void spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue);
 
@@ -195,9 +245,39 @@ private:
   CodeEditor Editor;
 
   /// Combined interference graphs of completed regions. Non-loop entries
-  /// are erased when their parent completes; loop graphs persist for spill
+  /// are retired when their parent completes; loop graphs persist for spill
   /// movement (paper §3.1.5).
   std::map<const PdgNode *, InterferenceGraph> SavedGraphs;
+
+  //===------------------------------------------------------------------===//
+  // Storage that serves every region round of the function. Each round
+  // refills it and its vectors keep their capacity, so a round allocates
+  // only when it outgrows every earlier one. It is per allocator, never
+  // static: rapd allocates functions on several threads at once.
+  //===------------------------------------------------------------------===//
+
+  /// The round's graph, rebuilt by buildRegionGraph.
+  InterferenceGraph Work;
+  RegionRefs RR;
+  /// addRegionConflicts: live-in registers referenced at the parent level.
+  std::vector<Reg> LiveRefs;
+  /// addSubregionConflicts: node of Work per subregion summary node.
+  std::vector<unsigned> Imported;
+  /// calcSpillCosts: the region's subregions with their boundary liveness,
+  /// and its sorted parent-level references.
+  struct SubregionLiveness {
+    const PdgNode *S;
+    BitSetView LiveIn, LiveOut;
+  };
+  std::vector<SubregionLiveness> CostSubs;
+  std::vector<Reg> PCRefs;
+  PieceMerger Merger;
+  ColorScratch Colors;
+  /// SavedGraphs entries retired when their parent completed, kept for
+  /// their storage: the next completed region's summary is written into
+  /// one.
+  std::vector<std::map<const PdgNode *, InterferenceGraph>::node_type>
+      RetiredSummaries;
 
   /// Registers already spilled per region (Figure 5's "spilled in V").
   std::map<const PdgNode *, std::set<Reg>> SpilledIn;

@@ -21,6 +21,57 @@
 
 namespace rap {
 
+/// A read-only view of a set whose words live elsewhere: a BitVector, or a
+/// set packed with others into one buffer (Liveness keeps each walked
+/// block's per-position sets that way). Valid as long as those words are.
+class BitSetView {
+public:
+  BitSetView(const uint64_t *Words, unsigned NumBits)
+      : Words(Words), NumBits(NumBits) {}
+
+  unsigned size() const { return NumBits; }
+  size_t numWords() const { return (NumBits + 63) / 64; }
+  const uint64_t *words() const { return Words; }
+
+  bool test(unsigned Idx) const {
+    assert(Idx < NumBits && "BitSetView index out of range");
+    return (Words[Idx / 64] >> (Idx % 64)) & 1;
+  }
+
+  /// Calls \p Fn(idx) for every set bit, in increasing order.
+  template <typename FnT> void forEach(FnT Fn) const {
+    for (size_t I = 0, E = numWords(); I != E; ++I) {
+      uint64_t W = Words[I];
+      while (W != 0) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(static_cast<unsigned>(I * 64 + Bit));
+        W &= W - 1;
+      }
+    }
+  }
+
+  /// Collects the set bits into a vector, in increasing order.
+  std::vector<unsigned> toVector() const {
+    std::vector<unsigned> Out;
+    forEach([&](unsigned Idx) { Out.push_back(Idx); });
+    return Out;
+  }
+
+  bool operator==(BitSetView Other) const {
+    if (NumBits != Other.NumBits)
+      return false;
+    for (size_t I = 0, E = numWords(); I != E; ++I)
+      if (Words[I] != Other.Words[I])
+        return false;
+    return true;
+  }
+  bool operator!=(BitSetView Other) const { return !(*this == Other); }
+
+private:
+  const uint64_t *Words;
+  unsigned NumBits;
+};
+
 /// A fixed-universe bitset over ids [0, size()).
 ///
 /// All binary operations require both operands to have the same universe
@@ -33,6 +84,12 @@ public:
   /// Creates a set over the universe [0, NumBits), initially empty.
   explicit BitVector(unsigned NumBits)
       : NumBits(NumBits), Words((NumBits + 63) / 64, 0) {}
+
+  /// A copy of the set \p V views.
+  explicit BitVector(BitSetView V)
+      : NumBits(V.size()), Words(V.words(), V.words() + V.numWords()) {}
+
+  operator BitSetView() const { return {Words.data(), NumBits}; }
 
   unsigned size() const { return NumBits; }
 
@@ -150,25 +207,17 @@ public:
 
   /// Calls \p Fn(idx) for every set bit, in increasing order.
   template <typename FnT> void forEach(FnT Fn) const {
-    for (size_t I = 0, E = Words.size(); I != E; ++I) {
-      uint64_t W = Words[I];
-      while (W != 0) {
-        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
-        Fn(static_cast<unsigned>(I * 64 + Bit));
-        W &= W - 1;
-      }
-    }
+    BitSetView(*this).forEach(Fn);
   }
 
   /// Calls \p Fn(idx) for every element of both this set and \p Other, in
   /// increasing order, one word at a time. The universes may differ:
   /// elements past the smaller one are absent from the intersection.
-  template <typename FnT>
-  void forEachCommon(const BitVector &Other, FnT Fn) const {
-    size_t E = Words.size() < Other.Words.size() ? Words.size()
-                                                  : Other.Words.size();
+  template <typename FnT> void forEachCommon(BitSetView Other, FnT Fn) const {
+    size_t E = Words.size() < Other.numWords() ? Words.size()
+                                                : Other.numWords();
     for (size_t I = 0; I != E; ++I) {
-      uint64_t W = Words[I] & Other.Words[I];
+      uint64_t W = Words[I] & Other.words()[I];
       while (W != 0) {
         unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
         Fn(static_cast<unsigned>(I * 64 + Bit));
@@ -179,10 +228,7 @@ public:
 
   /// Collects the set bits into a vector, in increasing order.
   std::vector<unsigned> toVector() const {
-    std::vector<unsigned> Out;
-    Out.reserve(count());
-    forEach([&](unsigned Idx) { Out.push_back(Idx); });
-    return Out;
+    return BitSetView(*this).toVector();
   }
 
 private:

@@ -279,43 +279,43 @@ void PrintTo(const GoldenStats &G, std::ostream *OS) { *OS << G.Name; }
 
 // clang-format off
 const GoldenStats Table1StatsHashes[] = {
-  {"loop1", "94c8d4bfcd530b77"},
-  {"loop2", "9ad9cffeb18be220"},
-  {"loop3", "57d254d3e72b7aaa"},
-  {"loop4", "2126fda8175747ce"},
-  {"loop5", "08fad79339905e8b"},
-  {"loop6", "46013ae0d169be32"},
-  {"loop7", "aad49c33f1c18cee"},
-  {"loop9", "70250f3495cb360e"},
-  {"loop10", "e5fef62311f583e6"},
-  {"loop11", "44b45144861a4c1b"},
-  {"loop12", "16692c678303a80f"},
-  {"loop21", "c5886ecbb411bfec"},
-  {"loop22", "e23674dfac3ba9e4"},
-  {"daxpy", "a7118fa4d0a466cc"},
-  {"ddot", "1e5e0ae95c1c9d75"},
-  {"dscal", "6c5ad8a2f3cad35f"},
-  {"idamax", "7f95a175826e8e79"},
-  {"dmxpy", "2deb6f69a791e27b"},
-  {"hsort", "740f6bcb81c56992"},
-  {"hanoi", "6d2b1226fdd7564b"},
-  {"nsieve", "0c22d24a5bc15ef8"},
-  {"sieve", "acba991b59fca7e4"},
-  {"initmatrix", "da249f7d6885c98d"},
-  {"innerproduct", "4a5a5e315a083898"},
-  {"intmm", "1901af1b8b487e10"},
-  {"permute", "3fb4b7bd341ac9f2"},
-  {"swap", "70d2e6184c88cddb"},
-  {"initialize", "1e29cb134013a31d"},
-  {"perm", "adee5b031aba58a7"},
-  {"fit", "f358e799aee251e5"},
-  {"place", "1cc1effd7515bbc6"},
-  {"trial", "3990eaa4d5ef2f3c"},
-  {"remove", "177eeb706c422f48"},
-  {"puzzle", "564ee604cc3fd083"},
-  {"queens", "ebb9b5d64aafff08"},
-  {"try", "c1f448640e3e9e13"},
-  {"doit", "f79caffe1e4e63e2"},
+  {"loop1", "138fb39669a24fa4"},
+  {"loop2", "144c92aca8aec629"},
+  {"loop3", "5bf96ab93ea526eb"},
+  {"loop4", "15b63617dfd9e5c8"},
+  {"loop5", "b36fbc5839e37c46"},
+  {"loop6", "e80a7c39698467b0"},
+  {"loop7", "99f84544106ff2e9"},
+  {"loop9", "9889bf7daeee2a73"},
+  {"loop10", "e45baf8a8c569800"},
+  {"loop11", "7a285e6cf724b015"},
+  {"loop12", "142d4350940e8e77"},
+  {"loop21", "6debc82b22a76779"},
+  {"loop22", "04d353a3fb144175"},
+  {"daxpy", "935999e8fa621e9e"},
+  {"ddot", "5faac82ac5b25e5c"},
+  {"dscal", "746802788eaa9fea"},
+  {"idamax", "55bcf33fd0b063ff"},
+  {"dmxpy", "0516e6e979ef627a"},
+  {"hsort", "2aaec9c28a2eac91"},
+  {"hanoi", "83c71a5778525c79"},
+  {"nsieve", "c46281c22a77f9a1"},
+  {"sieve", "8d42cb03d21e0a44"},
+  {"initmatrix", "bd65384934b0f4a7"},
+  {"innerproduct", "a6dbd86456d7ee9f"},
+  {"intmm", "f8d216a264912681"},
+  {"permute", "860491d1df637338"},
+  {"swap", "6124b247bf06886d"},
+  {"initialize", "419ad5cfabdc6bd7"},
+  {"perm", "22c6fd44e195eb8b"},
+  {"fit", "7c31fca407aa0d39"},
+  {"place", "ccfabe71249fd33a"},
+  {"trial", "72e3019de8e23304"},
+  {"remove", "aebde4859a32c91d"},
+  {"puzzle", "d0b1c8168448b74d"},
+  {"queens", "12b77dc057d9fd97"},
+  {"try", "fa8bebdd383d03c6"},
+  {"doit", "f77a352bdce52e5c"},
 };
 // clang-format on
 

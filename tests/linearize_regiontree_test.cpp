@@ -81,12 +81,14 @@ TEST(RegionTree, Figure1ShapeForWhileWithIfElse) {
   EXPECT_NE(P2->TrueRegion, nullptr);
   EXPECT_NE(P2->FalseRegion, nullptr);
 
-  // parentCode of the body contains only the statement instructions (the
-  // if's condition belongs to P2 which is also at this level).
-  std::vector<Instr *> PC = R3->parentCode();
+  // The parent code of the body contains only the statement instructions
+  // (the if's condition belongs to P2 which is also at this level).
+  std::vector<Instr *> PC;
+  R3->forEachParentInstr([&](Instr *I) { PC.push_back(I); });
   EXPECT_FALSE(PC.empty());
-  // subregions of the body are exactly the two branch arms.
-  std::vector<PdgNode *> Subs = R3->subregions();
+  // The subregions of the body are exactly the two branch arms.
+  std::vector<PdgNode *> Subs;
+  R3->forEachSubregion([&](PdgNode *S) { Subs.push_back(S); });
   ASSERT_EQ(Subs.size(), 2u);
   EXPECT_EQ(Subs[0], P2->TrueRegion);
   EXPECT_EQ(Subs[1], P2->FalseRegion);

@@ -92,7 +92,7 @@ struct InstrLevelLiveness {
   }
 };
 
-LiveSet toLiveSet(const BitVector &S, unsigned NumVRegs) {
+LiveSet toLiveSet(BitSetView S, unsigned NumVRegs) {
   LiveSet Out(NumVRegs, 0);
   for (unsigned R = 0; R != NumVRegs; ++R)
     Out[R] = R < S.size() && S.test(R);
@@ -196,9 +196,9 @@ TEST(LivenessSnapshot, InPlaceRenameDoesNotChangeUnwalkedBlocks) {
   {
     Liveness Reference(Code, G, NumVRegs);
     for (unsigned P = 0; P <= N; ++P)
-      Before.push_back(Reference.liveBefore(P));
+      Before.emplace_back(Reference.liveBefore(P));
     for (unsigned P = 0; P != N; ++P)
-      After.push_back(Reference.liveAfter(P));
+      After.emplace_back(Reference.liveAfter(P));
   }
 
   Liveness Live(Code, G, NumVRegs);

@@ -94,8 +94,7 @@ struct Fig3 {
 TEST(RapRegionGraph, LiveInReferencedRegistersInterfere) {
   Fig3 T(8);
   // Allocate the subregions first, then build the whole-function graph.
-  for (PdgNode *S : T.Root->subregions())
-    T.RA->allocRegion(S);
+  T.Root->forEachSubregion([&](PdgNode *S) { T.RA->allocRegion(S); });
   T.RA->refresh();
   InterferenceGraph G = T.RA->buildRegionGraph(T.Root);
   // a and c are simultaneously live (S2 reads and writes both): Figure 3(c)
@@ -109,8 +108,7 @@ TEST(RapRegionGraph, LiveInReferencedRegistersInterfere) {
 
 TEST(RapRegionGraph, LiveThroughRegisterConflictsWithSubregionContents) {
   Fig3 T(8);
-  for (PdgNode *S : T.Root->subregions())
-    T.RA->allocRegion(S);
+  T.Root->forEachSubregion([&](PdgNode *S) { T.RA->allocRegion(S); });
   T.RA->refresh();
 
   // d is not referenced in the else-arm but is live across it: Figure 4's
@@ -141,13 +139,13 @@ TEST(RapRegionGraph, LiveThroughRegisterConflictsWithSubregionContents) {
 
 TEST(RapRegionGraph, SubregionGraphsStayWithinK) {
   Fig3 T(3);
-  for (PdgNode *S : T.Root->subregions()) {
+  T.Root->forEachSubregion([&](PdgNode *S) {
     T.RA->allocRegion(S);
     auto It = T.RA->savedGraphs().find(S);
     ASSERT_NE(It, T.RA->savedGraphs().end());
     EXPECT_LE(It->second.numAliveNodes(), 3u)
         << "combine leaves at most k nodes (paper §3.1.5)";
-  }
+  });
 }
 
 TEST(RapRegionGraph, GlobalsNotCombinedInsideSubregion) {
@@ -171,8 +169,7 @@ TEST(RapRegionGraph, SameRegisterNodesMergeAcrossSubregions) {
   // subregion node with one of the parent's nodes if the nodes correspond
   // to the same virtual register").
   Fig3 T(8);
-  for (PdgNode *S : T.Root->subregions())
-    T.RA->allocRegion(S);
+  T.Root->forEachSubregion([&](PdgNode *S) { T.RA->allocRegion(S); });
   T.RA->refresh();
   InterferenceGraph G = T.RA->buildRegionGraph(T.Root);
   unsigned NodesWithA = 0;
@@ -185,8 +182,7 @@ TEST(RapRegionGraph, SameRegisterNodesMergeAcrossSubregions) {
 
 TEST(RapSpillCosts, LocalToSubregionIsPricedOut) {
   Fig3 T(8);
-  for (PdgNode *S : T.Root->subregions())
-    T.RA->allocRegion(S);
+  T.Root->forEachSubregion([&](PdgNode *S) { T.RA->allocRegion(S); });
   T.RA->refresh();
   InterferenceGraph G = T.RA->buildRegionGraph(T.Root);
   T.RA->calcSpillCosts(T.Root, G);
@@ -227,8 +223,7 @@ TEST(RapSpillCosts, LocalToSubregionIsPricedOut) {
 
 TEST(RapSpillCosts, ReferencedNodesHaveFiniteCost) {
   Fig3 T(8);
-  for (PdgNode *S : T.Root->subregions())
-    T.RA->allocRegion(S);
+  T.Root->forEachSubregion([&](PdgNode *S) { T.RA->allocRegion(S); });
   T.RA->refresh();
   InterferenceGraph G = T.RA->buildRegionGraph(T.Root);
   T.RA->calcSpillCosts(T.Root, G);
@@ -249,6 +244,103 @@ TEST(RapRegionGraph, GlobalFlagTracksOutsideReferences) {
   EXPECT_TRUE(T.RA->isGlobalTo(T.B, Else));
   EXPECT_FALSE(T.RA->isGlobalTo(T.A, T.Root))
       << "nothing is global to the whole function";
+}
+
+//===----------------------------------------------------------------------===//
+// §3.1.1: merging the pieces of split registers, on hand-built graphs.
+// Registers 10..19 are pieces of origin 1 and 40..49 pieces of origin 4;
+// a register in 20..39 is global to the region with origin R / 10 (so 20
+// has origin 2 and 30 origin 3); other registers are neither.
+//===----------------------------------------------------------------------===//
+
+Reg pieceOrigin(Reg R) {
+  if (R >= 10 && R < 20)
+    return 1;
+  if (R >= 40 && R < 50)
+    return 4;
+  return NoReg;
+}
+
+Reg globalOrigin(Reg R) { return R >= 20 && R < 40 ? R / 10 : NoReg; }
+
+/// One node per group of registers, in order; returns the node ids.
+std::vector<unsigned>
+pieceGraph(InterferenceGraph &G,
+           std::initializer_list<std::initializer_list<Reg>> Groups) {
+  std::vector<unsigned> Ids;
+  for (const auto &Members : Groups) {
+    unsigned N = G.getOrCreateNode(*Members.begin());
+    for (auto It = Members.begin() + 1; It != Members.end(); ++It)
+      G.addRegToNode(N, *It);
+    Ids.push_back(N);
+  }
+  return Ids;
+}
+
+bool sameNode(const InterferenceGraph &G, Reg A, Reg B) {
+  return G.nodeOf(A) >= 0 && G.nodeOf(A) == G.nodeOf(B);
+}
+
+TEST(RapPieceMerge, NonInterferingPiecesOfOneOriginJoinOneNode) {
+  InterferenceGraph G;
+  pieceGraph(G, {{10}, {5}, {11, 6}, {12}});
+  G.addEdge(5, 6);
+  PieceMerger().run(G, pieceOrigin, globalOrigin);
+  EXPECT_TRUE(sameNode(G, 10, 11));
+  EXPECT_TRUE(sameNode(G, 10, 12));
+  EXPECT_TRUE(sameNode(G, 10, 6)) << "whole nodes merge";
+  EXPECT_FALSE(sameNode(G, 10, 5));
+  EXPECT_EQ(G.numAliveNodes(), 2u);
+}
+
+TEST(RapPieceMerge, InterferingPiecesStayApart) {
+  InterferenceGraph G;
+  pieceGraph(G, {{10}, {11}, {12}});
+  G.addEdge(10, 11);
+  PieceMerger().run(G, pieceOrigin, globalOrigin);
+  EXPECT_FALSE(sameNode(G, 10, 11));
+  EXPECT_TRUE(sameNode(G, 10, 12)) << "the first node takes the free piece";
+}
+
+TEST(RapPieceMerge, TwoGlobalOriginsNeverShareANode) {
+  InterferenceGraph G;
+  pieceGraph(G, {{10, 20}, {11, 30}, {12, 21}});
+  PieceMerger().run(G, pieceOrigin, globalOrigin);
+  EXPECT_FALSE(sameNode(G, 10, 11)) << "origins 2 and 3 are both global";
+  EXPECT_TRUE(sameNode(G, 10, 12)) << "20 and 21 share origin 2";
+}
+
+TEST(RapPieceMerge, GlobalOriginGainedByAMergeStillCounts) {
+  // The first merge brings origin 2 into 40's node; 41's node holds origin
+  // 3, so origin 4's pieces must then stay apart.
+  InterferenceGraph G;
+  pieceGraph(G, {{10, 40}, {11, 20}, {41, 30}});
+  PieceMerger().run(G, pieceOrigin, globalOrigin);
+  EXPECT_TRUE(sameNode(G, 10, 11));
+  EXPECT_TRUE(sameNode(G, 40, 20));
+  EXPECT_FALSE(sameNode(G, 40, 41));
+
+  // With 41's node holding origin 2 instead, the union has one global
+  // origin and the pieces join.
+  InterferenceGraph H;
+  pieceGraph(H, {{10, 40}, {11, 20}, {41, 22}});
+  PieceMerger().run(H, pieceOrigin, globalOrigin);
+  EXPECT_TRUE(sameNode(H, 40, 41));
+  EXPECT_EQ(H.numAliveNodes(), 1u);
+}
+
+TEST(RapPieceMerge, ExcludedOriginNeverMerges) {
+  // RapAllocator excludes the origins in NoMergeOrigins: their pieces read
+  // as no piece at all.
+  auto WithoutOrigin1 = [](Reg R) {
+    Reg Origin = pieceOrigin(R);
+    return Origin == 1 ? NoReg : Origin;
+  };
+  InterferenceGraph G;
+  pieceGraph(G, {{10, 40}, {11}, {41}});
+  PieceMerger().run(G, WithoutOrigin1, globalOrigin);
+  EXPECT_FALSE(sameNode(G, 10, 11));
+  EXPECT_TRUE(sameNode(G, 40, 41));
 }
 
 TEST(RapEndToEnd, Figure3ProgramAllocatesAtAllK) {
