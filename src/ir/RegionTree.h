@@ -27,7 +27,6 @@
 
 #include <cassert>
 #include <functional>
-#include <set>
 #include <vector>
 
 namespace rap {
@@ -147,10 +146,15 @@ public:
     }
   }
 
-  /// Erases the instructions in \p Dead from the code of every statement and
-  /// predicate node in the subtree rooted here. Branches and join jumps are
-  /// not code and stay.
-  void eraseInstrs(const std::set<Instr *> &Dead);
+  /// Erases the instructions for which \p IsDead(I) is true from the code of
+  /// every statement and predicate node in the subtree rooted here.
+  /// Branches and join jumps are not code and stay.
+  template <typename PredT> void eraseInstrs(PredT &&IsDead) {
+    forEachNode([&](const PdgNode *N) {
+      if (N->isStatement() || N->isPredicate())
+        std::erase_if(const_cast<PdgNode *>(N)->Code, IsDead);
+    });
+  }
 
   /// Visits every instruction in the subtree rooted here, in linear order.
   /// Templated (not std::function) so the per-instruction callback inlines —

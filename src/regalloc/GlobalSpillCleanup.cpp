@@ -7,190 +7,146 @@
 #include "regalloc/GlobalSpillCleanup.h"
 
 #include "regalloc/AllocError.h"
+#include "regalloc/RegSlotMatrix.h"
 
 #include "cfg/Cfg.h"
 #include "ir/Linearize.h"
 #include "support/BitVector.h"
 #include "support/Stats.h"
 
-#include <cassert>
-#include <set>
+#include <utility>
 #include <vector>
 
 using namespace rap;
 
 namespace {
 
-/// Forward availability state: bit (Slot * K + Reg) set means the register
-/// holds the slot's current value.
-class AvailState {
+/// Both passes over one linearization of a function. Deleting a spill load
+/// or store never changes control flow, and a block that erasing would
+/// empty has the identity transfer either way, so the passes mark what they
+/// delete and skip it, and one erase at the end removes it all: every
+/// iteration sees the facts a fresh linearization would give.
+class Cleanup {
 public:
-  AvailState(unsigned NumSlots, unsigned K)
-      : K(K), Bits(NumSlots * K) {}
-
-  static AvailState top(unsigned NumSlots, unsigned K) {
-    AvailState S(NumSlots, K);
-    for (unsigned I = 0; I != NumSlots * K; ++I)
-      S.Bits.set(I);
-    return S;
+  /// \p Code is \p F's nonempty linearization.
+  Cleanup(IlocFunction &F, LinearCode &&Code, unsigned NumSlots)
+      : F(F), Code(std::move(Code)), G(this->Code),
+        Dead(this->Code.Instrs.size(), 0) {
+    unsigned NB = G.numBlocks(), K = F.numPhysRegs();
+    In.assign(NB, RegSlotMatrix(K, NumSlots));
+    Out.assign(NB, RegSlotMatrix(K, NumSlots));
+    Meet = Cur = RegSlotMatrix(K, NumSlots);
+    LiveIn.assign(NB, BitVector(NumSlots));
+    LiveOut.assign(NB, BitVector(NumSlots));
+    Use.assign(NB, BitVector(NumSlots));
+    Def.assign(NB, BitVector(NumSlots));
+    NewIn = NewOut = Live = BitVector(NumSlots);
   }
 
-  bool has(int Slot, Reg R) const {
-    return Bits.test(static_cast<unsigned>(Slot) * K + R);
-  }
-  void add(int Slot, Reg R) {
-    Bits.set(static_cast<unsigned>(Slot) * K + R);
-  }
+  GlobalCleanupResult availableReloadPass();
+  unsigned deadStorePass();
 
-  void killReg(Reg R) {
-    for (unsigned S = 0; S * K < Bits.size(); ++S)
-      Bits.reset(S * K + R);
-  }
-  void killSlot(int Slot) {
-    for (unsigned R = 0; R != K; ++R)
-      Bits.reset(static_cast<unsigned>(Slot) * K + R);
-  }
-
-  /// Copy `Dst = Src`: Dst now holds whatever slots Src holds.
-  void copy(Reg Dst, Reg Src) {
-    std::vector<unsigned> Slots;
-    for (unsigned S = 0; S * K < Bits.size(); ++S)
-      if (Bits.test(S * K + Src))
-        Slots.push_back(S);
-    killReg(Dst);
-    for (unsigned S : Slots)
-      Bits.set(S * K + Dst);
-  }
-
-  bool meet(const AvailState &Other) { return Bits.intersectWith(Other.Bits); }
-  bool operator==(const AvailState &O) const { return Bits == O.Bits; }
-
-  /// Applies \p I's effect.
-  void transfer(const Instr *I) {
-    switch (I->Op) {
-    case Opcode::LdSpill:
-      killReg(I->Dst);
-      add(I->Slot, I->Dst);
-      return;
-    case Opcode::StSpill:
-      killSlot(I->Slot);
-      add(I->Slot, I->Src[0]);
-      return;
-    case Opcode::Mv:
-      copy(I->Dst, I->Src[0]);
-      return;
-    default:
-      if (I->hasDef())
-        killReg(I->Dst);
-      return;
-    }
+  /// Erases every instruction the passes deleted.
+  void erase() {
+    F.root()->eraseInstrs([&](const Instr *I) { return Dead[I->LinPos]; });
   }
 
 private:
-  unsigned K;
-  BitVector Bits;
+  IlocFunction &F;
+  LinearCode Code;
+  Cfg G;
+  std::vector<char> Dead; ///< by linear position
+
+  // Per-block sets and working sets, kept across the iterations.
+  std::vector<RegSlotMatrix> In, Out;
+  RegSlotMatrix Meet, Cur;
+  std::vector<BitVector> LiveIn, LiveOut, Use, Def;
+  BitVector NewIn, NewOut, Live;
 };
 
 /// Deletes reloads of values already held in registers (cross-block).
-GlobalCleanupResult availableReloadPass(IlocFunction &F) {
+GlobalCleanupResult Cleanup::availableReloadPass() {
   GlobalCleanupResult Res;
-  unsigned NumSlots = static_cast<unsigned>(F.numSpillSlots());
-  unsigned K = F.numPhysRegs();
-  if (NumSlots == 0)
-    return Res;
-
-  LinearCode Code = linearize(F);
-  if (Code.Instrs.empty())
-    return Res;
-  Cfg G(Code);
   unsigned NB = G.numBlocks();
-
-  std::vector<AvailState> In(NB, AvailState::top(NumSlots, K));
-  std::vector<AvailState> Out(NB, AvailState::top(NumSlots, K));
-  In[0] = AvailState(NumSlots, K); // nothing available at entry
+  for (unsigned B = 0; B != NB; ++B) {
+    In[B].setAll();
+    Out[B].setAll();
+  }
+  In[0].clear(); // nothing available at entry
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (unsigned B = 0; B != NB; ++B) {
       if (B != 0) {
-        AvailState NewIn = AvailState::top(NumSlots, K);
-        bool HasPred = false;
-        for (unsigned P : G.block(B).Preds) {
-          NewIn.meet(Out[P]);
-          HasPred = true;
+        if (G.block(B).Preds.empty()) {
+          Meet.clear();
+        } else {
+          Meet.setAll();
+          for (unsigned P : G.block(B).Preds)
+            Meet.meet(Out[P]);
         }
-        if (!HasPred)
-          NewIn = AvailState(NumSlots, K);
-        if (!(NewIn == In[B])) {
-          In[B] = NewIn;
+        if (Meet != In[B]) {
+          In[B] = Meet;
           Changed = true;
         }
       }
-      AvailState S = In[B];
+      Cur = In[B];
       for (unsigned P = G.block(B).Begin; P != G.block(B).End; ++P)
-        S.transfer(Code.Instrs[P]);
-      if (!(S == Out[B])) {
-        Out[B] = std::move(S);
+        if (!Dead[P])
+          Cur.transfer(Code.Instrs[P]);
+      if (Cur != Out[B]) {
+        Out[B] = Cur;
         Changed = true;
       }
     }
   }
 
   // Rewrite with the converged facts.
-  std::set<Instr *> Dead;
   for (unsigned B = 0; B != NB; ++B) {
-    AvailState S = In[B];
+    Cur = In[B];
     for (unsigned P = G.block(B).Begin; P != G.block(B).End; ++P) {
+      if (Dead[P])
+        continue;
       Instr *I = Code.Instrs[P];
       if (I->Op == Opcode::LdSpill) {
-        if (S.has(I->Slot, I->Dst)) {
-          Dead.insert(I);
+        if (Cur.holds(I->Dst, I->Slot)) {
+          Dead[P] = true;
           ++Res.RemovedLoads;
           continue; // no transfer: the load was a no-op on the state
         }
-        for (unsigned R = 0; R != K; ++R)
-          if (S.has(I->Slot, R)) {
-            I->Op = Opcode::Mv;
-            I->Src = {R};
-            I->Slot = -1;
-            ++Res.LoadsToCopies;
-            break;
-          }
-      } else if (I->Op == Opcode::StSpill &&
-                 S.has(I->Slot, I->Src[0])) {
-        Dead.insert(I);
+        Reg R = Cur.lowestHolder(I->Slot);
+        if (R != NoReg) {
+          I->Op = Opcode::Mv;
+          I->Src = {R};
+          I->Slot = -1;
+          ++Res.LoadsToCopies;
+        }
+      } else if (I->Op == Opcode::StSpill && Cur.holds(I->Src[0], I->Slot)) {
+        Dead[P] = true;
         ++Res.RemovedStores;
         continue;
       }
-      S.transfer(I);
+      Cur.transfer(I);
     }
   }
-
-  if (!Dead.empty())
-    F.root()->eraseInstrs(Dead);
   return Res;
 }
 
 /// Deletes stores to spill slots that are never read again (slots die with
 /// the activation frame).
-unsigned deadStorePass(IlocFunction &F) {
-  unsigned NumSlots = static_cast<unsigned>(F.numSpillSlots());
-  if (NumSlots == 0)
-    return 0;
-  LinearCode Code = linearize(F);
-  if (Code.Instrs.empty())
-    return 0;
-  Cfg G(Code);
+unsigned Cleanup::deadStorePass() {
   unsigned NB = G.numBlocks();
 
   // Backward liveness of slots.
-  std::vector<BitVector> LiveIn(NB, BitVector(NumSlots));
-  std::vector<BitVector> LiveOut(NB, BitVector(NumSlots));
-  std::vector<BitVector> Use(NB, BitVector(NumSlots));
-  std::vector<BitVector> Def(NB, BitVector(NumSlots));
   for (unsigned B = 0; B != NB; ++B) {
+    LiveIn[B].clear();
+    LiveOut[B].clear();
+    Use[B].clear();
+    Def[B].clear();
     for (unsigned P = G.block(B).Begin; P != G.block(B).End; ++P) {
+      if (Dead[P])
+        continue;
       const Instr *I = Code.Instrs[P];
       if (I->Op == Opcode::LdSpill && !Def[B].test(I->Slot))
         Use[B].set(I->Slot);
@@ -202,38 +158,39 @@ unsigned deadStorePass(IlocFunction &F) {
   while (Changed) {
     Changed = false;
     for (unsigned B = NB; B-- > 0;) {
-      BitVector NewOut(NumSlots);
+      NewOut.clear();
       for (unsigned S : G.block(B).Succs)
         NewOut.unionWith(LiveIn[S]);
-      BitVector NewIn = NewOut;
+      NewIn = NewOut;
       NewIn.subtract(Def[B]);
       NewIn.unionWith(Use[B]);
       if (NewOut != LiveOut[B] || NewIn != LiveIn[B]) {
-        LiveOut[B] = std::move(NewOut);
-        LiveIn[B] = std::move(NewIn);
+        LiveOut[B] = NewOut;
+        LiveIn[B] = NewIn;
         Changed = true;
       }
     }
   }
 
-  std::set<Instr *> Dead;
+  unsigned Removed = 0;
   for (unsigned B = 0; B != NB; ++B) {
-    BitVector Live = LiveOut[B];
+    Live = LiveOut[B];
     for (unsigned P = G.block(B).End; P-- > G.block(B).Begin;) {
+      if (Dead[P])
+        continue;
       Instr *I = Code.Instrs[P];
       if (I->Op == Opcode::StSpill) {
-        if (!Live.test(I->Slot))
-          Dead.insert(I);
+        if (!Live.test(I->Slot)) {
+          Dead[P] = true;
+          ++Removed;
+        }
         Live.reset(I->Slot);
       } else if (I->Op == Opcode::LdSpill) {
         Live.set(I->Slot);
       }
     }
   }
-
-  if (!Dead.empty())
-    F.root()->eraseInstrs(Dead);
-  return static_cast<unsigned>(Dead.size());
+  return Removed;
 }
 
 } // namespace
@@ -244,19 +201,28 @@ GlobalCleanupResult rap::globalSpillCleanup(IlocFunction &F,
   allocCheck(F.isAllocated(), AllocErrorKind::InvariantViolation,
              "cleanup runs on physical code");
   GlobalCleanupResult Total;
+  Total.Iterations = 1; // a function without spill code is one idle pass
+  unsigned NumSlots = static_cast<unsigned>(F.numSpillSlots());
+  if (NumSlots == 0)
+    return Total;
+  LinearCode Code = linearize(F);
+  if (Code.Instrs.empty())
+    return Total;
+
   // Each pass can expose work for the other (a deleted dead store frees a
   // reload; a deleted reload kills a store's last reader). Iterate to a
-  // fixpoint; each iteration strictly removes instructions, so this
-  // terminates.
-  for (;;) {
-    GlobalCleanupResult R = availableReloadPass(F);
-    unsigned DeadStores = deadStorePass(F);
+  // fixpoint. An iteration may delete nothing and only turn loads into
+  // copies, but no load is converted twice, so the iterations end.
+  Cleanup C(F, std::move(Code), NumSlots);
+  for (Total.Iterations = 1;; ++Total.Iterations) {
+    GlobalCleanupResult R = C.availableReloadPass();
+    unsigned DeadStores = C.deadStorePass();
     Total.RemovedLoads += R.RemovedLoads;
     Total.LoadsToCopies += R.LoadsToCopies;
     Total.RemovedStores += R.RemovedStores + DeadStores;
-    ++Total.Iterations;
     if (R.RemovedLoads + R.LoadsToCopies + R.RemovedStores + DeadStores == 0)
       break;
   }
+  C.erase();
   return Total;
 }

@@ -515,10 +515,10 @@ const InterferenceGraph &RapAllocator::allocRegion(PdgNode *V) {
 }
 
 InterferenceGraph &RapAllocator::summaryFor(const PdgNode *V) {
-  // V's graph folds in its subregions' summaries: retire the non-loop ones.
+  // V's graph folds in its subregions' summaries: retire them.
   V->forEachSubregion([&](const PdgNode *S) {
     auto It = SavedGraphs.find(S);
-    if (!S->IsLoop && It != SavedGraphs.end())
+    if (It != SavedGraphs.end())
       RetiredSummaries.push_back(SavedGraphs.extract(It));
   });
   auto It = SavedGraphs.find(V);
@@ -615,9 +615,9 @@ void RapAllocator::renameInSubtree(PdgNode *S, Reg OldReg, Reg NewReg) {
     if (I->hasDef() && I->Dst == OldReg)
       I->Dst = NewReg;
   });
-  // Keep the saved graphs of nested (loop) regions and still-live subregion
-  // graphs naming the new register (paper: "the virtual register is then
-  // renamed", §3.1.4 — the loop graphs feed spill-code movement).
+  // Keep the still-live summaries in the subtree naming the new register
+  // (paper: "the virtual register is then renamed", §3.1.4): the parent's
+  // graph build imports them.
   S->forEachNode([&](const PdgNode *N) {
     auto It = SavedGraphs.find(N);
     if (It != SavedGraphs.end())
@@ -789,7 +789,7 @@ AllocStats RapAllocator::run() {
   const InterferenceGraph &Final = allocRegion(F.root());
 
   if (Options.SpillMovement) {
-    MovementResult MR = moveSpillCodeOutOfLoops(F, Final, SavedGraphs, TS);
+    MovementResult MR = moveSpillCodeOutOfLoops(F, Final, TS);
     Stats.HoistedLoads = MR.HoistedLoads;
     Stats.SunkStores = MR.SunkStores;
     Stats.MovementRemovedLoads = MR.RemovedLoads;

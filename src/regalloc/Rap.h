@@ -180,8 +180,8 @@ private:
   void markGlobalNodes(InterferenceGraph &G, const PdgNode *V) const;
 
   /// The SavedGraphs entry to write completed region \p V's summary into.
-  /// Retires the summaries of V's non-loop subregions first, and reuses
-  /// one retired entry's storage when V has no entry yet.
+  /// Retires the summaries of V's subregions first, and reuses one retired
+  /// entry's storage when V has no entry yet.
   InterferenceGraph &summaryFor(const PdgNode *V);
 
   void spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue);
@@ -244,9 +244,10 @@ private:
   /// per allocator.
   CodeEditor Editor;
 
-  /// Combined interference graphs of completed regions. Non-loop entries
-  /// are retired when their parent completes; loop graphs persist for spill
-  /// movement (paper §3.1.5).
+  /// Combined interference graphs of completed regions (paper §3.1.5),
+  /// read by their parent's graph build. An entry is retired when its
+  /// parent completes; spill-code movement reads the final coloring, not
+  /// these.
   std::map<const PdgNode *, InterferenceGraph> SavedGraphs;
 
   //===------------------------------------------------------------------===//

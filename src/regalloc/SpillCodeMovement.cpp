@@ -6,29 +6,34 @@
 
 #include "regalloc/SpillCodeMovement.h"
 
+#include "regalloc/AllocError.h"
 #include "regalloc/AllocSupport.h"
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace rap;
 
 namespace {
 
-struct SlotOps {
-  std::vector<Instr *> Loads;
-  std::vector<Instr *> Stores;
-  std::set<Reg> Regs; ///< registers moving through the slot inside the loop
+/// One slot's traffic inside the loop being decided.
+struct SlotTraffic {
+  Reg First = NoReg;      ///< lowest accessor: the name the slot moves under
+  unsigned Accessors = 0; ///< distinct registers its ldm/stm write or read
+  unsigned Loads = 0;
+  unsigned Stores = 0;
+  int Color = -1;       ///< the first accessor's final color
+  bool OneColor = true; ///< every accessor has Color
+  bool Moves = false;
 };
 
 class Mover {
 public:
-  Mover(IlocFunction &F, const InterferenceGraph &Final,
-        const std::map<const PdgNode *, InterferenceGraph> &SavedGraphs)
-      : F(F), Final(Final), SavedGraphs(SavedGraphs) {}
+  Mover(IlocFunction &F, const InterferenceGraph &Final)
+      : F(F), Final(Final), Traffic(F.numSpillSlots()),
+        SlotStamp(F.numSpillSlots(), 0), RefStamp(F.numVRegs(), 0),
+        AccessStamp(F.numVRegs(), 0), AccessSlot(F.numVRegs(), -1) {}
 
   MovementResult run() {
     walk(F.root());
@@ -54,96 +59,128 @@ private:
   }
 
   void processLoop(PdgNode *L) {
-    std::map<int, SlotOps> Ops;
-    if (SavedGraphs.count(L))
-      Ops = collectOps(L);
-    for (auto &[Slot, SO] : Ops) {
-      // All in-loop accessors of the slot are renamed pieces of one
-      // original virtual register (paper §3.2 / Figure 7: "a single load
-      // for a may be placed prior to the entrance ... and the two loads
-      // within the region can be eliminated"). They may move together when
-      // they all received the same physical register and that register
-      // belongs to them alone inside the loop — the precise form of the
-      // paper's "was not combined with another virtual register" condition,
-      // checked against the final assignment.
-      Reg VL = *SO.Regs.begin();
-      int Color = Final.colorOf(VL);
-      if (Color < 0)
-        continue;
-      if (std::any_of(SO.Regs.begin(), SO.Regs.end(),
-                      [&](Reg R) { return Final.colorOf(R) != Color; }) ||
-          !colorExclusiveInLoop(L, SO.Regs, Color))
-        continue;
+    indexLoop(L);
 
-      // Move: rewrite every accessor to one name, delete the in-loop
-      // traffic, load once before the head, store once after the exit.
-      renameAccessors(L, SO, VL);
-      bool HadStore = !SO.Stores.empty();
-      deleteOps(L, SO);
-      insertPreLoopLoad(L, VL, Slot);
-      ++Res.HoistedLoads;
-      if (HadStore) {
-        insertPostLoopStore(L, VL, Slot);
-        ++Res.SunkStores;
+    // All in-loop accessors of a slot are renamed pieces of one original
+    // virtual register (paper §3.2 / Figure 7: "a single load for a may be
+    // placed prior to the entrance ... and the two loads within the region
+    // can be eliminated"). They may move together when they all received
+    // the same physical register and that register belongs to them alone
+    // inside the loop — the precise form of the paper's "was not combined
+    // with another virtual register" condition, checked against the final
+    // assignment. The accessors are among the loop's registers of their
+    // color, so they are all of them exactly when the counts agree.
+    bool AnyMove = false;
+    for (int Slot : Slots) {
+      SlotTraffic &T = Traffic[Slot];
+      T.Moves = T.Color >= 0 && T.OneColor &&
+                RegsOfColor[T.Color] == T.Accessors;
+      AnyMove |= T.Moves;
+    }
+
+    // A register's spill code always uses its origin's one slot, so two
+    // slots never share an accessor and no move can change another slot's
+    // verdict: the verdicts above all hold on the code the moves leave.
+    if (AnyMove) {
+      moveOut(L);
+      for (int Slot : Slots) {
+        const SlotTraffic &T = Traffic[Slot];
+        if (!T.Moves)
+          continue;
+        Res.RemovedLoads += T.Loads;
+        Res.RemovedStores += T.Stores;
+        insertPreLoopLoad(L, T.First, Slot);
+        ++Res.HoistedLoads;
+        if (T.Stores) {
+          insertPostLoopStore(L, T.First, Slot);
+          ++Res.SunkStores;
+        }
       }
     }
 
-    // Inner loops may still have movable traffic of other slots.
+    // Inner loops may still have movable traffic of other slots; each
+    // indexes the code this loop's moves left.
     unsigned PredIdx = L->loopPredicateIndex();
     walk(L->Children[PredIdx]->TrueRegion);
   }
 
-  std::map<int, SlotOps> collectOps(PdgNode *L) {
-    std::map<int, SlotOps> Ops;
+  /// One walk of \p L: counts, per color, the registers the loop references
+  /// with that color, and collects each slot's in-loop traffic into Slots
+  /// (ascending).
+  void indexLoop(PdgNode *L) {
+    ++Stamp;
+    Slots.clear();
+    std::fill(RegsOfColor.begin(), RegsOfColor.end(), 0);
     L->forEachInstr([&](Instr *I) {
-      if (I->Op == Opcode::LdSpill) {
-        SlotOps &SO = Ops[I->Slot];
-        SO.Loads.push_back(I);
-        SO.Regs.insert(I->Dst);
-      } else if (I->Op == Opcode::StSpill) {
-        SlotOps &SO = Ops[I->Slot];
-        SO.Stores.push_back(I);
-        SO.Regs.insert(I->Src[0]);
-      }
-    });
-    return Ops;
-  }
-
-  bool colorExclusiveInLoop(PdgNode *L, const std::set<Reg> &Owners,
-                            int Color) const {
-    bool Exclusive = true;
-    L->forEachInstr([&](Instr *I) {
-      auto Check = [&](Reg R) {
-        if (!Owners.count(R) && Final.colorOf(R) == Color)
-          Exclusive = false;
-      };
       for (Reg R : I->Src)
-        Check(R);
+        noteRef(R);
       if (I->hasDef())
-        Check(I->Dst);
+        noteRef(I->Dst);
+      if (I->Op == Opcode::LdSpill)
+        noteAccess(I->Slot, I->Dst, /*IsStore=*/false);
+      else if (I->Op == Opcode::StSpill)
+        noteAccess(I->Slot, I->Src[0], /*IsStore=*/true);
     });
-    return Exclusive;
+    std::sort(Slots.begin(), Slots.end());
   }
 
-  /// Rewrites every in-loop reference of the slot's renamed pieces to one
-  /// canonical register. Safe because all pieces share one physical
-  /// register that is exclusively theirs inside the loop.
-  void renameAccessors(PdgNode *L, const SlotOps &SO, Reg VL) {
+  void noteRef(Reg R) {
+    if (RefStamp[R] == Stamp)
+      return;
+    RefStamp[R] = Stamp;
+    int C = Final.colorOf(R);
+    if (C < 0)
+      return;
+    if (static_cast<unsigned>(C) >= RegsOfColor.size())
+      RegsOfColor.resize(C + 1, 0);
+    ++RegsOfColor[C];
+  }
+
+  /// Counts one ldm or stm of \p Slot through \p R.
+  void noteAccess(int Slot, Reg R, bool IsStore) {
+    SlotTraffic &T = Traffic[Slot];
+    if (SlotStamp[Slot] != Stamp) {
+      SlotStamp[Slot] = Stamp;
+      T = SlotTraffic();
+      Slots.push_back(Slot);
+    }
+    ++(IsStore ? T.Stores : T.Loads);
+    if (AccessStamp[R] == Stamp) {
+      allocCheck(AccessSlot[R] == Slot, AllocErrorKind::InvariantViolation,
+                 "a register's spill code uses two slots");
+      return;
+    }
+    AccessStamp[R] = Stamp;
+    AccessSlot[R] = Slot;
+    int C = Final.colorOf(R);
+    if (T.Accessors++ == 0) {
+      T.First = R;
+      T.Color = C;
+    } else {
+      T.First = std::min(T.First, R);
+      T.OneColor &= C == T.Color;
+    }
+  }
+
+  /// Renames every in-loop reference of a moving slot's accessors to its
+  /// first accessor, and deletes the moving slots' in-loop loads and
+  /// stores. Safe because each slot's accessors share one physical register
+  /// that is exclusively theirs inside the loop.
+  void moveOut(PdgNode *L) {
+    auto Rename = [&](Reg &R) {
+      if (AccessStamp[R] == Stamp && Traffic[AccessSlot[R]].Moves)
+        R = Traffic[AccessSlot[R]].First;
+    };
     L->forEachInstr([&](Instr *I) {
       for (Reg &R : I->Src)
-        if (R != VL && SO.Regs.count(R))
-          R = VL;
-      if (I->hasDef() && I->Dst != VL && SO.Regs.count(I->Dst))
-        I->Dst = VL;
+        Rename(R);
+      if (I->hasDef())
+        Rename(I->Dst);
     });
-  }
-
-  void deleteOps(PdgNode *L, const SlotOps &SO) {
-    std::set<Instr *> Dead(SO.Loads.begin(), SO.Loads.end());
-    Dead.insert(SO.Stores.begin(), SO.Stores.end());
-    Res.RemovedLoads += static_cast<unsigned>(SO.Loads.size());
-    Res.RemovedStores += static_cast<unsigned>(SO.Stores.size());
-    L->eraseInstrs(Dead);
+    L->eraseInstrs([&](const Instr *I) {
+      return (I->Op == Opcode::LdSpill || I->Op == Opcode::StSpill) &&
+             Traffic[I->Slot].Moves;
+    });
   }
 
   /// A fresh spill node immediately before the loop head: after any
@@ -170,18 +207,28 @@ private:
 
   IlocFunction &F;
   const InterferenceGraph &Final;
-  const std::map<const PdgNode *, InterferenceGraph> &SavedGraphs;
   MovementResult Res;
+
+  // The index of the loop being decided. A per-slot or per-register entry
+  // is current when its stamp equals Stamp, so a loop clears only the
+  // per-color counts.
+  unsigned Stamp = 0;
+  std::vector<unsigned> RegsOfColor; ///< per color: registers referenced
+  std::vector<int> Slots;            ///< slots with in-loop traffic, ascending
+  std::vector<SlotTraffic> Traffic;  ///< per slot
+  std::vector<unsigned> SlotStamp;   ///< per slot
+  std::vector<unsigned> RefStamp;    ///< per register: referenced in the loop
+  std::vector<unsigned> AccessStamp; ///< per register: accessor in the loop
+  std::vector<int> AccessSlot;       ///< per register: the slot it accesses
 };
 
 } // namespace
 
-MovementResult rap::moveSpillCodeOutOfLoops(
-    IlocFunction &F, const InterferenceGraph &Final,
-    const std::map<const PdgNode *, InterferenceGraph> &SavedGraphs,
-    telemetry::FunctionScope *Scope) {
+MovementResult rap::moveSpillCodeOutOfLoops(IlocFunction &F,
+                                            const InterferenceGraph &Final,
+                                            telemetry::FunctionScope *Scope) {
   telemetry::ScopedPhase Phase(Scope, "movement");
-  MovementResult Res = Mover(F, Final, SavedGraphs).run();
+  MovementResult Res = Mover(F, Final).run();
   Phase.arg("hoisted_loads", Res.HoistedLoads);
   Phase.arg("sunk_stores", Res.SunkStores);
   return Res;

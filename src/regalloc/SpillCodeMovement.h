@@ -7,18 +7,20 @@
 /// \file
 /// RAP phase 2 (paper §3.2): a top-down pass that moves spill loads above
 /// loops and spill stores below them. A slot's traffic may leave a loop
-/// region when (a) all accesses inside the loop are through a single virtual
-/// register, (b) that register was not combined with another one in the
-/// loop's saved interference graph — the paper's condition, meaning the
-/// register's color belongs to it alone inside the loop — and (c) no other
-/// virtual register referenced in the loop received the same final color
-/// (which guards the hierarchy against a parent-level first-fit merge of two
-/// non-interfering loop nodes). Hoisted code lands in fresh spill nodes
+/// region when every register its in-loop loads and stores write or read
+/// (its accessors, renamed pieces of one virtual register) received the
+/// same final color, and no other register the loop references has that
+/// color. That is the paper's condition that the register "was not
+/// combined with another virtual register" in the loop, read off the final
+/// assignment, so no saved loop graph is consulted. The accessors are then
+/// renamed to one of them. Hoisted code lands in fresh spill nodes
 /// immediately before the loop head and immediately after the loop exit,
 /// the paper's "special spill nodes".
 ///
 /// Outermost loops are processed first so spill code leaves an entire nest
-/// when possible.
+/// when possible. Each loop is decided from one index of its code, built
+/// after the enclosing loops' moves: per color, the registers the loop
+/// references with it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +29,6 @@
 
 #include "ir/IlocFunction.h"
 #include "regalloc/InterferenceGraph.h"
-
-#include <map>
 
 namespace rap {
 
@@ -46,13 +46,11 @@ struct MovementResult {
 };
 
 /// Runs the movement pass over \p F (still in virtual registers, colored by
-/// \p Final). \p SavedGraphs must contain the combined interference graph
-/// of every loop region. With a telemetry \p Scope, the pass is timed as a
-/// "movement" slice.
-MovementResult moveSpillCodeOutOfLoops(
-    IlocFunction &F, const InterferenceGraph &Final,
-    const std::map<const PdgNode *, InterferenceGraph> &SavedGraphs,
-    telemetry::FunctionScope *Scope = nullptr);
+/// \p Final). With a telemetry \p Scope, the pass is timed as a "movement"
+/// slice.
+MovementResult
+moveSpillCodeOutOfLoops(IlocFunction &F, const InterferenceGraph &Final,
+                        telemetry::FunctionScope *Scope = nullptr);
 
 } // namespace rap
 

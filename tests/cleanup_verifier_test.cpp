@@ -16,6 +16,8 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+
 using namespace rap;
 
 namespace {
@@ -29,7 +31,7 @@ struct DiamondBuilder {
   PdgNode *Entry, *Then, *Join;
   PdgNode *Pred;
 
-  DiamondBuilder() {
+  explicit DiamondBuilder(unsigned NumSlots = 4) {
     PdgNode *Root = F.createNode(PdgNodeKind::Region);
     F.setRoot(Root);
     Entry = addStmt(Root);
@@ -47,7 +49,7 @@ struct DiamondBuilder {
     Pred->TrueRegion->Parent = Pred;
     Then = addStmt(Pred->TrueRegion);
     Join = addStmt(Root);
-    for (int I = 0; I < 4; ++I)
+    for (unsigned I = 0; I != NumSlots; ++I)
       F.newSpillSlot();
     // Register namespace for the hand-written code below (the verifier's
     // liveness needs the universe size).
@@ -169,6 +171,41 @@ TEST(GlobalCleanup, LoadBecomesCopyWhenValueInOtherRegister) {
   GlobalCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.LoadsToCopies, 1u);
   EXPECT_EQ(B.countOps(Opcode::Mv), 1u);
+}
+
+TEST(GlobalCleanup, FactsAcrossTheWordBoundaryOfARegistersSlots) {
+  // 70 slots at k=9: each register's slots span two 64-bit words. The then
+  // arm kills r0 and r8 and overwrites s64; r1's s5 and r7's s69 must
+  // survive those kills into the join.
+  DiamondBuilder B(70);
+  B.emit(B.Entry, Opcode::LdSpill, 0, {}, 63);
+  B.emit(B.Entry, Opcode::LdSpill, 8, {}, 64);
+  Instr *Dead = B.emit(B.Entry, Opcode::StSpill, NoReg, {8}, 69);
+  B.emit(B.Entry, Opcode::Mv, 7, {8}); // r7 holds s64 and s69
+  B.emit(B.Entry, Opcode::LdSpill, 1, {}, 5);
+  B.emit(B.Then, Opcode::Add, 0, {2, 2}); // kills r0
+  B.emit(B.Then, Opcode::Add, 8, {2, 2}); // kills r8
+  B.emit(B.Then, Opcode::StSpill, NoReg, {3}, 64);
+  Instr *Lost = B.emit(B.Join, Opcode::LdSpill, 0, {}, 63);
+  Instr *Held = B.emit(B.Join, Opcode::LdSpill, 1, {}, 5);
+  Instr *Copy = B.emit(B.Join, Opcode::LdSpill, 6, {}, 69);
+  Instr *Split = B.emit(B.Join, Opcode::LdSpill, 4, {}, 64);
+  B.emit(B.Join, Opcode::Ret, NoReg, {6});
+  B.F.setAllocated(9);
+  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  EXPECT_EQ(R.RemovedLoads, 1u);
+  EXPECT_EQ(R.LoadsToCopies, 1u);
+  EXPECT_EQ(R.RemovedStores, 1u); // s69's store: its one reader is a copy
+  EXPECT_EQ(R.Iterations, 2u);
+  std::vector<Instr *> Code = linearize(B.F).Instrs;
+  for (Instr *Gone : {Held, Dead})
+    EXPECT_EQ(std::count(Code.begin(), Code.end(), Gone), 0);
+  EXPECT_EQ(Lost->Op, Opcode::LdSpill);
+  EXPECT_EQ(Split->Op, Opcode::LdSpill);
+  EXPECT_EQ(Copy->Op, Opcode::Mv);
+  ASSERT_EQ(Copy->Src.size(), 1u);
+  EXPECT_EQ(Copy->Src[0], 7u);
+  EXPECT_EQ(B.countOps(Opcode::StSpill), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,8 +8,9 @@
 /// Pins the allocated ILOC of both allocators to recorded hashes, so a
 /// change meant to leave the output alone (a performance change to the
 /// allocator, a refactor) is checked to be bit-identical. Covers the
-/// paper's Table 1 (37 routines x k in {3,5,7,9} x {RAP, GRA}) and one
-/// spill-heavy generated deep function.
+/// paper's Table 1 (37 routines x k in {3,5,7,9} x {RAP, GRA}), one
+/// spill-heavy generated deep function, and 100 random programs under the
+/// configurations that run RAP's spill-code passes (GoldenRandom).
 ///
 /// A second suite pins what the allocators report about that output: per
 /// Table 1 routine, one hash over its rap-stats-v1 documents and Chrome
@@ -24,6 +25,7 @@
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
+#include "fuzz/RandomProgram.h"
 #include "fuzz/ScaleProgram.h"
 #include "support/Hash.h"
 #include "support/Json.h"
@@ -39,9 +41,20 @@ using namespace rap;
 
 namespace {
 
-/// FNV hash of every allocated function: its printed code (signature and
-/// linearized body), the registers its parameters arrive in, and its spill
-/// slot count. Rendered as 16 hex digits.
+/// Adds every allocated function of \p Prog to \p H: its printed code
+/// (signature and linearized body), the registers its parameters arrive in,
+/// and its spill slot count.
+void hashFunctions(Hasher &H, const IlocProgram &Prog) {
+  for (const auto &F : Prog.functions()) {
+    H.str(F->str());
+    for (unsigned P = 0; P != F->numParams(); ++P)
+      H.u32(F->paramReg(P));
+    H.u32(static_cast<uint32_t>(F->numSpillSlots()));
+  }
+}
+
+/// FNV hash of every function of \p Source allocated by \p Kind at \p K
+/// (see hashFunctions), rendered as 16 hex digits.
 std::string allocatedHash(const std::string &Source, AllocatorKind Kind,
                           unsigned K) {
   CompileOptions Options;
@@ -52,12 +65,7 @@ std::string allocatedHash(const std::string &Source, AllocatorKind Kind,
   if (!CR.ok())
     return "";
   Hasher H;
-  for (const auto &F : CR.Prog->functions()) {
-    H.str(F->str());
-    for (unsigned P = 0; P != F->numParams(); ++P)
-      H.u32(F->paramReg(P));
-    H.u32(static_cast<uint32_t>(F->numSpillSlots()));
-  }
+  hashFunctions(H, *CR.Prog);
   return hashHex(H.value());
 }
 
@@ -338,6 +346,83 @@ TEST(GoldenOutput, Table1CoversEveryRoutine) {
   EXPECT_EQ(std::size(Table1Hashes), benchPrograms().size());
   EXPECT_EQ(std::size(Table1StatsHashes), benchPrograms().size());
 }
+
+//===----------------------------------------------------------------------===//
+// Random programs through the spill-code passes
+//===----------------------------------------------------------------------===//
+
+/// FNV hash of fuzz::RandomProgramBuilder seeds [FirstSeed, FirstSeed + 10)
+/// allocated at k in {3, 5} under four configurations: RAP with its
+/// defaults, RAP without movement, RAP without the dataflow cleanup, and
+/// GRA with the Figure 6 peephole. Each compile adds its functions (see
+/// hashFunctions) and the movement, peephole and cleanup counters.
+std::string randomBlockHash(unsigned FirstSeed) {
+  Hasher H;
+  for (unsigned Seed = FirstSeed; Seed != FirstSeed + 10; ++Seed) {
+    std::string Src = fuzz::RandomProgramBuilder(Seed).build();
+    for (unsigned K : {3u, 5u}) {
+      for (unsigned Config = 0; Config != 4; ++Config) {
+        CompileOptions Options;
+        Options.Allocator =
+            Config == 3 ? AllocatorKind::Gra : AllocatorKind::Rap;
+        Options.Alloc.K = K;
+        Options.Alloc.SpillMovement = Config != 1;
+        Options.Alloc.GlobalCleanup = Config != 2;
+        Options.Alloc.PeepholeForGra = Config == 3;
+        CompileResult CR = compileMiniC(Src, Options);
+        EXPECT_TRUE(CR.ok() && !CR.degraded())
+            << "seed " << Seed << " k=" << K << " config " << Config << ": "
+            << CR.Errors;
+        if (!CR.ok())
+          return "";
+        hashFunctions(H, *CR.Prog);
+        const AllocStats &S = CR.Alloc;
+        for (unsigned C :
+             {S.HoistedLoads, S.SunkStores, S.MovementRemovedLoads,
+              S.MovementRemovedStores, S.PeepholeRemovedLoads,
+              S.PeepholeRemovedStores, S.PeepholeLoadsToCopies,
+              S.CleanupRemovedLoads, S.CleanupRemovedStores,
+              S.CleanupLoadsToCopies, S.CleanupIterations})
+          H.u32(C);
+      }
+    }
+  }
+  return hashHex(H.value());
+}
+
+struct GoldenRandomBlock {
+  unsigned FirstSeed;
+  const char *Hash;
+};
+
+void PrintTo(const GoldenRandomBlock &G, std::ostream *OS) {
+  *OS << "seeds " << G.FirstSeed << "-" << G.FirstSeed + 9;
+}
+
+// clang-format off
+const GoldenRandomBlock RandomHashes[] = {
+  {0, "ab7f3e6f7ca7d407"},  {10, "0a81fe5e619c1cd4"},
+  {20, "e22d8dc631df273f"}, {30, "372af085bbbc846b"},
+  {40, "5a5ae3598ce3fbce"}, {50, "972ef6e7dce90290"},
+  {60, "b1c5760becff9a58"}, {70, "19a30bcedfe8c8e7"},
+  {80, "ca4ca0cc1de168c0"}, {90, "408bdf30d06343b7"},
+};
+// clang-format on
+
+class GoldenRandom : public ::testing::TestWithParam<GoldenRandomBlock> {};
+
+TEST_P(GoldenRandom, AllocatedIlocAndPassCountersMatchRecordedHash) {
+  const GoldenRandomBlock &G = GetParam();
+  EXPECT_EQ(randomBlockHash(G.FirstSeed), G.Hash)
+      << "seeds " << G.FirstSeed << "-" << G.FirstSeed + 9;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, GoldenRandom, ::testing::ValuesIn(RandomHashes),
+    [](const ::testing::TestParamInfo<GoldenRandomBlock> &Info) {
+      return "seeds_" + std::to_string(Info.param.FirstSeed) + "_" +
+             std::to_string(Info.param.FirstSeed + 9);
+    });
 
 TEST(GoldenOutput, SpillHeavyDeepFunction) {
   // Many regions under k=3 pressure: thousands of spill decisions, region

@@ -9,8 +9,12 @@
 #include "driver/Pipeline.h"
 #include "interp/Interpreter.h"
 #include "regalloc/Allocator.h"
+#include "regalloc/SpillCodeMovement.h"
 
 #include "gtest/gtest.h"
+
+#include <utility>
+#include <vector>
 
 using namespace rap;
 using rap::test::compile;
@@ -77,6 +81,178 @@ TEST(SpillMovement, AllBenchConfigsStayCorrectWithoutLaterPhases) {
           << "k=" << K;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The movement rule on hand-built loops and colorings
+//===----------------------------------------------------------------------===//
+
+/// A function in virtual registers with loop regions built by hand, and a
+/// final graph that gives each register its color (one node per register).
+struct LoopFunction {
+  IlocFunction F{"test"};
+  InterferenceGraph Final;
+
+  LoopFunction() {
+    F.setRoot(F.createNode(PdgNodeKind::Region));
+    for (int I = 0; I != 4; ++I)
+      F.newSpillSlot();
+    for (int I = 0; I != 32; ++I)
+      F.newVReg();
+  }
+
+  PdgNode *stmt(PdgNode *Region) {
+    PdgNode *S = F.createNode(PdgNodeKind::Statement);
+    S->Parent = Region;
+    Region->Children.push_back(S);
+    return S;
+  }
+
+  /// Appends a loop region to \p Region whose predicate branches on
+  /// \p Cond; returns the loop region. Its body is bodyOf(loop).
+  PdgNode *loop(PdgNode *Region, Reg Cond) {
+    PdgNode *L = F.createNode(PdgNodeKind::Region);
+    L->IsLoop = true;
+    L->Parent = Region;
+    Region->Children.push_back(L);
+    PdgNode *P = F.createNode(PdgNodeKind::Predicate);
+    P->Parent = L;
+    L->Children.push_back(P);
+    P->Branch = F.createInstr(Opcode::Cbr);
+    P->Branch->Src = {Cond};
+    P->TrueRegion = F.createNode(PdgNodeKind::Region);
+    P->TrueRegion->Parent = P;
+    return L;
+  }
+  static PdgNode *bodyOf(PdgNode *L) {
+    return L->Children[L->loopPredicateIndex()]->TrueRegion;
+  }
+
+  Instr *emit(PdgNode *S, Opcode Op, Reg Dst, std::vector<Reg> Src,
+              int Slot = -1) {
+    Instr *I = F.createInstr(Op);
+    I->Dst = Dst;
+    I->Src = Src;
+    I->Slot = Slot;
+    S->Code.push_back(I);
+    return I;
+  }
+
+  void color(Reg R, int C) { Final.node(Final.getOrCreateNode(R)).Color = C; }
+
+  MovementResult run() { return moveSpillCodeOutOfLoops(F, Final); }
+
+  /// The spill loads (or stores) of \p Slot in \p N's subtree.
+  static unsigned spillOps(const PdgNode *N, Opcode Op, int Slot) {
+    unsigned Count = 0;
+    N->forEachInstr([&](Instr *I) { Count += I->Op == Op && I->Slot == Slot; });
+    return Count;
+  }
+};
+
+TEST(SpillMovementRule, SlotsWhoseAccessorsShareAColorStay) {
+  LoopFunction B;
+  PdgNode *L = B.loop(B.F.root(), 20);
+  PdgNode *S = B.stmt(LoopFunction::bodyOf(L));
+  B.emit(S, Opcode::LdSpill, 10, {}, 0);
+  B.emit(S, Opcode::Add, 12, {10, 10});
+  B.emit(S, Opcode::LdSpill, 11, {}, 1);
+  B.emit(S, Opcode::Add, 13, {11, 11});
+  for (auto [R, C] :
+       {std::pair{10u, 0}, {11u, 0}, {12u, 1}, {13u, 1}, {20u, 2}})
+    B.color(R, C);
+  MovementResult R = B.run();
+  EXPECT_EQ(R.HoistedLoads, 0u);
+  EXPECT_EQ(R.removedOps(), 0u);
+  EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 0), 1u);
+  EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 1), 1u);
+}
+
+TEST(SpillMovementRule, AnotherInLoopRegisterOfTheColorBlocksTheMove) {
+  LoopFunction B;
+  PdgNode *L = B.loop(B.F.root(), 20);
+  PdgNode *S = B.stmt(LoopFunction::bodyOf(L));
+  B.emit(S, Opcode::LdSpill, 10, {}, 0);
+  B.emit(S, Opcode::Add, 11, {10, 10}); // r11 is no accessor of s0
+  for (auto [R, C] : {std::pair{10u, 0}, {11u, 0}, {20u, 2}})
+    B.color(R, C);
+  MovementResult R = B.run();
+  EXPECT_EQ(R.HoistedLoads, 0u);
+  EXPECT_EQ(R.removedOps(), 0u);
+  EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 0), 1u);
+}
+
+TEST(SpillMovementRule, TheColorUsedOnlyOutsideTheLoopLetsTheSlotMove) {
+  LoopFunction B;
+  PdgNode *Before = B.stmt(B.F.root());
+  B.emit(Before, Opcode::LoadI, 11, {}); // color 0, outside the loop
+  PdgNode *L = B.loop(B.F.root(), 20);
+  PdgNode *S = B.stmt(LoopFunction::bodyOf(L));
+  B.emit(S, Opcode::LdSpill, 10, {}, 0);
+  Instr *Piece = B.emit(S, Opcode::Add, 15, {10, 10}); // r15: another piece
+  B.emit(S, Opcode::StSpill, NoReg, {15}, 0);
+  PdgNode *After = B.stmt(B.F.root());
+  Instr *Use = B.emit(After, Opcode::Add, 12, {11, 11});
+  for (auto [R, C] : {std::pair{10u, 0}, {11u, 0}, {15u, 0}, {12u, 1},
+                      {20u, 2}})
+    B.color(R, C);
+  MovementResult R = B.run();
+  EXPECT_EQ(R.HoistedLoads, 1u);
+  EXPECT_EQ(R.SunkStores, 1u);
+  EXPECT_EQ(R.RemovedLoads, 1u);
+  EXPECT_EQ(R.RemovedStores, 1u);
+  // The accessors are renamed to the lowest one; code outside is untouched.
+  EXPECT_EQ(Piece->Dst, 10u);
+  EXPECT_EQ(Use->Src[0], 11u);
+  // ldm before the loop head, the loop, stm after the exit.
+  unsigned P = L->loopPredicateIndex();
+  ASSERT_EQ(L->Children.size(), 3u);
+  ASSERT_EQ(P, 1u);
+  ASSERT_EQ(L->Children[0]->Code.size(), 1u);
+  EXPECT_EQ(L->Children[0]->Code[0]->Op, Opcode::LdSpill);
+  EXPECT_EQ(L->Children[0]->Code[0]->Dst, 10u);
+  ASSERT_EQ(L->Children[2]->Code.size(), 1u);
+  EXPECT_EQ(L->Children[2]->Code[0]->Op, Opcode::StSpill);
+  EXPECT_EQ(L->Children[2]->Code[0]->Src[0], 10u);
+  EXPECT_EQ(LoopFunction::spillOps(LoopFunction::bodyOf(L), Opcode::LdSpill, 0),
+            0u);
+  EXPECT_EQ(LoopFunction::spillOps(LoopFunction::bodyOf(L), Opcode::StSpill, 0),
+            0u);
+}
+
+TEST(SpillMovementRule, AnInnerLoopIsDecidedOnTheCodeTheOuterMoveLeft) {
+  // s0 leaves the whole nest; s2's color is also used in the outer body,
+  // so s2 leaves only the inner loop.
+  LoopFunction B;
+  PdgNode *Outer = B.loop(B.F.root(), 20);
+  PdgNode *OuterBody = LoopFunction::bodyOf(Outer);
+  B.emit(B.stmt(OuterBody), Opcode::LoadI, 16, {}); // color 1
+  PdgNode *Inner = B.loop(OuterBody, 21);
+  PdgNode *S = B.stmt(LoopFunction::bodyOf(Inner));
+  B.emit(S, Opcode::LdSpill, 10, {}, 0);
+  B.emit(S, Opcode::LdSpill, 12, {}, 2);
+  B.emit(S, Opcode::Add, 13, {10, 12});
+  for (auto [R, C] : {std::pair{10u, 0}, {12u, 1}, {16u, 1}, {13u, 2},
+                      {20u, 2}, {21u, 2}})
+    B.color(R, C);
+  MovementResult R = B.run();
+  EXPECT_EQ(R.HoistedLoads, 2u);
+  EXPECT_EQ(R.RemovedLoads, 2u);
+  EXPECT_EQ(R.SunkStores, 0u);
+  // One load of s0, before the outer loop; one of s2, before the inner.
+  ASSERT_EQ(Outer->loopPredicateIndex(), 1u);
+  EXPECT_EQ(LoopFunction::spillOps(Outer->Children[0], Opcode::LdSpill, 0),
+            1u);
+  EXPECT_EQ(LoopFunction::spillOps(Outer, Opcode::LdSpill, 0), 1u);
+  ASSERT_EQ(Inner->loopPredicateIndex(), 1u);
+  EXPECT_EQ(LoopFunction::spillOps(Inner->Children[0], Opcode::LdSpill, 2),
+            1u);
+  EXPECT_EQ(LoopFunction::spillOps(Outer, Opcode::LdSpill, 2), 1u);
+  EXPECT_EQ(LoopFunction::spillOps(LoopFunction::bodyOf(Inner),
+                                  Opcode::LdSpill, 0) +
+                LoopFunction::spillOps(LoopFunction::bodyOf(Inner),
+                                      Opcode::LdSpill, 2),
+            0u);
 }
 
 //===----------------------------------------------------------------------===//

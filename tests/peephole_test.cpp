@@ -16,6 +16,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <utility>
+
 using namespace rap;
 
 namespace {
@@ -25,15 +28,15 @@ struct FuncBuilder {
   IlocFunction F{"test"};
   PdgNode *Stmt = nullptr;
 
-  FuncBuilder() {
+  explicit FuncBuilder(unsigned NumSlots = 2) {
     PdgNode *Root = F.createNode(PdgNodeKind::Region);
     F.setRoot(Root);
     Stmt = F.createNode(PdgNodeKind::Statement);
     Stmt->Parent = Root;
     Root->Children.push_back(Stmt);
     // Slots used by the tests.
-    F.newSpillSlot();
-    F.newSpillSlot();
+    for (unsigned S = 0; S != NumSlots; ++S)
+      F.newSpillSlot();
   }
 
   Instr *ldm(Reg Dst, int Slot) {
@@ -71,8 +74,8 @@ struct FuncBuilder {
     return I;
   }
 
-  PeepholeResult finish() {
-    F.setAllocated(4);
+  PeepholeResult finish(unsigned K = 4) {
+    F.setAllocated(K);
     return peepholeSpillCleanup(F);
   }
 
@@ -179,6 +182,49 @@ TEST(PeepholeFig6, CopyChainPropagatesEquivalence) {
   B.ret(1);
   PeepholeResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 1u);
+}
+
+TEST(PeepholeFig6, FactsAcrossTheWordBoundaryOfARegistersSlots) {
+  // 70 slots at k=9: each register's slots span two 64-bit words. Loads,
+  // stores and copies on slots 63, 64 and 69 (the last), and register
+  // kills of r0 and r8, must each touch exactly their own register and
+  // slot: a kill of r0 or r8 must not clear r1's or r7's slots.
+  FuncBuilder B(70);
+  B.ldm(0, 63);
+  B.ldm(8, 64);
+  B.stm(69, 0);                 // r0 holds s63 and s69
+  Instr *ToR7 = B.ldm(7, 63);   // -> mv r7, r0
+  B.ldm(1, 5);
+  B.add(0, 1, 1);               // kills r0
+  Instr *Dup1 = B.ldm(1, 5);    // r1 still holds s5: deleted
+  B.add(8, 1, 1);               // kills r8
+  Instr *Dup7 = B.ldm(7, 69);   // r7 still holds s69: deleted
+  Instr *Kept = B.ldm(2, 64);   // nobody holds s64 any more
+  B.mv(8, 2);
+  Instr *Same = B.stm(64, 8);   // r8 holds s64: deleted
+  B.stm(63, 2);                 // only r2 holds s63 now
+  Instr *ToR0 = B.ldm(0, 63);   // -> mv r0, r2
+  Instr *Lowest = B.ldm(3, 64); // r0, r2 and r8 hold s64: mv r3, r0
+  Instr *From7 = B.ldm(8, 69);  // -> mv r8, r7
+  B.stm(64, 4);                 // only r4 holds s64 now
+  Instr *From4 = B.ldm(3, 64);  // -> mv r3, r4
+  B.stm(69, 5);                 // only r5 holds s69 now
+  Instr *From5 = B.ldm(8, 69);  // -> mv r8, r5
+  B.ret(8);
+  PeepholeResult R = B.finish(9);
+  EXPECT_EQ(R.RemovedLoads, 2u);
+  EXPECT_EQ(R.RemovedStores, 1u);
+  EXPECT_EQ(R.LoadsToCopies, 6u);
+  std::vector<Instr *> Code = linearize(B.F).Instrs;
+  for (Instr *Gone : {Dup1, Dup7, Same})
+    EXPECT_EQ(std::count(Code.begin(), Code.end(), Gone), 0);
+  EXPECT_EQ(Kept->Op, Opcode::LdSpill);
+  for (auto [Copy, Src] : {std::pair{ToR7, 0u}, {ToR0, 2u}, {Lowest, 0u},
+                           {From7, 7u}, {From4, 4u}, {From5, 5u}}) {
+    EXPECT_EQ(Copy->Op, Opcode::Mv);
+    ASSERT_EQ(Copy->Src.size(), 1u);
+    EXPECT_EQ(Copy->Src[0], Src);
+  }
 }
 
 } // namespace
