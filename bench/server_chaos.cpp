@@ -14,9 +14,6 @@
 //   shutdown         the stop flag flips mid-request (as if SIGTERM landed);
 //                    the harness then drains that server instance and starts
 //                    a fresh one — the crash-only restart — and replays on
-//   journal-write    a durable-cache journal append fails (DESIGN.md §15);
-//                    the store must degrade to in-memory-only, never crash
-//   snapshot-compact a snapshot compaction fails; same degrade contract
 //
 // The trace mixes plain compiles, deadline-carrying compiles, batches,
 // pings, stats, malformed JSON, and an oversized line. Two passes run: a
@@ -50,7 +47,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -223,10 +219,6 @@ struct PassStats {
   uint64_t Restarts = 0;
   uint64_t ChaosInjected = 0;
   uint64_t WatchdogTrips = 0;
-  // Durable-cache telemetry (passes with Service.CacheDir set).
-  bool StoreDegraded = false;
-  uint64_t JournalAppends = 0;
-  uint64_t Compactions = 0;
   /// id -> output_hash of ok compile responses.
   std::map<int64_t, std::string> OkHashes;
 
@@ -234,11 +226,6 @@ struct PassStats {
   void fold(const ServiceCounters &C) {
     ChaosInjected += C.ChaosInjected;
     WatchdogTrips += C.WatchdogTrips;
-    if (C.Recovery) {
-      StoreDegraded |= C.Recovery->Degraded;
-      JournalAppends += C.Recovery->Appends;
-      Compactions += C.Recovery->Compactions;
-    }
   }
 };
 
@@ -527,67 +514,6 @@ int main(int argc, char **argv) {
   if (Chaos.DeadlineExceeded == 0)
     fatal("no deadline-exceeded responses in the soak");
 
-  //===--------------------------------------------------------------------===//
-  // Durable-cache chaos (DESIGN.md §15): replay the same trace against a
-  // persistent store while each persistence fault site fires. The contract
-  // is degrade-to-memory-only: the server keeps answering (same responses,
-  // same hashes), persistence just stops. A fault-free persistent pass runs
-  // first to prove the journal/compaction machinery actually engaged.
-  //===--------------------------------------------------------------------===//
-
-  namespace fs = std::filesystem;
-  fs::path PersistRoot =
-      fs::temp_directory_path() /
-      ("rap_server_chaos_" + std::to_string(Flags.Seed));
-  std::error_code EC;
-  fs::remove_all(PersistRoot, EC);
-
-  auto persistPass = [&](const char *Name, FaultPlan Plan) {
-    ServerConfig PC = Base;
-    PC.Service.CacheDir = (PersistRoot / Name).string();
-    // Tiny threshold so compaction runs many times inside one soak.
-    PC.Service.CacheCompactBytes = 4096;
-    PC.Service.Chaos = std::move(Plan);
-    PassStats St = runPass(T, PC, /*Chaos=*/true);
-    if (St.Responses != Ref.Responses)
-      fatal("%s pass lost responses: %llu vs %llu fault-free", Name,
-            static_cast<unsigned long long>(St.Responses),
-            static_cast<unsigned long long>(Ref.Responses));
-    for (const auto &[Id, Hash] : St.OkHashes) {
-      auto It = Ref.OkHashes.find(Id);
-      if (It == Ref.OkHashes.end() || It->second != Hash)
-        fatal("%s pass: request %lld output diverged", Name,
-              static_cast<long long>(Id));
-    }
-    return St;
-  };
-
-  PassStats PersistRef = persistPass("fault-free", FaultPlan());
-  if (PersistRef.StoreDegraded)
-    fatal("fault-free persistent pass degraded the store");
-  if (PersistRef.JournalAppends == 0)
-    fatal("fault-free persistent pass never journaled");
-  if (PersistRef.Compactions == 0)
-    fatal("fault-free persistent pass never compacted (threshold too high?)");
-
-  auto oneSite = [&](FaultSite Site) {
-    FaultPlan P;
-    FaultPlan::Arm A;
-    A.Site = Site;
-    A.Nth = 1 + static_cast<unsigned>(Rand.next() % 4);
-    P.Arms.push_back(A);
-    return P;
-  };
-  PassStats PJournal =
-      persistPass("journal-write", oneSite(FaultSite::JournalWrite));
-  if (!PJournal.StoreDegraded)
-    fatal("journal-write site never fired (store not degraded)");
-  PassStats PCompact =
-      persistPass("snapshot-compact", oneSite(FaultSite::SnapshotCompact));
-  if (!PCompact.StoreDegraded)
-    fatal("snapshot-compact site never fired (store not degraded)");
-  fs::remove_all(PersistRoot, EC);
-
   if (!Flags.SkipDeadlineProbe)
     checkDeadlineLatency(Flags.Shards);
 
@@ -607,10 +533,6 @@ int main(int argc, char **argv) {
     Row["hashes_compared"] = Compared;
     Row["hash_mismatches"] = static_cast<uint64_t>(0);
     Row["lost_responses"] = static_cast<uint64_t>(0);
-    Row["persist_journal_appends"] = PersistRef.JournalAppends;
-    Row["persist_compactions"] = PersistRef.Compactions;
-    Row["persist_degraded_runs"] = static_cast<uint64_t>(
-        (PJournal.StoreDegraded ? 1 : 0) + (PCompact.StoreDegraded ? 1 : 0));
     json::Array Rows;
     Rows.push_back(json::Value(std::move(Row)));
     json::Object Root;
@@ -640,10 +562,5 @@ int main(int argc, char **argv) {
   std::printf("  %llu ok responses byte-identical to the fault-free run; "
               "0 lost, 0 wedged shards\n",
               static_cast<unsigned long long>(Compared));
-  std::printf("  persistence: appends=%llu compactions=%llu; journal-write "
-              "and snapshot-compact faults both degraded to memory-only "
-              "with identical responses\n",
-              static_cast<unsigned long long>(PersistRef.JournalAppends),
-              static_cast<unsigned long long>(PersistRef.Compactions));
   return 0;
 }

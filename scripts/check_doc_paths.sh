@@ -2,7 +2,7 @@
 # Fails unless every repository path the docs cite exists. Scans DESIGN.md,
 # README.md, EXPERIMENTS.md and the verify skill for paths that start with
 # src/, tests/, bench/, scripts/, examples/ or perfbench/. A cited path may
-# be a glob (`src/server/Cache*`, `bench/server_{load,chaos}.cpp`) and may
+# be a glob (`src/server/Alloc*`, `bench/server_{load,chaos}.cpp`) and may
 # stop at a file-name prefix (`tests/golden_output_test` for the .cpp);
 # paths under a build directory (`build/bench/alloc_cost`) are exempt.
 #

@@ -11,22 +11,31 @@
 #      trace's final `stats` op (and --stats=text's `server:` line must
 #      carry the same object);
 #   2. replays a shorter trace over a unix-domain socket (the second
-#      transport) with the same assertions;
-#   3. drains rapd with a real SIGTERM landing mid-batch and asserts the
+#      transport) with the same assertions; a client that sends a compile
+#      and hangs up before its reply must not kill rapd (a ping on a new
+#      connection still answers), and 200 sequential connections must grow
+#      rapd's VmSize (/proc/<pid>/status) by less than 64 MB — finished
+#      connection threads are joined, not kept;
+#   3. asserts stale-socket handling with rapc: a dead socket file is
+#      rebound, a live server's socket is refused with a `socket-in-use`
+#      error and exit 1, and `rapc ping` / `rapc shutdown` work against it;
+#   4. drains rapd with a real SIGTERM landing mid-batch and asserts the
 #      crash-only contract: every admitted request got exactly one
 #      well-formed response (zero lost), no response arrives after the ones
 #      that were in flight finish, and the exit code is 0 (fast drain) /
 #      3 (a tiny --drain-ms forced the drain watcher to cancel work);
-#   4. runs bench/server_chaos (seeded fault schedule over every server
+#   5. runs bench/server_chaos (seeded fault schedule over every server
 #      chaos site, mid-request shutdowns included) at seeds 1 and 2 and
 #      asserts its exactly-one-response + bit-identical-output invariants;
-#   5. runs bench/server_load (cold-vs-warm, 10% edit rate), writes its
+#   6. runs bench/server_load (cold-vs-warm, 10% edit rate), writes its
 #      rap-bench-v1 JSON to <build-dir>/bench-artifacts/server_load.json
 #      (uploaded by CI), and asserts the acceptance bar: warm >= 2x cold
 #      functions/sec at a >= 80% hit rate;
-#   6. checks that rapd, server_load and server_chaos refuse --shards past
-#      MaxWorkerThreads (256, support/CmdLine.h) as a usage error (exit 2)
-#      before any pool exists.
+#   7. checks usage errors (exit 2): rapd, server_load and server_chaos
+#      refuse --shards past MaxWorkerThreads (256, support/CmdLine.h)
+#      before any pool exists, and rapd refuses the flags and chaos sites
+#      of the durable cache store and its supervisor, which it no longer
+#      has.
 #
 # Usage: scripts/server_smoke.sh [build-dir]
 set -euo pipefail
@@ -35,9 +44,11 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
 cmake -S "$REPO_ROOT" -B "$BUILD_DIR" >/dev/null
-cmake --build "$BUILD_DIR" --target rapd server_load server_chaos -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target rapd rapc server_load server_chaos \
+  -j "$(nproc)"
 
 RAPD="$BUILD_DIR/src/server/rapd"
+RAPC="$BUILD_DIR/src/server/rapc"
 OUT="$BUILD_DIR/bench-artifacts"
 mkdir -p "$OUT"
 
@@ -157,7 +168,7 @@ PYEOF
 
 # --- 2. unix-domain socket transport --------------------------------------
 python3 - "$RAPD" <<'PYEOF'
-import json, os, socket, subprocess, sys, tempfile, time
+import json, os, shutil, socket, subprocess, sys, tempfile, time
 
 rapd = sys.argv[1]
 path = os.path.join(tempfile.mkdtemp(prefix="rapd_smoke_"), "rapd.sock")
@@ -191,19 +202,111 @@ try:
     assert cold["ok"] and warm["ok"], (cold, warm)
     assert warm["cache_hits"] == 2 and warm["cache_misses"] == 0, warm
     assert warm["output_hash"] == cold["output_hash"]
+
+    def connect():
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.connect(path)
+        return s
+
+    # A client that hangs up before its reply is written costs its own
+    # connection, not the server: rapd must survive writing to it.
+    big = "".join(f"int g{i}(int n) {{ int a = n + {i}; int b = a * 3;\n"
+                  f"  for (int j = 0; j < n; j = j + 1) {{ a = a + b * j;"
+                  f" b = b - a % 97; }}\n  return a + b; }}\n"
+                  for i in range(200)) + "int main() { return g0(3); }\n"
+    bytes_before = ask({"id": 4, "op": "stats"})["stats"]["cache_bytes"]
+    with connect() as gone:
+        gone.sendall((json.dumps({"id": 9, "op": "compile", "source": big,
+                                  "options": {"alloc": "rap", "k": 3}})
+                      + "\n").encode())
+    # The compile's cache inserts come just before its reply is written.
+    for _ in range(600):
+        if ask({"id": 5, "op": "stats"})["stats"]["cache_bytes"] > bytes_before:
+            break
+        time.sleep(0.05)
+    time.sleep(0.2)
+    assert proc.poll() is None, f"rapd died (exit {proc.returncode}) " \
+        "writing to a client that hung up"
+    assert ask({"id": 6, "op": "ping"})["kind"] == "pong"
+
+    # Finished connections give their thread back: VmSize after 200
+    # sequential connections stays within 64 MB of before. A thread stack
+    # is 8 MB, so keeping every finished thread grows it by ~1.6 GB. Eight
+    # connections held open at once first make malloc set up the arenas
+    # (64 MB of address space each) that overlapping connection threads
+    # use; that is a bounded one-time cost, not a leak.
+    def vmsize_kb():
+        with open(f"/proc/{proc.pid}/status") as f:
+            for line in f:
+                if line.startswith("VmSize:"):
+                    return int(line.split()[1])
+
+    def pings(count):
+        for _ in range(count):
+            with connect() as s:
+                s.sendall(b'{"id":1,"op":"ping"}\n')
+                assert "pong" in s.makefile().readline()
+    grown = None
+    if os.path.exists(f"/proc/{proc.pid}/status"):
+        held = [connect() for _ in range(8)]
+        for s in held:
+            s.sendall(b'{"id":1,"op":"ping"}\n')
+        for s in held:
+            assert "pong" in s.makefile().readline()
+            s.close()
+        pings(10)
+        before = vmsize_kb()
+        pings(200)
+        grown = (vmsize_kb() - before) / 1024
+        assert grown < 64, \
+            f"rapd VmSize grew {grown:.0f} MB over 200 connections"
+
     bye = ask({"id": 3, "op": "shutdown"})
     assert bye["kind"] == "shutting-down"
     sock.close()
     assert proc.wait(timeout=60) == 0, proc.returncode
-    print("socket trace OK: warm hash matches cold, clean shutdown")
+    vm = ("no /proc: VmSize unchecked" if grown is None else
+          f"VmSize +{grown:.1f} MB over 200 connections")
+    print("socket trace OK: warm hash matches cold, survived a client that "
+          f"hung up, {vm}, clean shutdown")
 finally:
     if proc.poll() is None:
         proc.kill()
-    if os.path.exists(path):
-        os.unlink(path)
+    shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 PYEOF
 
-# --- 3. SIGTERM mid-batch: graceful drain, zero lost responses --------------
+# --- 3. stale-socket handling with rapc ---------------------------------------
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/rapd_stale_XXXXXX")"
+SOCK="$WORK/stale.sock"
+# A dead socket file (no listener) must be unlinked and rebound.
+python3 -c "import socket,sys; s=socket.socket(socket.AF_UNIX); s.bind(sys.argv[1]); s.close()" "$SOCK"
+"$RAPD" --socket="$SOCK" --no-hello 2>"$WORK/stale.log" &
+RAPD_PID=$!
+trap 'kill "$RAPD_PID" 2>/dev/null || true' EXIT
+for _ in $(seq 1 100); do
+  "$RAPC" --socket="$SOCK" --timeout-ms=500 --retries=0 ping >/dev/null 2>&1 && break
+  sleep 0.05
+done
+"$RAPC" --socket="$SOCK" ping >/dev/null
+# A second rapd against the LIVE socket must refuse with socket-in-use, exit 1.
+set +e
+"$RAPD" --socket="$SOCK" --no-hello 2>"$WORK/inuse.log"
+INUSE_EXIT=$?
+set -e
+if [ "$INUSE_EXIT" -ne 1 ] || ! grep -q "socket-in-use" "$WORK/inuse.log"; then
+  echo "FAIL: live-socket rebind exited $INUSE_EXIT, want 1 and" \
+       "socket-in-use:" >&2
+  cat "$WORK/inuse.log" >&2
+  exit 1
+fi
+"$RAPC" --socket="$SOCK" shutdown >/dev/null
+wait "$RAPD_PID"
+trap - EXIT
+rm -rf "$WORK"
+echo "stale-socket OK: dead socket rebound, live socket refused (exit 1)," \
+     "rapc ping and shutdown served"
+
+# --- 4. SIGTERM mid-batch: graceful drain, zero lost responses --------------
 python3 - "$RAPD" <<'PYEOF'
 import json, os, signal, subprocess, sys, threading
 
@@ -295,12 +398,12 @@ print(f"SIGTERM drain OK: clean drain exit 0, forced drain exit 3, "
       f"zero lost responses")
 PYEOF
 
-# --- 4. chaos soak: every server fault site, exactly-one-response -----------
+# --- 5. chaos soak: every server fault site, exactly-one-response -----------
 "$BUILD_DIR/bench/server_chaos" --requests=200 --shards=4 --seed=1
 "$BUILD_DIR/bench/server_chaos" --requests=200 --shards=4 --seed=2 \
   --no-deadline-probe
 
-# --- 5. load bench: cold vs warm --------------------------------------------
+# --- 6. load bench: cold vs warm --------------------------------------------
 "$BUILD_DIR/bench/server_load" --json --requests=100 --edit-rate=0.1 \
   > "$OUT/server_load.json"
 python3 - "$OUT/server_load.json" <<'PYEOF'
@@ -318,7 +421,7 @@ print(f"server load OK: {warm['speedup_vs_cold']:.2f}x functions/sec over "
       f"(p50 {warm['p50_us']:.0f}us, p99 {warm['p99_us']:.0f}us)")
 PYEOF
 
-# --- 6. usage errors ---------------------------------------------------------
+# --- 7. usage errors ---------------------------------------------------------
 # Only the bound plus one: a value that passed would start that many threads.
 for TOOL in "$RAPD" "$BUILD_DIR/bench/server_load" \
             "$BUILD_DIR/bench/server_chaos"; do
@@ -333,5 +436,23 @@ for TOOL in "$RAPD" "$BUILD_DIR/bench/server_load" \
   fi
 done
 echo "usage errors OK: rapd, server_load and server_chaos --shards=257 exit 2"
+
+# rapd serves from memory only: the durable cache store's and the
+# supervisor's flags, and the store's two chaos sites, are unknown.
+for ARG in --cache-dir=x --journal-fsync=batch --compact-bytes=1 \
+           --supervise --pidfile=x --max-crashes=1 --crash-window-s=1 \
+           --backoff-ms=1 --backoff-max-ms=1 \
+           --chaos=journal-write:1 --chaos=snapshot-compact:1; do
+  set +e
+  "$RAPD" "$ARG" </dev/null >/dev/null 2>&1
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 2 ]; then
+    echo "FAIL: rapd $ARG exited $STATUS, want 2 (usage error)" >&2
+    exit 1
+  fi
+done
+echo "usage errors OK: rapd's nine removed flags and two removed chaos" \
+     "sites exit 2"
 
 echo "server smoke OK; load counters in $OUT/server_load.json"

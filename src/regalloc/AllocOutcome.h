@@ -96,8 +96,7 @@ struct AllocCounter {
 };
 
 /// Every unsigned AllocStats counter, exactly once. The comparison, the
-/// fold, the stats document and the rapd cache codec all walk this table,
-/// so a new row grows the cache entry: bump CacheStore's FormatVersion.
+/// fold and the stats document all walk this table.
 inline constexpr AllocCounter AllocCounters[] = {
     {&AllocStats::GraphBuilds, "graph_builds", false},
     {&AllocStats::SpilledVRegs, "spilled_vregs", false},

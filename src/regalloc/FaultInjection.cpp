@@ -31,10 +31,6 @@ const char *rap::faultSiteName(FaultSite S) {
     return "stall";
   case FaultSite::MidShutdown:
     return "shutdown";
-  case FaultSite::JournalWrite:
-    return "journal-write";
-  case FaultSite::SnapshotCompact:
-    return "snapshot-compact";
   }
   return "unknown";
 }
@@ -56,14 +52,10 @@ static FaultSite parseSite(const std::string &Name) {
     return FaultSite::WorkerStall;
   if (Name == "shutdown")
     return FaultSite::MidShutdown;
-  if (Name == "journal-write")
-    return FaultSite::JournalWrite;
-  if (Name == "snapshot-compact")
-    return FaultSite::SnapshotCompact;
   throw std::invalid_argument(
       "unknown fault site '" + Name +
       "' (expected color|spill|rewrite|region|parse|cache-insert|stall|"
-      "shutdown|journal-write|snapshot-compact)");
+      "shutdown)");
 }
 
 FaultPlan FaultPlan::fromString(const std::string &Spec) {

@@ -21,10 +21,7 @@
 /// rewrite), `region` (at entry of a RAP region's allocation) — or a server
 /// site — `parse` (protocol dispatch), `cache-insert`
 /// (allocation-cache insertion), `stall` (a worker ignores its cancel token
-/// for a while), `shutdown` (the server's stop flag flips mid-request),
-/// `journal-write` (a durable-cache journal append fails), `snapshot-compact`
-/// (a durable-cache compaction fails; both degrade persistence to
-/// in-memory-only, DESIGN.md §15) —
+/// for a while), `shutdown` (the server's stop flag flips mid-request) —
 /// and the fault fires on the <n>-th hit of that site: in every function,
 /// or only in <function> when the @ suffix is given (server sites ignore
 /// the suffix). Injection points sit at IR-consistent boundaries (before
@@ -57,8 +54,6 @@ enum class FaultSite {
   CacheInsert,     ///< before an AllocCache::insert
   WorkerStall,     ///< a shard worker stalls, ignoring its cancel token
   MidShutdown,     ///< the server's shutdown flag flips mid-request
-  JournalWrite,    ///< before a CacheStore journal append (DESIGN.md §15)
-  SnapshotCompact, ///< at entry of a CacheStore snapshot compaction
 };
 
 const char *faultSiteName(FaultSite S);

@@ -6,11 +6,10 @@
 
 #include "server/Client.h"
 
-#include "support/Hash.h"
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 
@@ -33,10 +32,6 @@ void Client::close() {
   Fd = -1;
   // A torn connection's buffered bytes belong to a dead conversation.
   RecvBuf.clear();
-}
-
-uint64_t Client::requestFingerprint(const std::string &RequestLine) {
-  return hashString(RequestLine);
 }
 
 bool Client::ensureConnected(std::string &Error) {
@@ -94,9 +89,6 @@ bool Client::ensureConnected(std::string &Error) {
 
   Fd = S;
   RecvBuf.clear();
-  if (EverConnected)
-    ++Counters.Reconnects;
-  EverConnected = true;
   return true;
 }
 
@@ -104,7 +96,7 @@ bool Client::sendAll(const std::string &Data, std::string &Error) {
   size_t Off = 0;
   while (Off != Data.size()) {
     // MSG_NOSIGNAL: a server killed mid-send must surface as EPIPE, not
-    // SIGPIPE terminating the *client* the soak is grading.
+    // SIGPIPE terminating the client.
     ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
@@ -175,8 +167,6 @@ bool Client::call(const json::Value &Request, json::Value &Response,
 
 bool Client::call(const std::string &RequestLine, json::Value &Response,
                   std::string &Error) {
-  ++Counters.Requests;
-
   using Clock = std::chrono::steady_clock;
   const auto Start = Clock::now();
   auto remainingMs = [&]() -> long long {
@@ -218,9 +208,6 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
               std::to_string(Config.RequestTimeoutMs) + "ms): " + LastError;
       return false;
     }
-    if (Attempt != 0)
-      ++Counters.Resends;
-
     if (!ensureConnected(LastError)) {
       ++Attempt;
       sleepBounded(static_cast<long long>(Backoff));
@@ -234,8 +221,8 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
       continue;
     }
 
-    // Read until a non-banner line: a fresh connection (or a reconnect
-    // after a restart) may greet us with {"rapd":"v1",...} first.
+    // Read until a non-banner line: a fresh connection (or a reconnect)
+    // may greet us with {"rapd":"v1",...} first.
     json::Value Parsed;
     bool Got = false;
     for (;;) {
@@ -253,10 +240,8 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
         close();
         break;
       }
-      if (Parsed.isObject() && Parsed.has("rapd")) {
-        ++Counters.BannersSkipped;
+      if (Parsed.isObject() && Parsed.has("rapd"))
         continue;
-      }
       Got = true;
       break;
     }
@@ -271,7 +256,6 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
     // stays up — overload is not a transport failure.
     if (Parsed.isObject() && Parsed["kind"].isString() &&
         Parsed["kind"].asString() == "overloaded") {
-      ++Counters.OverloadedWaits;
       long long Wait = Parsed["retry_after_ms"].isInt()
                            ? Parsed["retry_after_ms"].asInt()
                            : static_cast<long long>(Backoff);
@@ -292,7 +276,6 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
     }
 
     Response = std::move(Parsed);
-    ++Counters.Responses;
     return true;
   }
 }

@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A rapd-v1 client that survives the server's crash-only lifecycle
-/// (DESIGN.md §15): connect/request timeouts, retry with exponential
-/// backoff, reconnect-and-resend across a supervised restart, and honored
-/// "overloaded" retry_after_ms hints. The recovery soak and the rapc
-/// operator tool both sit on it.
+/// A rapd-v1 client for the rapc operator tool: connect/request timeouts,
+/// retry with exponential backoff, reconnect-and-resend when a connection
+/// breaks (a server that was restarted by hand, say), and honored
+/// "overloaded" retry_after_ms hints.
 ///
 /// Exactly-once is a *client-visible* property here: call() returns exactly
 /// one response per request, no matter how many times the transport had to
 /// resend under the hood. Resending is safe because compilation is pure and
-/// deterministic — a request fingerprint (hash of the request line) names
-/// the same answer on every server that ever computes it, so a retry can
-/// only ever observe the byte-identical response it missed. The client
-/// validates the "id" echo on every response; a mismatch (a torn
-/// half-response from a killed server, say) forces a reconnect-and-resend
-/// rather than handing the caller someone else's answer.
+/// deterministic — equal request lines name the same answer on every server
+/// that ever computes it, so a retry can only ever observe the
+/// byte-identical response it missed. The client validates the "id" echo
+/// on every response; a mismatch (a torn half-response from a killed
+/// server, say) forces a reconnect-and-resend rather than handing the
+/// caller someone else's answer.
 ///
 /// The {"rapd":"v1",...} startup banner is detected structurally (an object
 /// carrying a "rapd" key) and skipped wherever it appears, so the client
@@ -33,7 +32,6 @@
 
 #include "support/Json.h"
 
-#include <cstdint>
 #include <string>
 
 namespace rap {
@@ -49,24 +47,11 @@ struct ClientConfig {
   /// reconnect, and overloaded backoff inside it. 0 = no budget.
   unsigned RequestTimeoutMs = 30000;
   /// Resend attempts before a call gives up (reconnects and overloaded
-  /// rejections both count). The supervisor's restart backoff caps at
-  /// seconds, so the default rides out several crashes.
+  /// rejections both count).
   unsigned MaxRetries = 50;
   /// Reconnect backoff: doubles per consecutive failure, capped.
   unsigned BackoffMs = 20;
   unsigned BackoffMaxMs = 1000;
-};
-
-/// Transport-level telemetry: how hard the client had to work. The soak
-/// gates on Responses == Requests (exactly once) while Resends/Reconnects
-/// tell the story of the crashes underneath.
-struct ClientCounters {
-  uint64_t Requests = 0;        ///< call() invocations
-  uint64_t Responses = 0;       ///< calls that returned a response
-  uint64_t Resends = 0;         ///< request lines sent beyond the first try
-  uint64_t Reconnects = 0;      ///< sockets re-established mid-conversation
-  uint64_t OverloadedWaits = 0; ///< retry_after_ms hints honored
-  uint64_t BannersSkipped = 0;  ///< {"rapd":...} hellos consumed
 };
 
 class Client {
@@ -78,11 +63,11 @@ public:
 
   /// Sends \p RequestLine (one NDJSON request, no trailing newline) and
   /// returns exactly one parsed response in \p Response. Retries
-  /// transparently across overload rejections, timeouts, torn connections,
-  /// and supervised server restarts. Returns false only when the retry or
-  /// time budget is exhausted, with \p Error describing the last failure —
-  /// protocol-level errors (kind "compile-error", "bad-request", ...) are
-  /// *successful* calls whose response says ok:false.
+  /// transparently across overload rejections, timeouts and torn
+  /// connections. Returns false only when the retry or time budget is
+  /// exhausted, with \p Error describing the last failure — protocol-level
+  /// errors (kind "compile-error", "bad-request", ...) are *successful*
+  /// calls whose response says ok:false.
   bool call(const std::string &RequestLine, json::Value &Response,
             std::string &Error);
 
@@ -90,13 +75,7 @@ public:
   bool call(const json::Value &Request, json::Value &Response,
             std::string &Error);
 
-  /// Stable fingerprint of a request line — the idempotency key under
-  /// retries (equal lines name equal answers on a deterministic server).
-  static uint64_t requestFingerprint(const std::string &RequestLine);
-
-  bool connected() const { return Fd >= 0; }
   void close();
-  const ClientCounters &counters() const { return Counters; }
 
 private:
   /// Connects (with timeout) if not connected. False + Error on failure.
@@ -109,9 +88,7 @@ private:
 
   ClientConfig Config;
   int Fd = -1;
-  bool EverConnected = false; ///< distinguishes Reconnects from the first
   std::string RecvBuf;
-  ClientCounters Counters;
 };
 
 } // namespace server

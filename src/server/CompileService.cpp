@@ -6,11 +6,9 @@
 
 #include "server/CompileService.h"
 
-#include "support/Env.h"
 #include "support/Hash.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 using namespace rap;
@@ -41,44 +39,7 @@ CompileService::CompileService(const ServiceConfig &Config)
     : Config(Config), Cache(Config.CacheBytes),
       Pool(Config.Shards, Config.Watchdog),
       Chaos(Config.Chaos.empty() ? envFaultPlan() : Config.Chaos,
-            std::string()) {
-  // Durable cache recovery (DESIGN.md §15): replay snapshot + journal into
-  // the in-memory cache before the first request. Replay funnels through
-  // the ordinary insert path, so the LRU byte budget and eviction rules
-  // govern recovered entries exactly as they governed the originals; a
-  // journal larger than the budget recovers the most recently written
-  // entries (later frames re-insert over earlier ones, then evict LRU).
-  if (!this->Config.CacheDir.empty() && this->Config.CacheBytes > 0) {
-    CacheStoreConfig SC;
-    SC.Dir = this->Config.CacheDir;
-    SC.Fsync = this->Config.CacheFsync;
-    SC.CompactBytes = this->Config.CacheCompactBytes;
-    SC.Fingerprint = this->Config.CacheFingerprint;
-    // Test hook: RAP_CACHE_FINGERPRINT overrides the build fingerprint so
-    // the invalidation path ("rebuilt binary wipes the store, never a stale
-    // hit") is testable without actually rebuilding the binary.
-    if (SC.Fingerprint == 0) {
-      if (const std::optional<std::string> &FP =
-              env::get("RAP_CACHE_FINGERPRINT")) {
-        char *End = nullptr;
-        unsigned long long V = std::strtoull(FP->c_str(), &End, 10);
-        if (End != FP->c_str() && *End == '\0' && V != 0)
-          SC.Fingerprint = V;
-      }
-    }
-    SC.Chaos = [this](FaultSite S) {
-      if (!chaosFires(S))
-        return false;
-      ChaosInjectedCount.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    };
-    Store = std::make_unique<CacheStore>(std::move(SC));
-    Store->open([this](uint64_t Key, std::unique_ptr<IlocFunction> Body,
-                       const AllocOutcome &Outcome) {
-      Cache.insert(Key, *Body, Outcome);
-    });
-  }
-}
+            std::string()) {}
 
 bool CompileService::chaosFires(FaultSite S) {
   std::lock_guard<std::mutex> Lock(ChaosM);
@@ -238,11 +199,6 @@ ServiceResult CompileService::compile(const std::string &Source,
         continue;
       }
       Cache.insert(R.Fingerprint, *Prog.functions()[I], R.Outcome);
-      // Journal the insertion so a restarted server replays it. Same
-      // function-order discipline as the cache insert itself; a degraded
-      // store makes this a no-op and the server keeps serving in-memory.
-      if (Store)
-        Store->append(R.Fingerprint, *Prog.functions()[I], R.Outcome);
     }
   }
 
@@ -283,8 +239,5 @@ ServiceCounters CompileService::counters() const {
   C.WatchdogTrips = Pool.watchdogTrips();
   C.ShardsDegraded = Pool.shardsDegraded();
   C.ChaosInjected = ChaosInjectedCount.load(std::memory_order_relaxed);
-  if (Store)
-    C.Recovery = Store->counters();
-  C.Restarts = Config.Restarts;
   return C;
 }

@@ -37,8 +37,8 @@
 #define RAP_SERVER_COMPILESERVICE_H
 
 #include "driver/Pipeline.h"
+#include "regalloc/FaultInjection.h"
 #include "server/AllocCache.h"
-#include "server/CacheStore.h"
 #include "support/ShardPool.h"
 #include "support/Deadline.h"
 
@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,25 +68,6 @@ struct ServiceConfig {
   unsigned ChaosStallMs = 50;
   /// Watchdog tuning for the shard pool (Factor 0 disables).
   WatchdogConfig Watchdog;
-
-  //===------------------------------------------------------------------===//
-  // Durable cache persistence (DESIGN.md §15). Empty CacheDir = in-memory
-  // only (the pre-PR behavior, byte for byte).
-  //===------------------------------------------------------------------===//
-
-  /// Directory for snapshot.bin/journal.bin; recovery replays both into the
-  /// in-memory cache at construction and every later insertion is
-  /// journaled. Ignored when CacheBytes == 0 (nothing to persist).
-  std::string CacheDir;
-  FsyncMode CacheFsync = FsyncMode::Batch;
-  /// Journal size that triggers snapshot compaction (0 = never).
-  size_t CacheCompactBytes = 64u << 20;
-  /// Store fingerprint override for the invalidation tests; 0 = the real
-  /// build fingerprint.
-  uint64_t CacheFingerprint = 0;
-  /// Supervised-restart count (rapd passes RAPD_RESTARTS through); purely
-  /// informational, surfaced in the stats `recovery` block.
-  uint64_t Restarts = 0;
 };
 
 /// Per-request compile options: the protocol's "options" object plus the
@@ -118,7 +98,7 @@ const char *serviceStatusName(ServiceStatus S);
 
 /// One function's slice of a response: its cache key, whether it was a
 /// hit, and the allocateFunction outcome (replayed from the cache on a
-/// hit), which is also what the cache and the journal store.
+/// hit), which is also what the cache stores.
 struct FunctionReport {
   uint64_t Fingerprint = 0;
   bool CacheHit = false;
@@ -171,11 +151,6 @@ struct ServiceCounters {
   uint64_t RejectedRequests = 0; ///< oversized or over-budget lines
   unsigned DrainMs = 0;          ///< configured drain window
   bool DrainDegraded = false;    ///< the drain deadline had to cancel work
-
-  /// The durable store's own record, present only when --cache-dir armed
-  /// one; the stats `recovery` block is omitted otherwise.
-  std::optional<CacheStoreCounters> Recovery;
-  uint64_t Restarts = 0; ///< supervised restarts (RAPD_RESTARTS)
 };
 
 class CompileService {
@@ -190,10 +165,6 @@ public:
   unsigned shards() const { return Pool.shards(); }
   size_t cacheBudgetBytes() const { return Cache.budgetBytes(); }
 
-  /// The durable cache store, if --cache-dir armed one (tests and the drain
-  /// path poke it directly; null in in-memory-only mode).
-  CacheStore *store() { return Store.get(); }
-
 private:
   /// Thread-safe countdown on the service's chaos schedule (server sites
   /// fire from pool workers and the service thread alike).
@@ -201,10 +172,6 @@ private:
 
   ServiceConfig Config;
   AllocCache Cache;
-  /// Durable mirror of Cache (null = in-memory only). Constructed after
-  /// Cache and replayed in the constructor body, so warm state is visible
-  /// before the first request.
-  std::unique_ptr<CacheStore> Store;
   ShardPool Pool;
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> NextShardHint{0};

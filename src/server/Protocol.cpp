@@ -238,21 +238,6 @@ json::Value server::serverStatsJson(const ServiceCounters &C) {
   S["chaos_injected"] = C.ChaosInjected;
   S["drain_ms"] = C.DrainMs;
   S["drain_degraded"] = C.DrainDegraded;
-  // Durable-cache recovery counters: present only when --cache-dir armed a
-  // CacheStore, so in-memory-only deployments keep their pre-§15 shape.
-  if (const std::optional<CacheStoreCounters> &R = C.Recovery) {
-    json::Object Rec;
-    Rec["journal_frames_replayed"] = R->FramesReplayed;
-    Rec["snapshot_loaded"] = R->SnapshotLoaded;
-    Rec["torn_tail_dropped"] = R->TornTailBytes;
-    Rec["bad_entries_dropped"] = R->BadEntriesDropped;
-    Rec["invalidations"] = R->Invalidations;
-    Rec["journal_appends"] = R->Appends;
-    Rec["compactions"] = R->Compactions;
-    Rec["degraded"] = R->Degraded;
-    Rec["restarts"] = C.Restarts;
-    S["recovery"] = json::Value(std::move(Rec));
-  }
   return json::Value(std::move(S));
 }
 

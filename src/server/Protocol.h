@@ -73,8 +73,7 @@ json::Value errorResponse(const Request &Req, const char *Kind,
 json::Value overloadedResponse(const Request &Req, unsigned RetryAfterMs);
 
 /// rapd's counters as one JSON object: the `stats` reply's "stats" and
-/// rapd --stats' rap-stats-v1 "server" section. The `recovery` block
-/// appears only when \p C carries the durable store's counters.
+/// rapd --stats' rap-stats-v1 "server" section.
 json::Value serverStatsJson(const ServiceCounters &C);
 
 /// Stats response: serverStatsJson(\p C) under "stats".

@@ -11,10 +11,10 @@
 #include <cstdio>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -329,10 +329,12 @@ private:
   bool Eof = false;
 };
 
+/// MSG_NOSIGNAL: a client that hung up before its reply was written costs
+/// that connection an EPIPE, never the server a SIGPIPE.
 bool writeAll(int Fd, const std::string &Data) {
   size_t Off = 0;
   while (Off < Data.size()) {
-    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
+    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
     if (N < 0 && errno == EINTR)
       continue;
     if (N <= 0)
@@ -362,7 +364,7 @@ int Server::serveSocket(const std::string &Path) {
 
   // Stale-socket handling: a leftover path from a crashed rapd must not
   // block restart, but blindly unlinking would hijack the clients of a
-  // *live* server (two rapds racing for one path after a supervisor bug).
+  // *live* server (two rapds started on one path).
   // Probe first: if something answers the connect, refuse to start with a
   // stable machine-readable token; only a dead socket (ECONNREFUSED) is
   // unlinked and rebound.
@@ -411,10 +413,24 @@ int Server::serveSocket(const std::string &Path) {
 
   {
     DrainWatcher Drain(*this);
-    std::vector<std::thread> Connections;
+    // A serving thread raises Done as its last act, and the accept loop
+    // joins such threads every tick: the server holds a thread stack per
+    // open connection, not per connection it ever accepted. List nodes
+    // never move, so each thread's reference to its Done flag stays valid.
+    struct Connection {
+      std::atomic<bool> Done{false};
+      std::thread T;
+    };
+    std::list<Connection> Connections;
     // poll()ed accept: a shutdown request (op, SIGTERM, SIGINT) stops
     // admission within one 50ms tick — no self-dial tricks needed.
     while (!shutdownRequested()) {
+      Connections.remove_if([](Connection &C) {
+        if (!C.Done.load(std::memory_order_acquire))
+          return false;
+        C.T.join();
+        return true;
+      });
       pollfd P{};
       P.fd = Listen;
       P.events = POLLIN;
@@ -430,7 +446,8 @@ int Server::serveSocket(const std::string &Path) {
       SendTimeout.tv_sec = 5;
       ::setsockopt(Conn, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
                    sizeof(SendTimeout));
-      Connections.emplace_back([this, Conn] {
+      Connection &C = Connections.emplace_back();
+      C.T = std::thread([this, Conn, &Done = C.Done] {
         if (Config.Hello)
           writeAll(Conn, helloBanner(Service.shards(),
                                      Service.cacheBudgetBytes(),
@@ -452,12 +469,13 @@ int Server::serveSocket(const std::string &Path) {
             break;
         }
         ::close(Conn);
+        Done.store(true, std::memory_order_release);
       });
     }
     ::close(Listen);
     ::unlink(Path.c_str());
-    for (std::thread &T : Connections)
-      T.join();
+    for (Connection &C : Connections)
+      C.T.join();
   } // joins the watcher: drainDegraded() is final past this point
   return drainDegraded() ? 3 : 0;
 }

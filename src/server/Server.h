@@ -92,8 +92,9 @@ public:
   /// at \p Path is probed first: unlinked and rebound only if dead
   /// (ECONNREFUSED); if a live server answers, this fails with a
   /// `socket-in-use` error and exit code 1 instead of hijacking it. One
-  /// thread per connection; the accept and read loops poll at ~50ms so a
-  /// drain is observed promptly. Same exit code contract as serveStdio.
+  /// thread per connection, joined by the accept loop once it finishes; the
+  /// accept and read loops poll at ~50ms so a drain is observed promptly.
+  /// Same exit code contract as serveStdio.
   int serveSocket(const std::string &Path);
 
   /// One request line -> one response line (no trailing newline). Handles

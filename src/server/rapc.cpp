@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// rapc: the command-line face of the retrying Client (DESIGN.md §15).
-/// Talks rapd-v1 over a Unix-domain socket and survives supervised server
-/// restarts mid-conversation — kill -9 the server while rapc streams
-/// requests and every request still gets exactly one answer.
+/// rapc: the command-line face of the retrying Client (DESIGN.md §12).
+/// Talks rapd-v1 over a Unix-domain socket; a request whose connection
+/// breaks is resent within the retry and time budgets, so every request
+/// gets exactly one answer or rapc exits 1.
 ///
 ///   rapc --socket=PATH [options] <op>
 ///     ops:

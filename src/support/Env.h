@@ -11,8 +11,7 @@
 /// consistent answer and repeated hot-path queries never rescan `environ`.
 ///
 /// Recognized variables are documented in README.md ("Environment
-/// variables"): RAP_VERIFY_LIVENESS, RAP_FAULT_INJECT, RAP_INTERP,
-/// RAP_CACHE_FINGERPRINT, RAPD_RESTARTS.
+/// variables"): RAP_VERIFY_LIVENESS, RAP_FAULT_INJECT, RAP_INTERP.
 ///
 /// Call sites that sit on hot paths should additionally latch the result in
 /// a function-local `static const` (see `Liveness.cpp`), which also pins the

@@ -61,11 +61,6 @@ private:
   uint64_t State = 0xcbf29ce484222325ULL; // FNV offset basis
 };
 
-/// One-shot convenience for hashing a string.
-inline uint64_t hashString(const std::string &S) {
-  return Hasher().str(S).value();
-}
-
 /// Renders a hash the way the rapd protocol transmits it: 16 lowercase hex
 /// digits, no prefix.
 inline std::string hashHex(uint64_t H) {

@@ -140,6 +140,9 @@ TEST(FaultPlanParse, Malformed) {
   EXPECT_THROW(FaultPlan::fromString("color:-2"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::fromString("color:1x"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::fromString("color:1,spill"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::fromString("journal-write:1"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::fromString("snapshot-compact:1"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlanParse, InjectorFiltersByFunction) {

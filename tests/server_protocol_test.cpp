@@ -18,7 +18,7 @@
 ///    oversized lines into "overloaded" + retry_after_ms rejections;
 ///  * the one counter record — the `stats` reply is serverStatsJson of
 ///    Server::counters(), with every key it and rapd --stats' `server`
-///    section ever carried, in memory and with a cache directory.
+///    section ever carried.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +29,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
+#include <iterator>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 using namespace rap;
@@ -324,69 +323,31 @@ const std::pair<const char *, KeyType> ServerKeys[] = {
     {"shards_degraded", KeyType::Int},   {"chaos_injected", KeyType::Int},
     {"drain_ms", KeyType::Int},          {"drain_degraded", KeyType::Bool},
 };
-/// The `recovery` block: the stats reply's eight keys plus
-/// bad_entries_dropped, which only CacheStoreCounters had.
-const std::pair<const char *, KeyType> RecoveryKeys[] = {
-    {"journal_frames_replayed", KeyType::Int},
-    {"snapshot_loaded", KeyType::Bool},
-    {"torn_tail_dropped", KeyType::Int},
-    {"bad_entries_dropped", KeyType::Int},
-    {"invalidations", KeyType::Int},
-    {"journal_appends", KeyType::Int},
-    {"compactions", KeyType::Int},
-    {"degraded", KeyType::Bool},
-    {"restarts", KeyType::Int},
-};
 
-template <size_t N>
-void expectKeys(const json::Value &V,
-                const std::pair<const char *, KeyType> (&Keys)[N],
-                size_t Extra) {
-  ASSERT_TRUE(V.isObject());
-  EXPECT_EQ(V.asObject().size(), N + Extra) << V.str();
-  for (const auto &[Key, Type] : Keys) {
-    ASSERT_TRUE(V.has(Key)) << Key << " missing: " << V.str();
-    EXPECT_TRUE(Type == KeyType::Int ? V[Key].isInt() : V[Key].isBool())
-        << Key << " retyped: " << V.str();
-  }
-}
-
-/// Serves a cold and a warm compile, then returns the `stats` reply's
-/// object after checking it against serverStatsJson(S.counters()).
-json::Value servedStats(Server &S) {
+/// Serves a cold and a warm compile, then checks that the `stats` reply's
+/// object is serverStatsJson(S.counters()) and carries exactly ServerKeys.
+TEST(ServerStats, StatsReplyIsTheServerSection) {
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Server S(Config);
   EXPECT_TRUE(parseJson(S.handleLine(compileLine(1, TinySource)))["ok"]
                   .asBool());
   EXPECT_TRUE(parseJson(S.handleLine(compileLine(2, TinySource)))["ok"]
                   .asBool());
   json::Value Reply = parseJson(S.handleLine("{\"id\":3,\"op\":\"stats\"}"));
   EXPECT_EQ(Reply["stats"].str(), serverStatsJson(S.counters()).str());
-  return Reply["stats"];
-}
 
-TEST(ServerStats, StatsReplyIsTheServerSection) {
-  ServerConfig Config;
-  Config.Service.Shards = 1;
-  {
-    Server S(Config);
-    json::Value Stats = servedStats(S);
-    expectKeys(Stats, ServerKeys, /*Extra=*/0);
-    EXPECT_EQ(Stats["cache_hits"].asInt(), 1);
-    EXPECT_EQ(Stats["cache_misses"].asInt(), 1);
+  const json::Value &Stats = Reply["stats"];
+  ASSERT_TRUE(Stats.isObject());
+  EXPECT_EQ(Stats.asObject().size(), std::size(ServerKeys)) << Stats.str();
+  for (const auto &[Key, Type] : ServerKeys) {
+    ASSERT_TRUE(Stats.has(Key)) << Key << " missing: " << Stats.str();
+    EXPECT_TRUE(Type == KeyType::Int ? Stats[Key].isInt()
+                                     : Stats[Key].isBool())
+        << Key << " retyped: " << Stats.str();
   }
-
-  namespace fs = std::filesystem;
-  fs::path Dir = fs::temp_directory_path() /
-                 ("rap_server_stats_" + std::to_string(::getpid()));
-  fs::remove_all(Dir);
-  Config.Service.CacheDir = Dir.string();
-  {
-    Server S(Config);
-    json::Value Stats = servedStats(S);
-    expectKeys(Stats, ServerKeys, /*Extra=*/1);
-    expectKeys(Stats["recovery"], RecoveryKeys, /*Extra=*/0);
-    EXPECT_EQ(Stats["recovery"]["journal_appends"].asInt(), 1);
-  }
-  fs::remove_all(Dir);
+  EXPECT_EQ(Stats["cache_hits"].asInt(), 1);
+  EXPECT_EQ(Stats["cache_misses"].asInt(), 1);
 }
 
 } // namespace

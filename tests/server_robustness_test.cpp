@@ -22,20 +22,30 @@
 ///  * Server — the NDJSON line cap, the new stats counters, and graceful
 ///    drain end-to-end over serveStdio (clean exit 0, degraded exit 3,
 ///    signal-flag admission stop) driven by the deterministic mid-request
-///    shutdown chaos site rather than real signals.
+///    shutdown chaos site rather than real signals;
+///  * serveSocket — a client that hangs up before its reply is written
+///    costs its connection, never the server process.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "server/Client.h"
 #include "server/Server.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <csignal>
+#include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 using namespace rap;
 using namespace rap::server;
@@ -429,6 +439,76 @@ TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
   EXPECT_EQ(Text.find("\"id\":2"), std::string::npos) << Text;
   EXPECT_TRUE(S.drainDegraded());
   EXPECT_GE(S.service().counters().Cancelled, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Server over a real socket.
+//===----------------------------------------------------------------------===//
+
+TEST(ServerSocket, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
+  // A client sends a compile that takes tens of milliseconds and closes at
+  // once, so the server writes that reply to a closed socket. The write
+  // must fail with EPIPE, not raise SIGPIPE (which would end this whole
+  // process): the server then answers a ping on a new connection, and a
+  // shutdown op makes serveSocket return 0.
+  static volatile std::sig_atomic_t Stop = 0;
+  ServerConfig Config;
+  Config.Service.Shards = 2;
+  Config.Hello = false;
+  Config.StopFlag = &Stop;
+  Server S(Config);
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("rap_hangup_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  int Code = -1;
+  std::thread Serving([&] { Code = S.serveSocket(Path); });
+  // On an early exit from the test, stop the server before joining it.
+  struct StopAndJoin {
+    std::thread &T;
+    ~StopAndJoin() {
+      if (T.joinable()) {
+        Stop = 1;
+        T.join();
+      }
+    }
+  } Guard{Serving};
+
+  // Client retries its connect until the server has bound the path.
+  ClientConfig CC;
+  CC.SocketPath = Path;
+  Client C(CC);
+  auto kindOf = [&C](const std::string &Line) {
+    json::Value Reply;
+    std::string Error;
+    EXPECT_TRUE(C.call(Line, Reply, Error)) << Error;
+    return Reply["kind"].isString() ? Reply["kind"].asString() : Error;
+  };
+  ASSERT_EQ(kindOf("{\"op\":\"ping\",\"id\":1}"), "pong");
+
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::snprintf(Addr.sun_path, sizeof(Addr.sun_path), "%s", Path.c_str());
+  int Gone = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_EQ(
+      ::connect(Gone, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+  const std::string Line = "{\"op\":\"compile\",\"id\":2,\"source\":" +
+                           json::Value(heavyModule(200)).str() +
+                           ",\"options\":{\"alloc\":\"rap\",\"k\":3}}\n";
+  ASSERT_EQ(::send(Gone, Line.data(), Line.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(Line.size()));
+  ::close(Gone);
+
+  // The server folds a compile's ledger in right before it writes the
+  // reply, so the ping goes out around that failing write. serveSocket
+  // joins the writing thread before it returns: the write lands inside
+  // this test either way.
+  EXPECT_TRUE(spinUntil([&] { return S.totalAllocStats().GraphBuilds > 0; }));
+  C.close();
+  EXPECT_EQ(kindOf("{\"op\":\"ping\",\"id\":3}"), "pong");
+  EXPECT_EQ(kindOf("{\"op\":\"shutdown\",\"id\":4}"), "shutting-down");
+  Serving.join();
+  EXPECT_EQ(Code, 0);
 }
 
 } // namespace

@@ -255,28 +255,8 @@ TEST(StatsSchema, ServerSectionOnlyWhenServing) {
   EXPECT_EQ(S["drain_ms"].asInt(), 2000);
   EXPECT_TRUE(S["drain_degraded"].asBool());
   expectNoNulls(S, "$.server");
-  // No --cache-dir: the recovery sub-object is absent so in-memory-only
-  // documents stay byte-identical to pre-§15 output.
+  // rapd serves from memory only: the section has no `recovery` block.
   EXPECT_FALSE(S.has("recovery"));
-
-  // With a persistent store attached (--cache-dir), the recovery block
-  // carries the §15 counters, all typed and non-null.
-  server::CacheStoreCounters Store;
-  Store.FramesReplayed = 42;
-  Store.SnapshotLoaded = true;
-  Store.TornTailBytes = 17;
-  C.Recovery = Store;
-  C.Restarts = 3;
-  json::Value Persist;
-  ASSERT_TRUE(json::parse(server::serverStatsJson(C).str(2), Persist, &Error))
-      << Error;
-  const json::Value &Rec = Persist["recovery"];
-  ASSERT_TRUE(Rec.isObject());
-  EXPECT_EQ(Rec["journal_frames_replayed"].asInt(), 42);
-  EXPECT_TRUE(Rec["snapshot_loaded"].asBool());
-  EXPECT_EQ(Rec["torn_tail_dropped"].asInt(), 17);
-  EXPECT_EQ(Rec["restarts"].asInt(), 3);
-  expectNoNulls(Persist, "$.server");
 }
 
 //===----------------------------------------------------------------------===//
