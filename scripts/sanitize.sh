@@ -7,10 +7,11 @@
 #     exceptions that cross module boundaries, so an instrumented run is the
 #     cheapest way to prove the error paths neither leak nor touch freed IR.
 #   tsan — ThreadSanitizer over the concurrency-bearing subset (shard pool,
-#     compile service, server drain, parallel allocation).
+#     compile service, server drain, the client, parallel allocation).
 #     The crash-only serving layer (DESIGN.md §13) lives and dies by the
-#     ordering between workers, the drain watcher, the watchdog, and the
-#     serve loop; TSan is the referee.
+#     ordering between workers, the watchdog, the connection threads, and
+#     the serve loop that runs the drain window on its tick; TSan is the
+#     referee.
 #
 # Usage: scripts/sanitize.sh [asan|tsan] [build-dir]
 set -euo pipefail

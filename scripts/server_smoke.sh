@@ -9,7 +9,10 @@
 #      rapd runs with --stats=json, and the `server` section of the
 #      rap-stats-v1 document it prints at exit must equal the reply to the
 #      trace's final `stats` op (and --stats=text's `server:` line must
-#      carry the same object);
+#      carry the same object); fed a 200 MB newline-less line and then a
+#      ping with --max-line-bytes=1024, stdio rapd must answer bad-request
+#      and then pong with a VmHWM (/proc/<pid>/status) under 64 MB: the
+#      line cap applies while the line is read, not after it is buffered;
 #   2. replays a shorter trace over a unix-domain socket (the second
 #      transport) with the same assertions; a client that sends a compile
 #      and hangs up before its reply must not kill rapd (a ping on a new
@@ -19,11 +22,13 @@
 #   3. asserts stale-socket handling with rapc: a dead socket file is
 #      rebound, a live server's socket is refused with a `socket-in-use`
 #      error and exit 1, and `rapc ping` / `rapc shutdown` work against it;
+#      a live listener whose backlog is full is refused the same way once
+#      the probe's connect times out, within a few seconds;
 #   4. drains rapd with a real SIGTERM landing mid-batch and asserts the
 #      crash-only contract: every admitted request got exactly one
 #      well-formed response (zero lost), no response arrives after the ones
 #      that were in flight finish, and the exit code is 0 (fast drain) /
-#      3 (a tiny --drain-ms forced the drain watcher to cancel work);
+#      3 (a tiny --drain-ms forced the drain window to cancel work);
 #   5. runs bench/server_chaos (seeded fault schedule over every server
 #      chaos site, mid-request shutdowns included) at seeds 1 and 2 and
 #      asserts its exactly-one-response + bit-identical-output invariants;
@@ -166,6 +171,45 @@ print(f"stdio trace OK: {len(by_id)} responses, 0 protocol errors, "
       f"stats reply ({len(final)} keys)")
 PYEOF
 
+# --- 1b. the line cap on stdio: a 200 MB line costs bounded memory ---------
+python3 - "$RAPD" <<'PYEOF'
+import json, os, subprocess, sys, threading
+
+rapd = sys.argv[1]
+proc = subprocess.Popen([rapd, "--no-hello", "--max-line-bytes=1024"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+def feed():
+    chunk = b"x" * (1 << 20)
+    for _ in range(200):
+        proc.stdin.write(chunk)
+    proc.stdin.write(b'\n{"id":2,"op":"ping"}\n')
+    proc.stdin.flush()
+
+writer = threading.Thread(target=feed)
+writer.start()
+try:
+    first = json.loads(proc.stdout.readline())
+    second = json.loads(proc.stdout.readline())
+    writer.join()
+    assert first.get("kind") == "bad-request", first
+    assert second.get("kind") == "pong", second
+    hwm = None
+    if os.path.exists(f"/proc/{proc.pid}/status"):
+        with open(f"/proc/{proc.pid}/status") as f:  # before EOF
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    hwm = int(line.split()[1]) / 1024
+        assert hwm < 64, f"rapd VmHWM {hwm:.0f} MB serving a 200 MB line"
+    proc.stdin.close()
+    assert proc.wait(timeout=60) == 0, proc.returncode
+finally:
+    if proc.poll() is None:
+        proc.kill()
+hwm = "no /proc: VmHWM unchecked" if hwm is None else f"VmHWM {hwm:.1f} MB"
+print(f"stdio line cap OK: 200 MB line answered bad-request, then pong, {hwm}")
+PYEOF
+
 # --- 2. unix-domain socket transport --------------------------------------
 python3 - "$RAPD" <<'PYEOF'
 import json, os, shutil, socket, subprocess, sys, tempfile, time
@@ -302,9 +346,38 @@ fi
 "$RAPC" --socket="$SOCK" shutdown >/dev/null
 wait "$RAPD_PID"
 trap - EXIT
+# A live listener with a full backlog: the probe's connect can neither
+# succeed nor be refused, so it must time out and refuse the path.
+python3 - "$RAPD" "$WORK/full.sock" <<'PYEOF'
+import socket, subprocess, sys
+
+rapd, path = sys.argv[1], sys.argv[2]
+listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+listener.bind(path)
+listener.listen(0)
+held = []
+while True:
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.setblocking(False)
+    try:
+        s.connect(path)
+    except BlockingIOError:
+        s.close()
+        break
+    held.append(s)
+try:
+    proc = subprocess.run([rapd, f"--socket={path}", "--no-hello"],
+                          capture_output=True, text=True, timeout=10)
+finally:
+    for s in held:
+        s.close()
+    listener.close()
+assert proc.returncode == 1 and "socket-in-use" in proc.stderr, \
+    f"full-backlog probe exited {proc.returncode}: {proc.stderr}"
+PYEOF
 rm -rf "$WORK"
 echo "stale-socket OK: dead socket rebound, live socket refused (exit 1)," \
-     "rapc ping and shutdown served"
+     "full-backlog listener refused (exit 1), rapc ping and shutdown served"
 
 # --- 4. SIGTERM mid-batch: graceful drain, zero lost responses --------------
 python3 - "$RAPD" <<'PYEOF'
@@ -315,7 +388,7 @@ rapd = sys.argv[1]
 def fn(i):
     # Pressure-heavy body: many simultaneously-live values so allocation at
     # k=3 does real spilling work and a module of these cannot finish inside
-    # the drain watcher's poll latency.
+    # the serve loop's poll tick.
     return (f"int job{i}(int n) {{\n"
             f"  int a = n + {i}; int b = a * 3; int c = a - b;\n"
             f"  int d = a * b % 9973; int e = c + d; int f = e * 2;\n"
@@ -388,7 +461,7 @@ assert code == 0, f"clean drain exited {code}"
 assert all(l["ok"] for l in lines), f"clean drain cancelled work: {lines}"
 
 # 1ms drain window + heavy compiles (the signal lands early, well inside
-# the second compile): the drain watcher must cancel what is in flight
+# the second compile): the drain window must cancel what is in flight
 # (responses still delivered, kind "cancelled") and exit 3.
 code, lines = drain_run(drain_ms=1, heavy=160)
 assert code == 3, f"degraded drain exited {code}, want 3"

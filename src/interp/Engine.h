@@ -55,12 +55,10 @@ struct Engine {
   std::vector<RtValue> &Glob;
   const std::vector<int> &GlobalEnd;
   const uint64_t Fuel;
-  const bool CollectPerFunction;
 
   std::vector<Frame> Stack;
   std::vector<RtValue> Cells;
   size_t CellTop = 0; ///< cells in use; Cells keeps its high-water size
-  std::vector<ExecStats> PerF; ///< sized to Funcs when CollectPerFunction
   RunResult Res;
 
   /// Pushes a zero-initialized activation of \p FuncId. Invalidates cell
@@ -95,14 +93,6 @@ struct Engine {
   /// from the current state (frame PCs in linear coordinates) until the run
   /// completes or traps. Also the resumption target of the fuel bail-out.
   void runSwitch();
-
-  /// Successful completion: publishes per-function stats in program order.
-  void finish() {
-    Res.Ok = true;
-    for (size_t Id = 0; Id != PerF.size(); ++Id)
-      if (PerF[Id].Cycles)
-        Res.PerFunction.emplace_back(Funcs[Id].F->name(), PerF[Id]);
-  }
 
   /// Trap at linear position \p LinPC of \p FuncId: mirrors the reference
   /// engine's error rendering exactly ("Msg (at 'instr')" plus structured

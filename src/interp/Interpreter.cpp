@@ -93,8 +93,7 @@ uint64_t Interpreter::decodedOpCount(const char *Name) const {
   return N;
 }
 
-RunResult Interpreter::run(const std::string &Entry, uint64_t Fuel,
-                           bool CollectPerFunction) {
+RunResult Interpreter::run(const std::string &Entry, uint64_t Fuel) {
   RunResult Setup;
   const IlocFunction *EntryF = Prog.findFunction(Entry);
   if (!EntryF) {
@@ -112,10 +111,7 @@ RunResult Interpreter::run(const std::string &Entry, uint64_t Fuel,
   Glob.assign(static_cast<size_t>(Prog.globalMemorySize()),
               RtValue::makeInt(0));
 
-  Engine E{Funcs, Glob, GlobalEnd, Fuel, CollectPerFunction,
-           {}, {}, 0, {}, {}};
-  if (CollectPerFunction)
-    E.PerF.assign(Funcs.size(), ExecStats());
+  Engine E{Funcs, Glob, GlobalEnd, Fuel, {}, {}, 0, {}};
   E.pushFrame(EntryId, NoReg);
   E.Res.Stats.MaxCallDepth = 1;
 
@@ -186,20 +182,6 @@ void Engine::runSwitch() {
     }
     if (I->Op == Opcode::Mv)
       ++S.Copies;
-    if (CollectPerFunction) {
-      ExecStats &P = PerF[Fr.FuncId];
-      ++P.Cycles;
-      if (isLoadOpcode(I->Op)) {
-        ++P.Loads;
-        P.SpillLoads += I->Op == Opcode::LdSpill;
-      }
-      if (isStoreOpcode(I->Op)) {
-        ++P.Stores;
-        P.SpillStores += I->Op == Opcode::StSpill;
-      }
-      P.Copies += I->Op == Opcode::Mv;
-      P.Calls += I->Op == Opcode::Call;
-    }
 
     // The frame's register window: registers first, then spill slots.
     RtValue *Regs = Cells.data() + Fr.Base;
@@ -364,11 +346,11 @@ void Engine::runSwitch() {
       continue;
     }
     case Opcode::Halt:
-      finish();
+      Res.Ok = true;
       return;
     }
     Fr.PC = NextPC;
   }
 
-  finish();
+  Res.Ok = true;
 }

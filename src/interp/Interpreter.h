@@ -99,11 +99,6 @@ struct RunResult {
   Trap TrapInfo;
   RtValue ReturnValue;
   ExecStats Stats;
-  /// Per-function breakdown of Stats, in program order, one entry per
-  /// function that executed at least one cycle. Only filled when the run
-  /// was asked to collect it; MaxCallDepth is program-wide and stays 0
-  /// in the per-function entries.
-  std::vector<std::pair<std::string, ExecStats>> PerFunction;
 };
 
 /// Which execution engine drives a run. Threaded and Switch are observably
@@ -135,12 +130,9 @@ public:
 
   /// Runs \p Entry (default "main", which must take no parameters) on
   /// zero-initialized global memory. \p Fuel bounds the number of executed
-  /// instructions to catch runaway programs. With \p CollectPerFunction the
-  /// result also carries a per-function counter breakdown (costs one extra
-  /// branch per executed instruction; off by default).
+  /// instructions to catch runaway programs.
   RunResult run(const std::string &Entry = "main",
-                uint64_t Fuel = 500'000'000,
-                bool CollectPerFunction = false);
+                uint64_t Fuel = 500'000'000);
 
   /// Global memory after the last run (for tests inspecting results).
   const std::vector<RtValue> &globalMemory() const { return Glob; }

@@ -65,8 +65,6 @@ using namespace rap::interp;
     if (Sfx_ > Fuel - S.Cycles)                                                \
       goto bail;                                                               \
     S.Cycles += Sfx_;                                                          \
-    if constexpr (WithPerF)                                                    \
-      PerFP[FId].Cycles += Sfx_;                                               \
     VM_JUMP();                                                                 \
   } while (0)
 
@@ -82,14 +80,6 @@ using namespace rap::interp;
     Pairs = C_.Dec.ArgPairs.data();                                            \
     Frm = Cells.data() + Fr_.Base;                                             \
     Spill = Frm + C_.RegCount;                                                 \
-  } while (0)
-
-/// Bump a global counter, and its per-function twin when collecting.
-#define VM_COUNT(Field, N)                                                     \
-  do {                                                                         \
-    S.Field += (N);                                                            \
-    if constexpr (WithPerF)                                                    \
-      PerFP[FId].Field += (N);                                                 \
   } while (0)
 
 /// Operand accessors. Decoded operand fields are pre-scaled byte offsets
@@ -117,8 +107,6 @@ using namespace rap::interp;
     const uint32_t Over_ =                                                     \
         D->SuffixCycles - ((LinPC)-D->LinPos + 1);                             \
     S.Cycles -= Over_;                                                         \
-    if constexpr (WithPerF)                                                    \
-      PerFP[FId].Cycles -= Over_;                                              \
     E.Res.Stats = S;                                                           \
     E.fail(TrapKind::Kind, FId, (LinPC), (Msg));                               \
     return;                                                                    \
@@ -126,14 +114,12 @@ using namespace rap::interp;
 
 namespace {
 
-template <bool WithPerF> void runLoop(Engine &E) {
+void runLoop(Engine &E) {
   const std::vector<CachedFunc> &Funcs = E.Funcs;
   std::vector<Frame> &Stack = E.Stack;
   std::vector<RtValue> &Cells = E.Cells;
   RtValue *GlobV = E.Glob.data(); // stable: Glob never grows during a run
   const int *GEnd = E.GlobalEnd.data();
-  ExecStats *PerFP = E.PerF.data();
-  (void)PerFP;
   const uint64_t Fuel = E.Fuel;
   // Counters accumulate in locals the compiler can keep in registers; every
   // exit path (halt, trap, bail-out, final return) flushes them to Res.
@@ -163,7 +149,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(Mv) {
-      VM_COUNT(Copies, 1);
+      ++S.Copies;
       VM_REG(D->Dst) = VM_REG(D->A);
       VM_NEXT();
     }
@@ -279,29 +265,29 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdSpill) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
       VM_REG(D->Dst) = VM_SPILL(D->X);
       VM_NEXT();
     }
     VM_CASE(StSpill) {
-      VM_COUNT(Stores, 1);
-      VM_COUNT(SpillStores, 1);
+      ++S.Stores;
+      ++S.SpillStores;
       VM_SPILL(D->X) = VM_REG(D->A);
       VM_NEXT();
     }
     VM_CASE(LdGlob) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       VM_REG(D->Dst) = GlobV[D->X];
       VM_NEXT();
     }
     VM_CASE(StGlob) {
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       GlobV[D->X] = VM_REG(D->A);
       VM_NEXT();
     }
     VM_CASE(LdIdx) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off = VM_REG(D->A).rawInt();
       const int End = GEnd[D->X];
       if (Off < 0 || End < 0 || D->X + Off >= End)
@@ -312,7 +298,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(StIdx) {
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       const int64_t Off = VM_REG(D->A).rawInt();
       const int End = GEnd[D->X];
       if (Off < 0 || End < 0 || D->X + Off >= End)
@@ -329,7 +315,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_ENTER(VM_REG(D->A).rawInt() != 0 ? D->Aux : D->B);
     }
     VM_CASE(Call) {
-      VM_COUNT(Calls, 1);
+      ++S.Calls;
       if (Stack.size() >= MaxCallStack)
         VM_FAIL(StackOverflow, D->LinPos, "call stack overflow");
       Stack.back().PC = static_cast<uint32_t>(D - Ops) + 1; // resume point
@@ -349,7 +335,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
     VM_CASE(BadCall) {
       // Arity mismatch discovered at decode time; executing it reproduces
       // the reference order: count the call, overflow check, then the trap.
-      VM_COUNT(Calls, 1);
+      ++S.Calls;
       if (Stack.size() >= MaxCallStack)
         VM_FAIL(StackOverflow, D->LinPos, "call stack overflow");
       const IlocFunction *Callee = Funcs[D->X].F;
@@ -364,7 +350,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
     }
     VM_CASE(Halt) {
       E.Res.Stats = S;
-      E.finish();
+      E.Res.Ok = true;
       return;
     }
     VM_CASE(ImplicitRet) {
@@ -448,10 +434,10 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdAddSt) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
-      VM_COUNT(Stores, 1);
-      VM_COUNT(SpillStores, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
+      ++S.Stores;
+      ++S.SpillStores;
       VM_REG(D->Aux) = VM_SPILL(D->X); // the ldm's own def
       const RtValue R =
           RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
@@ -460,10 +446,10 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdSubSt) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
-      VM_COUNT(Stores, 1);
-      VM_COUNT(SpillStores, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
+      ++S.Stores;
+      ++S.SpillStores;
       VM_REG(D->Aux) = VM_SPILL(D->X);
       const RtValue R =
           RtValue::makeInt(wrapSub(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
@@ -472,10 +458,10 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdMulSt) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
-      VM_COUNT(Stores, 1);
-      VM_COUNT(SpillStores, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
+      ++S.Stores;
+      ++S.SpillStores;
       VM_REG(D->Aux) = VM_SPILL(D->X);
       const RtValue R =
           RtValue::makeInt(wrapMul(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
@@ -534,7 +520,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(AddLdIdx) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off = wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt());
       VM_REG(D->Y) = RtValue::makeInt(Off); // the add's own def
       const int End = GEnd[D->X];
@@ -546,19 +532,19 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(AddMv) {
-      VM_COUNT(Copies, 1);
+      ++S.Copies;
       VM_REG(D->X) =
           RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
       VM_REG(D->Dst) = VM_REG(D->Aux);
       VM_NEXT();
     }
     VM_CASE(MvJmp) {
-      VM_COUNT(Copies, 1);
+      ++S.Copies;
       VM_REG(D->Dst) = VM_REG(D->A);
       VM_ENTER(D->Aux);
     }
     VM_CASE(LdIdxLoadI) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off = VM_REG(D->A).rawInt();
       const int End = GEnd[D->X];
       if (Off < 0 || End < 0 || D->X + Off >= End)
@@ -570,14 +556,14 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LoadILdSpill) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
       VM_REG(D->Y) = VM_CONST(D->Aux); // the loadI's own def
       VM_REG(D->Dst) = VM_SPILL(D->X);
       VM_NEXT();
     }
     VM_CASE(LoadIStIdx) {
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       VM_REG(D->Y) = VM_CONST(D->Aux); // the loadI's own def
       const int64_t Off = VM_REG(D->A).rawInt();
       const int End = GEnd[D->X];
@@ -589,7 +575,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(StIdxLoadI) {
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       const int64_t Off = VM_REG(D->A).rawInt();
       const int End = GEnd[D->X];
       if (Off < 0 || End < 0 || D->X + Off >= End)
@@ -606,16 +592,16 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdSpillAdd) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
       VM_REG(D->Aux) = VM_SPILL(D->X); // the ldm's own def
       VM_REG(D->Dst) =
           RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
       VM_NEXT();
     }
     VM_CASE(LdSpillMul) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
       VM_REG(D->Aux) = VM_SPILL(D->X);
       VM_REG(D->Dst) =
           RtValue::makeInt(wrapMul(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
@@ -627,7 +613,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
     // host registers rather than being reloaded from the frame.
 
     VM_CASE(LoadIAddMvJmp) {
-      VM_COUNT(Copies, 1);
+      ++S.Copies;
       const RtValue C = VM_CONST(D->Aux);
       VM_REG(D->X) = C; // the loadI's own def
       const RtValue R =
@@ -637,8 +623,8 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_ENTER(D->B);
     }
     VM_CASE(LoadILdSpillMulAdd) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
+      ++S.Loads;
+      ++S.SpillLoads;
       const RtValue C = VM_CONST(D->Aux);
       VM_REG(D->X) = C; // the loadI's own def
       const RtValue V = VM_SPILL(D->B);
@@ -649,7 +635,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(MulAddLdIdx) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t M = wrapMul(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt());
       VM_REG(D->X) = RtValue::makeInt(M); // the mul's own def
       const int64_t Off = wrapAdd(M, VM_REG(D->Y).rawInt());
@@ -663,33 +649,33 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(AddMvJmp) {
-      VM_COUNT(Copies, 1);
+      ++S.Copies;
       VM_REG(D->X) =
           RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
       VM_REG(D->Dst) = VM_REG(D->Aux); // the mv (its source may be the add dst)
       VM_ENTER(D->Z);
     }
     VM_CASE(LdGlobLoadIAddStGlob) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const RtValue V = GlobV[D->X];
       VM_REG(D->Z) = V; // the ldg's own def
       const RtValue C = VM_CONST(D->Aux);
       VM_REG(D->Y) = C; // the loadI's own def
       const RtValue R = RtValue::makeInt(wrapAdd(V.rawInt(), C.rawInt()));
       VM_REG(D->Dst) = R;
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       GlobV[D->B] = R; // the stg stores the add result
       VM_NEXT();
     }
     VM_CASE(LdGlobCmpLTCbr) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       VM_REG(D->Z) = GlobV[D->Y]; // the ldg's own def (may feed the compare)
       const bool T = VM_REG(D->A).asNumber() < VM_REG(D->B).asNumber();
       VM_REG(D->Dst) = RtValue::makeInt(T ? 1 : 0);
       VM_ENTER(T ? D->Aux : static_cast<uint32_t>(D->X));
     }
     VM_CASE(LdIdx2) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off1 = VM_REG(D->A).rawInt();
       const int End1 = GEnd[D->X];
       if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
@@ -697,7 +683,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
                 "array load out of bounds (index " + std::to_string(Off1) +
                     ")");
       VM_REG(D->Dst) = GlobV[D->X + Off1];
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off2 = VM_REG(D->B).rawInt(); // may be the first load's dst
       const int End2 = GEnd[D->Aux];
       if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
@@ -708,7 +694,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(LdIdxStIdx) {
-      VM_COUNT(Loads, 1);
+      ++S.Loads;
       const int64_t Off1 = VM_REG(D->A).rawInt();
       const int End1 = GEnd[D->X];
       if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
@@ -716,7 +702,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
                 "array load out of bounds (index " + std::to_string(Off1) +
                     ")");
       VM_REG(D->Dst) = GlobV[D->X + Off1];
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       const int64_t Off2 = VM_REG(D->B).rawInt(); // store operands may be the
       const RtValue Val = VM_REG(D->Z);           // load's dst
       const int End2 = GEnd[D->Aux];
@@ -728,7 +714,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(StIdx2) {
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       const int64_t Off1 = VM_REG(D->A).rawInt();
       const int End1 = GEnd[D->X];
       if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
@@ -736,7 +722,7 @@ template <bool WithPerF> void runLoop(Engine &E) {
                 "array store out of bounds (index " + std::to_string(Off1) +
                     ")");
       GlobV[D->X + Off1] = VM_REG(D->B);
-      VM_COUNT(Stores, 1);
+      ++S.Stores;
       const int64_t Off2 = VM_REG(D->Y).rawInt();
       const int End2 = GEnd[D->Aux];
       if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
@@ -759,7 +745,7 @@ do_return: {
   E.CellTop = Popped.Base;
   if (Stack.empty()) {
     E.Res.Stats = S;
-    E.finish();
+    E.Res.Ok = true;
     return;
   }
   VM_LOAD_FRAME();
@@ -785,9 +771,4 @@ bail: {
 
 } // namespace
 
-void Engine::runThreaded() {
-  if (CollectPerFunction)
-    runLoop<true>(*this);
-  else
-    runLoop<false>(*this);
-}
+void Engine::runThreaded() { runLoop(*this); }

@@ -49,7 +49,8 @@ enum class FaultSite {
   RegionAlloc,     ///< at entry of a RAP region allocation
 
   // Server-layer chaos sites (rapd; DESIGN.md §13). These never fire inside
-  // an allocator run — they are counted by the server's own injectors.
+  // an allocator run — rapd counts them on one injector, its
+  // CompileService's.
   ProtocolParse,   ///< during request dispatch, after JSON parsing
   CacheInsert,     ///< before an AllocCache::insert
   WorkerStall,     ///< a shard worker stalls, ignoring its cancel token

@@ -28,10 +28,11 @@ namespace {
 /// iteration sees the facts a fresh linearization would give.
 class Cleanup {
 public:
-  /// \p Code is \p F's nonempty linearization.
-  Cleanup(IlocFunction &F, LinearCode &&Code, unsigned NumSlots)
+  /// \p Code is \p F's nonempty linearization; \p Stats gets the counts.
+  Cleanup(IlocFunction &F, LinearCode &&Code, unsigned NumSlots,
+          AllocStats &Stats)
       : F(F), Code(std::move(Code)), G(this->Code),
-        Dead(this->Code.Instrs.size(), 0) {
+        Dead(this->Code.Instrs.size(), 0), Stats(Stats) {
     unsigned NB = G.numBlocks(), K = F.numPhysRegs();
     In.assign(NB, RegSlotMatrix(K, NumSlots));
     Out.assign(NB, RegSlotMatrix(K, NumSlots));
@@ -43,7 +44,8 @@ public:
     NewIn = NewOut = Live = BitVector(NumSlots);
   }
 
-  GlobalCleanupResult availableReloadPass();
+  /// Each pass returns how many instructions it deleted or rewrote.
+  unsigned availableReloadPass();
   unsigned deadStorePass();
 
   /// Erases every instruction the passes deleted.
@@ -56,6 +58,7 @@ private:
   LinearCode Code;
   Cfg G;
   std::vector<char> Dead; ///< by linear position
+  AllocStats &Stats;
 
   // Per-block sets and working sets, kept across the iterations.
   std::vector<RegSlotMatrix> In, Out;
@@ -65,8 +68,8 @@ private:
 };
 
 /// Deletes reloads of values already held in registers (cross-block).
-GlobalCleanupResult Cleanup::availableReloadPass() {
-  GlobalCleanupResult Res;
+unsigned Cleanup::availableReloadPass() {
+  unsigned Changes = 0;
   unsigned NB = G.numBlocks();
   for (unsigned B = 0; B != NB; ++B) {
     In[B].setAll();
@@ -112,7 +115,8 @@ GlobalCleanupResult Cleanup::availableReloadPass() {
       if (I->Op == Opcode::LdSpill) {
         if (Cur.holds(I->Dst, I->Slot)) {
           Dead[P] = true;
-          ++Res.RemovedLoads;
+          ++Changes;
+          ++Stats.CleanupRemovedLoads;
           continue; // no transfer: the load was a no-op on the state
         }
         Reg R = Cur.lowestHolder(I->Slot);
@@ -120,17 +124,20 @@ GlobalCleanupResult Cleanup::availableReloadPass() {
           I->Op = Opcode::Mv;
           I->Src = {R};
           I->Slot = -1;
-          ++Res.LoadsToCopies;
+          ++Changes;
+          ++Stats.CleanupRemovedLoads;
+          ++Stats.CleanupLoadsToCopies;
         }
       } else if (I->Op == Opcode::StSpill && Cur.holds(I->Src[0], I->Slot)) {
         Dead[P] = true;
-        ++Res.RemovedStores;
+        ++Changes;
+        ++Stats.CleanupRemovedStores;
         continue;
       }
       Cur.transfer(I);
     }
   }
-  return Res;
+  return Changes;
 }
 
 /// Deletes stores to spill slots that are never read again (slots die with
@@ -190,39 +197,36 @@ unsigned Cleanup::deadStorePass() {
       }
     }
   }
+  Stats.CleanupRemovedStores += Removed;
   return Removed;
 }
 
 } // namespace
 
-GlobalCleanupResult rap::globalSpillCleanup(IlocFunction &F,
-                                            telemetry::FunctionScope *Scope) {
+void rap::globalSpillCleanup(IlocFunction &F, AllocStats &Stats,
+                             telemetry::FunctionScope *Scope) {
   telemetry::ScopedPhase Phase(Scope, "cleanup");
   allocCheck(F.isAllocated(), AllocErrorKind::InvariantViolation,
              "cleanup runs on physical code");
-  GlobalCleanupResult Total;
-  Total.Iterations = 1; // a function without spill code is one idle pass
+  ++Stats.CleanupIterations; // a function without spill code is one idle pass
   unsigned NumSlots = static_cast<unsigned>(F.numSpillSlots());
   if (NumSlots == 0)
-    return Total;
+    return;
   LinearCode Code = linearize(F);
   if (Code.Instrs.empty())
-    return Total;
+    return;
 
   // Each pass can expose work for the other (a deleted dead store frees a
   // reload; a deleted reload kills a store's last reader). Iterate to a
   // fixpoint. An iteration may delete nothing and only turn loads into
   // copies, but no load is converted twice, so the iterations end.
-  Cleanup C(F, std::move(Code), NumSlots);
-  for (Total.Iterations = 1;; ++Total.Iterations) {
-    GlobalCleanupResult R = C.availableReloadPass();
-    unsigned DeadStores = C.deadStorePass();
-    Total.RemovedLoads += R.RemovedLoads;
-    Total.LoadsToCopies += R.LoadsToCopies;
-    Total.RemovedStores += R.RemovedStores + DeadStores;
-    if (R.RemovedLoads + R.LoadsToCopies + R.RemovedStores + DeadStores == 0)
+  Cleanup C(F, std::move(Code), NumSlots, Stats);
+  for (;;) {
+    unsigned Changes = C.availableReloadPass();
+    Changes += C.deadStorePass();
+    if (Changes == 0)
       break;
+    ++Stats.CleanupIterations;
   }
   C.erase();
-  return Total;
 }

@@ -28,6 +28,7 @@
 #define RAP_REGALLOC_GLOBALSPILLCLEANUP_H
 
 #include "ir/IlocFunction.h"
+#include "regalloc/AllocOutcome.h"
 
 namespace rap {
 
@@ -35,18 +36,14 @@ namespace telemetry {
 class FunctionScope;
 } // namespace telemetry
 
-struct GlobalCleanupResult {
-  unsigned RemovedLoads = 0;
-  unsigned LoadsToCopies = 0;
-  unsigned RemovedStores = 0;
-  unsigned Iterations = 0; ///< fixpoint iterations, the final idle one too
-};
-
 /// Runs both dataflow passes to a fixpoint over \p F, which must be in
-/// physical registers. Returns the number of removed/rewritten operations.
+/// physical registers, and counts into \p Stats the loads it deletes or
+/// rewrites to copies (CleanupRemovedLoads, the copies also in
+/// CleanupLoadsToCopies), the stores it deletes (CleanupRemovedStores) and
+/// its fixpoint iterations, the final idle one too (CleanupIterations).
 /// With a telemetry \p Scope, the pass is timed as a "cleanup" slice.
-GlobalCleanupResult globalSpillCleanup(IlocFunction &F,
-                                       telemetry::FunctionScope *Scope = nullptr);
+void globalSpillCleanup(IlocFunction &F, AllocStats &Stats,
+                        telemetry::FunctionScope *Scope = nullptr);
 
 } // namespace rap
 

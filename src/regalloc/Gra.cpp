@@ -85,12 +85,8 @@ public:
         Injector.hit(FaultSite::PhysicalRewrite);
         RoundPhase.finish();
         Stats.CopiesDeleted = rewriteToPhysical(F, G, Options.K, TS);
-        if (Options.PeepholeForGra) {
-          PeepholeResult PR = peepholeSpillCleanup(F, TS);
-          Stats.PeepholeRemovedLoads = PR.RemovedLoads;
-          Stats.PeepholeRemovedStores = PR.RemovedStores;
-          Stats.PeepholeLoadsToCopies = PR.LoadsToCopies;
-        }
+        if (Options.PeepholeForGra)
+          peepholeSpillCleanup(F, Stats, TS);
         return Stats;
       }
       ++Stats.SpillRounds;

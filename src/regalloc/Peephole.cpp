@@ -17,19 +17,18 @@
 
 using namespace rap;
 
-PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
-                                         telemetry::FunctionScope *Scope) {
+void rap::peepholeSpillCleanup(IlocFunction &F, AllocStats &Stats,
+                               telemetry::FunctionScope *Scope) {
   telemetry::ScopedPhase Phase(Scope, "peephole");
   allocCheck(F.isAllocated(), AllocErrorKind::InvariantViolation,
              "peephole runs on physical code");
-  PeepholeResult Res;
   unsigned NumSlots = static_cast<unsigned>(F.numSpillSlots());
   if (NumSlots == 0)
-    return Res; // no spill code to clean
+    return; // no spill code to clean
 
   LinearCode Code = linearize(F);
   if (Code.Instrs.empty())
-    return Res;
+    return;
   Cfg G(Code);
 
   std::vector<char> Dead(Code.Instrs.size(), 0); // by linear position
@@ -45,7 +44,7 @@ PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
       if (I->Op == Opcode::LdSpill) {
         if (State.holds(I->Dst, I->Slot)) {
           Dead[P] = AnyDead = true; // patterns 1 and 4
-          ++Res.RemovedLoads;
+          ++Stats.PeepholeRemovedLoads;
           continue;
         }
         Reg Src = State.lowestHolder(I->Slot);
@@ -54,12 +53,12 @@ PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
           I->Op = Opcode::Mv;
           I->Src = {Src};
           I->Slot = -1;
-          ++Res.LoadsToCopies;
+          ++Stats.PeepholeLoadsToCopies;
         }
       } else if (I->Op == Opcode::StSpill &&
                  State.holds(I->Src[0], I->Slot)) {
         Dead[P] = AnyDead = true; // patterns 3 and 5
-        ++Res.RemovedStores;
+        ++Stats.PeepholeRemovedStores;
         continue;
       }
       State.transfer(I);
@@ -68,5 +67,4 @@ PeepholeResult rap::peepholeSpillCleanup(IlocFunction &F,
 
   if (AnyDead)
     F.root()->eraseInstrs([&](const Instr *I) { return Dead[I->LinPos]; });
-  return Res;
 }

@@ -28,6 +28,7 @@
 #define RAP_REGALLOC_PEEPHOLE_H
 
 #include "ir/IlocFunction.h"
+#include "regalloc/AllocOutcome.h"
 
 namespace rap {
 
@@ -35,17 +36,14 @@ namespace telemetry {
 class FunctionScope;
 } // namespace telemetry
 
-struct PeepholeResult {
-  unsigned RemovedLoads = 0;  ///< deleted ldm (patterns 1, 4)
-  unsigned RemovedStores = 0; ///< deleted stm (patterns 3, 5)
-  unsigned LoadsToCopies = 0; ///< ldm rewritten to mv (pattern 2)
-};
-
 /// Runs the cleanup over every basic block of \p F, which must already be
-/// rewritten to physical registers. With a telemetry \p Scope, the pass is
-/// timed as a "peephole" slice.
-PeepholeResult peepholeSpillCleanup(IlocFunction &F,
-                                    telemetry::FunctionScope *Scope = nullptr);
+/// rewritten to physical registers, and counts into \p Stats the ldm it
+/// deletes (PeepholeRemovedLoads, patterns 1 and 4), the stm it deletes
+/// (PeepholeRemovedStores, patterns 3 and 5) and the ldm it rewrites to mv
+/// (PeepholeLoadsToCopies, pattern 2). With a telemetry \p Scope, the pass
+/// is timed as a "peephole" slice.
+void peepholeSpillCleanup(IlocFunction &F, AllocStats &Stats,
+                          telemetry::FunctionScope *Scope = nullptr);
 
 } // namespace rap
 

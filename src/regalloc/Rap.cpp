@@ -788,13 +788,8 @@ AllocStats RapAllocator::run() {
   telemetry::FunctionScope *TS = Options.Scope;
   const InterferenceGraph &Final = allocRegion(F.root());
 
-  if (Options.SpillMovement) {
-    MovementResult MR = moveSpillCodeOutOfLoops(F, Final, TS);
-    Stats.HoistedLoads = MR.HoistedLoads;
-    Stats.SunkStores = MR.SunkStores;
-    Stats.MovementRemovedLoads = MR.RemovedLoads;
-    Stats.MovementRemovedStores = MR.RemovedStores;
-  }
+  if (Options.SpillMovement)
+    moveSpillCodeOutOfLoops(F, Final, Stats, TS);
 
   // Checked mode: vet the final coloring (after movement, which is the last
   // pass to run on virtual code) with the independent oracle.
@@ -806,19 +801,10 @@ AllocStats RapAllocator::run() {
   Injector.hit(FaultSite::PhysicalRewrite);
   Stats.CopiesDeleted = rewriteToPhysical(F, Final, Options.K, TS);
 
-  if (Options.Peephole) {
-    PeepholeResult PR = peepholeSpillCleanup(F, TS);
-    Stats.PeepholeRemovedLoads = PR.RemovedLoads;
-    Stats.PeepholeRemovedStores = PR.RemovedStores;
-    Stats.PeepholeLoadsToCopies = PR.LoadsToCopies;
-  }
-  if (Options.GlobalCleanup) {
-    GlobalCleanupResult GR = globalSpillCleanup(F, TS);
-    Stats.CleanupRemovedLoads = GR.RemovedLoads + GR.LoadsToCopies;
-    Stats.CleanupLoadsToCopies = GR.LoadsToCopies;
-    Stats.CleanupRemovedStores = GR.RemovedStores;
-    Stats.CleanupIterations = GR.Iterations;
-  }
+  if (Options.Peephole)
+    peepholeSpillCleanup(F, Stats, TS);
+  if (Options.GlobalCleanup)
+    globalSpillCleanup(F, Stats, TS);
   return Stats;
 }
 

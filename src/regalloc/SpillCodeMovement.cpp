@@ -30,15 +30,12 @@ struct SlotTraffic {
 
 class Mover {
 public:
-  Mover(IlocFunction &F, const InterferenceGraph &Final)
-      : F(F), Final(Final), Traffic(F.numSpillSlots()),
+  Mover(IlocFunction &F, const InterferenceGraph &Final, AllocStats &Stats)
+      : F(F), Final(Final), Stats(Stats), Traffic(F.numSpillSlots()),
         SlotStamp(F.numSpillSlots(), 0), RefStamp(F.numVRegs(), 0),
         AccessStamp(F.numVRegs(), 0), AccessSlot(F.numVRegs(), -1) {}
 
-  MovementResult run() {
-    walk(F.root());
-    return Res;
-  }
+  void run() { walk(F.root()); }
 
 private:
   void walk(PdgNode *N) {
@@ -87,13 +84,13 @@ private:
         const SlotTraffic &T = Traffic[Slot];
         if (!T.Moves)
           continue;
-        Res.RemovedLoads += T.Loads;
-        Res.RemovedStores += T.Stores;
+        Stats.MovementRemovedLoads += T.Loads;
+        Stats.MovementRemovedStores += T.Stores;
         insertPreLoopLoad(L, T.First, Slot);
-        ++Res.HoistedLoads;
+        ++Stats.HoistedLoads;
         if (T.Stores) {
           insertPostLoopStore(L, T.First, Slot);
-          ++Res.SunkStores;
+          ++Stats.SunkStores;
         }
       }
     }
@@ -207,7 +204,7 @@ private:
 
   IlocFunction &F;
   const InterferenceGraph &Final;
-  MovementResult Res;
+  AllocStats &Stats;
 
   // The index of the loop being decided. A per-slot or per-register entry
   // is current when its stamp equals Stamp, so a loop clears only the
@@ -224,12 +221,13 @@ private:
 
 } // namespace
 
-MovementResult rap::moveSpillCodeOutOfLoops(IlocFunction &F,
-                                            const InterferenceGraph &Final,
-                                            telemetry::FunctionScope *Scope) {
+void rap::moveSpillCodeOutOfLoops(IlocFunction &F,
+                                  const InterferenceGraph &Final,
+                                  AllocStats &Stats,
+                                  telemetry::FunctionScope *Scope) {
   telemetry::ScopedPhase Phase(Scope, "movement");
-  MovementResult Res = Mover(F, Final).run();
-  Phase.arg("hoisted_loads", Res.HoistedLoads);
-  Phase.arg("sunk_stores", Res.SunkStores);
-  return Res;
+  unsigned Hoisted = Stats.HoistedLoads, Sunk = Stats.SunkStores;
+  Mover(F, Final, Stats).run();
+  Phase.arg("hoisted_loads", Stats.HoistedLoads - Hoisted);
+  Phase.arg("sunk_stores", Stats.SunkStores - Sunk);
 }

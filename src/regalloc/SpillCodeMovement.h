@@ -28,6 +28,7 @@
 #define RAP_REGALLOC_SPILLCODEMOVEMENT_H
 
 #include "ir/IlocFunction.h"
+#include "regalloc/AllocOutcome.h"
 #include "regalloc/InterferenceGraph.h"
 
 namespace rap {
@@ -36,21 +37,14 @@ namespace telemetry {
 class FunctionScope;
 } // namespace telemetry
 
-struct MovementResult {
-  unsigned HoistedLoads = 0;  ///< pre-loop loads inserted
-  unsigned SunkStores = 0;    ///< post-loop stores inserted
-  unsigned RemovedLoads = 0;  ///< in-loop loads deleted
-  unsigned RemovedStores = 0; ///< in-loop stores deleted
-
-  unsigned removedOps() const { return RemovedLoads + RemovedStores; }
-};
-
 /// Runs the movement pass over \p F (still in virtual registers, colored by
-/// \p Final). With a telemetry \p Scope, the pass is timed as a "movement"
-/// slice.
-MovementResult
-moveSpillCodeOutOfLoops(IlocFunction &F, const InterferenceGraph &Final,
-                        telemetry::FunctionScope *Scope = nullptr);
+/// \p Final) and counts into \p Stats the pre-loop loads it inserts
+/// (HoistedLoads), the post-loop stores (SunkStores) and the in-loop loads
+/// and stores it deletes (MovementRemovedLoads/Stores). With a telemetry
+/// \p Scope, the pass is timed as a "movement" slice.
+void moveSpillCodeOutOfLoops(IlocFunction &F, const InterferenceGraph &Final,
+                             AllocStats &Stats,
+                             telemetry::FunctionScope *Scope = nullptr);
 
 } // namespace rap
 

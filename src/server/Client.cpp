@@ -13,10 +13,6 @@
 #include <cstring>
 #include <thread>
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace rap;
@@ -31,133 +27,23 @@ void Client::close() {
     ::close(Fd);
   Fd = -1;
   // A torn connection's buffered bytes belong to a dead conversation.
-  RecvBuf.clear();
+  Reader = LineReader();
 }
 
 bool Client::ensureConnected(std::string &Error) {
   if (Fd >= 0)
     return true;
-  int S = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (S < 0) {
-    Error = std::string("socket: ") + std::strerror(errno);
+  Fd = connectUnix(Config.SocketPath, Config.ConnectTimeoutMs);
+  if (Fd < 0) {
+    Error = errno == ETIMEDOUT
+                ? "connect timeout after " +
+                      std::to_string(Config.ConnectTimeoutMs) +
+                      "ms: " + Config.SocketPath
+                : std::string("connect: ") + std::strerror(errno);
     return false;
   }
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Config.SocketPath.size() >= sizeof(Addr.sun_path)) {
-    Error = "socket path too long: " + Config.SocketPath;
-    ::close(S);
-    return false;
-  }
-  std::memcpy(Addr.sun_path, Config.SocketPath.c_str(),
-              Config.SocketPath.size());
-
-  // Non-blocking connect so a listener that exists but never accepts cannot
-  // wedge the client past ConnectTimeoutMs. AF_UNIX usually resolves
-  // immediately (success or ECONNREFUSED/ENOENT), making this cheap.
-  int Flags = ::fcntl(S, F_GETFL, 0);
-  ::fcntl(S, F_SETFL, Flags | O_NONBLOCK);
-  int RC = ::connect(S, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  if (RC != 0 && (errno == EINPROGRESS || errno == EAGAIN)) {
-    struct pollfd P;
-    P.fd = S;
-    P.events = POLLOUT;
-    P.revents = 0;
-    int PR = ::poll(&P, 1, static_cast<int>(Config.ConnectTimeoutMs));
-    if (PR <= 0) {
-      Error = "connect timeout after " +
-              std::to_string(Config.ConnectTimeoutMs) + "ms: " +
-              Config.SocketPath;
-      ::close(S);
-      return false;
-    }
-    int SockErr = 0;
-    socklen_t Len = sizeof(SockErr);
-    ::getsockopt(S, SOL_SOCKET, SO_ERROR, &SockErr, &Len);
-    if (SockErr != 0) {
-      Error = std::string("connect: ") + std::strerror(SockErr);
-      ::close(S);
-      return false;
-    }
-  } else if (RC != 0) {
-    Error = std::string("connect: ") + std::strerror(errno);
-    ::close(S);
-    return false;
-  }
-  ::fcntl(S, F_SETFL, Flags); // back to blocking; reads poll() explicitly
-
-  Fd = S;
-  RecvBuf.clear();
+  Reader = LineReader(Fd);
   return true;
-}
-
-bool Client::sendAll(const std::string &Data, std::string &Error) {
-  size_t Off = 0;
-  while (Off != Data.size()) {
-    // MSG_NOSIGNAL: a server killed mid-send must surface as EPIPE, not
-    // SIGPIPE terminating the client.
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::string("send: ") + std::strerror(errno);
-      close();
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-bool Client::readLine(std::string &Line, int TimeoutMs, std::string &Error) {
-  using Clock = std::chrono::steady_clock;
-  auto Deadline = Clock::now() + std::chrono::milliseconds(TimeoutMs);
-  for (;;) {
-    size_t NL = RecvBuf.find('\n');
-    if (NL != std::string::npos) {
-      Line.assign(RecvBuf, 0, NL);
-      RecvBuf.erase(0, NL + 1);
-      return true;
-    }
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Deadline - Clock::now())
-                    .count();
-    if (Left <= 0) {
-      Error = "response timeout after " + std::to_string(TimeoutMs) + "ms";
-      close(); // a half-read line is useless; resend is the recovery
-      return false;
-    }
-    struct pollfd P;
-    P.fd = Fd;
-    P.events = POLLIN;
-    P.revents = 0;
-    int PR = ::poll(&P, 1, static_cast<int>(std::min<long long>(Left, 1000)));
-    if (PR < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::string("poll: ") + std::strerror(errno);
-      close();
-      return false;
-    }
-    if (PR == 0)
-      continue; // slice expired; re-check the deadline
-    char Buf[4096];
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::string("recv: ") + std::strerror(errno);
-      close();
-      return false;
-    }
-    if (N == 0) {
-      Error = "connection closed by server";
-      close();
-      return false;
-    }
-    RecvBuf.append(Buf, static_cast<size_t>(N));
-  }
 }
 
 bool Client::call(const json::Value &Request, json::Value &Response,
@@ -182,6 +68,14 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
     if (Ms > 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
   };
+  unsigned Attempt = 0;
+  uint64_t Backoff = std::max(1u, Config.BackoffMs);
+  // A failed attempt: count it and wait a doubling, capped backoff.
+  auto backOff = [&] {
+    ++Attempt;
+    sleepBounded(static_cast<long long>(Backoff));
+    Backoff = std::min<uint64_t>(Backoff * 2, Config.BackoffMaxMs);
+  };
 
   // The id echo is the cross-talk guard: a response must answer *this*
   // request. Batches (arrays) and id-less requests skip the check — the
@@ -194,8 +88,6 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
     Id = Req["id"].asInt();
   }
 
-  unsigned Attempt = 0;
-  uint64_t Backoff = std::max(1u, Config.BackoffMs);
   std::string LastError = "no attempt made";
   for (;;) {
     if (Attempt > Config.MaxRetries) {
@@ -209,30 +101,33 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
       return false;
     }
     if (!ensureConnected(LastError)) {
-      ++Attempt;
-      sleepBounded(static_cast<long long>(Backoff));
-      Backoff = std::min<uint64_t>(Backoff * 2, Config.BackoffMaxMs);
+      backOff();
       continue;
     }
-    if (!sendAll(RequestLine + "\n", LastError)) {
-      ++Attempt;
-      sleepBounded(static_cast<long long>(Backoff));
-      Backoff = std::min<uint64_t>(Backoff * 2, Config.BackoffMaxMs);
+    if (!writeAll(Fd, RequestLine + "\n")) {
+      LastError = std::string("send: ") + std::strerror(errno);
+      close();
+      backOff();
       continue;
     }
 
     // Read until a non-banner line: a fresh connection (or a reconnect)
-    // may greet us with {"rapd":"v1",...} first.
+    // may greet us with {"rapd":"v1",...} first. A line the server cut off
+    // by closing is useless: resend is the recovery.
     json::Value Parsed;
     bool Got = false;
     for (;;) {
-      long long Left = remainingMs();
-      if (Left <= 0)
-        break;
       std::string Line;
-      if (!readLine(Line, static_cast<int>(std::min<long long>(Left, 1 << 30)),
-                    LastError))
+      LineReader::Result R =
+          Reader.next(Line, [&] { return remainingMs() <= 0; });
+      if (R != LineReader::Line) {
+        LastError = R == LineReader::Stopped
+                        ? "response timeout after " +
+                              std::to_string(Config.RequestTimeoutMs) + "ms"
+                        : "connection closed by server";
+        close();
         break;
+      }
       std::string ParseErr;
       if (!json::parse(Line, Parsed, &ParseErr)) {
         // A torn line from a killed server; the connection is poisoned.
@@ -246,9 +141,7 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
       break;
     }
     if (!Got) {
-      ++Attempt;
-      sleepBounded(static_cast<long long>(Backoff));
-      Backoff = std::min<uint64_t>(Backoff * 2, Config.BackoffMaxMs);
+      backOff();
       continue;
     }
 
@@ -259,6 +152,7 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
       long long Wait = Parsed["retry_after_ms"].isInt()
                            ? Parsed["retry_after_ms"].asInt()
                            : static_cast<long long>(Backoff);
+      LastError = "overloaded";
       ++Attempt;
       sleepBounded(Wait);
       continue;
@@ -269,9 +163,7 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
           Parsed["id"].asInt() == Id)) {
       LastError = "response id mismatch (expected " + std::to_string(Id) + ")";
       close();
-      ++Attempt;
-      sleepBounded(static_cast<long long>(Backoff));
-      Backoff = std::min<uint64_t>(Backoff * 2, Config.BackoffMaxMs);
+      backOff();
       continue;
     }
 

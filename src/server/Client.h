@@ -8,7 +8,10 @@
 /// A rapd-v1 client for the rapc operator tool: connect/request timeouts,
 /// retry with exponential backoff, reconnect-and-resend when a connection
 /// breaks (a server that was restarted by hand, say), and honored
-/// "overloaded" retry_after_ms hints.
+/// "overloaded" retry_after_ms hints. It reads, writes and connects with
+/// the same wire code as the server (server/Wire.h): its LineReader's stop
+/// predicate is the request's time budget, and a line the server cut off
+/// by closing counts as a broken connection.
 ///
 /// Exactly-once is a *client-visible* property here: call() returns exactly
 /// one response per request, no matter how many times the transport had to
@@ -30,6 +33,7 @@
 #ifndef RAP_SERVER_CLIENT_H
 #define RAP_SERVER_CLIENT_H
 
+#include "server/Wire.h"
 #include "support/Json.h"
 
 #include <string>
@@ -41,8 +45,8 @@ struct ClientConfig {
   /// Unix-domain socket path of the rapd to talk to.
   std::string SocketPath;
   /// Budget for one connect attempt. AF_UNIX connects fail fast; this
-  /// mostly bounds the wait for a listener that exists but never accepts.
-  unsigned ConnectTimeoutMs = 1000;
+  /// bounds the wait for room in a live listener's full backlog.
+  unsigned ConnectTimeoutMs = server::ConnectTimeoutMs;
   /// Total wall-clock budget for one call(): send + wait + every retry,
   /// reconnect, and overloaded backoff inside it. 0 = no budget.
   unsigned RequestTimeoutMs = 30000;
@@ -80,15 +84,10 @@ public:
 private:
   /// Connects (with timeout) if not connected. False + Error on failure.
   bool ensureConnected(std::string &Error);
-  /// Writes all of \p Data; false closes the socket.
-  bool sendAll(const std::string &Data, std::string &Error);
-  /// Reads one '\n'-terminated line within \p TimeoutMs; false closes the
-  /// socket (a half-read line is useless — resend is the recovery).
-  bool readLine(std::string &Line, int TimeoutMs, std::string &Error);
 
   ClientConfig Config;
   int Fd = -1;
-  std::string RecvBuf;
+  LineReader Reader;
 };
 
 } // namespace server

@@ -60,7 +60,8 @@ struct ServiceConfig {
   /// request token so one cancel() aborts all in-flight compilations at
   /// their next cooperative check. Null outside rapd.
   const CancelToken *StopToken = nullptr;
-  /// Deterministic server-layer chaos schedule (sites cache-insert/stall);
+  /// Deterministic server-layer chaos schedule (every server site: the
+  /// service fires cache-insert and stall, the Server parse and shutdown);
   /// empty = the process-wide RAP_FAULT_INJECT plan, if any.
   FaultPlan Chaos;
   /// How long a `stall` chaos fault wedges a worker, ignoring its token
@@ -165,10 +166,13 @@ public:
   unsigned shards() const { return Pool.shards(); }
   size_t cacheBudgetBytes() const { return Cache.budgetBytes(); }
 
-private:
-  /// Thread-safe countdown on the service's chaos schedule (server sites
-  /// fire from pool workers and the service thread alike).
+  /// Registers one hit of server chaos site \p S on rapd's one injector and
+  /// returns true when an arm fired. Thread-safe: the sites fire from pool
+  /// workers, the service and the serving layer alike. The caller decides
+  /// whether a fault it fires counts in chaos_injected.
   bool chaosFires(FaultSite S);
+
+private:
 
   ServiceConfig Config;
   AllocCache Cache;

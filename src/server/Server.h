@@ -6,9 +6,12 @@
 ///
 /// \file
 /// The transport layer over CompileService + Protocol: a line-oriented
-/// serving core (handleLine) plus two front ends — stdin/stdout NDJSON and
-/// a Unix-domain stream socket with one serving thread per connection.
-/// Both front ends share the service, the cache, the shard pool, and the
+/// serving core (handleLine) served over two transports, stdin/stdout
+/// NDJSON and a Unix-domain stream socket. Both serve through one
+/// connection loop (serveConnection: banner, read a line, handleLine, write
+/// the reply) over the wire code of server/Wire.h; stdin/stdout is one
+/// connection and each accepted socket another, each on its own thread.
+/// Both transports share the service, the cache, the shard pool, and the
 /// admission control:
 ///
 ///   * Backpressure. Admission charges each request line's bytes against
@@ -18,21 +21,22 @@
 ///     Bounded memory is part of the crash-free contract — a flood of
 ///     megabyte sources degrades to rejections, not OOM.
 ///   * Line caps. A single line longer than MaxLineBytes is answered with a
-///     stable "bad-request" (the socket reader truncates and discards the
-///     excess, so a newline-less flood costs bounded memory too).
+///     stable "bad-request". The reader keeps MaxLineBytes + 1 bytes of it
+///     and drops the rest as it arrives, on both transports, so a
+///     newline-less flood costs bounded memory too.
 ///   * Batches. A line carrying a JSON array is served as one admission
 ///     unit: responses come back as an array in request order.
 ///
 /// Crash-only serving (DESIGN.md §13) adds graceful drain: a shutdown op,
 /// SIGTERM, or SIGINT (the latter two via the StopFlag the rapd main
-/// installs) stops both front ends from admitting new lines; in-flight
-/// requests get DrainMs to finish, after which the drain watcher cancels
-/// the DrainKill token — the parent of every request token — and every
-/// remaining compilation aborts at its next cooperative check, answering
-/// "cancelled". Every admitted line gets exactly one well-formed response,
-/// drained or not. The serve loops return 0 on a clean drain and 3 when the
-/// drain deadline had to cancel work (the degraded-exit convention rapcc
-/// established).
+/// installs) stops every connection from admitting new lines within one
+/// poll tick; in-flight requests get DrainMs to finish, after which the
+/// serve loop cancels the DrainKill token — the parent of every request
+/// token — and every remaining compilation aborts at its next cooperative
+/// check, answering "cancelled". Every admitted line gets exactly one
+/// well-formed response, drained or not. The serve calls return 0 on a
+/// clean drain and 3 when the drain deadline had to cancel work (the
+/// degraded-exit convention rapcc established).
 ///
 /// Determinism: responses embed no timestamps or thread ids, so a request
 /// trace replayed against any shard count yields byte-identical response
@@ -47,13 +51,9 @@
 #include "server/Protocol.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <csignal>
 #include <cstdint>
-#include <iosfwd>
 #include <mutex>
 #include <string>
-#include <thread>
 
 namespace rap {
 namespace server {
@@ -63,7 +63,8 @@ struct ServerConfig {
   /// Admission budget: total request bytes being parsed/compiled at once.
   size_t MaxInflightBytes = 64u << 20;
   /// Longest single NDJSON line the server accepts; longer lines answer
-  /// "bad-request" without being parsed (and without being buffered whole).
+  /// "bad-request" without being parsed, and on either transport without
+  /// being buffered whole.
   size_t MaxLineBytes = 8u << 20;
   /// The retry hint sent with "overloaded" rejections.
   unsigned RetryAfterMs = 50;
@@ -72,29 +73,30 @@ struct ServerConfig {
   unsigned DrainMs = 2000;
   /// Print the {"rapd":"v1",...} banner before serving (both transports).
   bool Hello = true;
-  /// Signal-handler flag (rapd's SIGTERM/SIGINT handler flips it). The
-  /// serve loops poll it via shutdownRequested(); null = protocol-only
-  /// shutdown. volatile sig_atomic_t is the only type a strict-ISO signal
-  /// handler may write, hence the odd pointer type.
-  const volatile std::sig_atomic_t *StopFlag = nullptr;
+  /// Stop flag (rapd's SIGTERM/SIGINT handler raises it). Every connection
+  /// and the serve loop poll it via shutdownRequested(); null =
+  /// protocol-only shutdown. A lock-free atomic is what a signal handler
+  /// may write and what any thread may read.
+  const std::atomic<bool> *StopFlag = nullptr;
 };
 
 class Server {
 public:
   explicit Server(const ServerConfig &Config);
 
-  /// Serves NDJSON over \p In/\p Out until EOF or a shutdown request.
-  /// Returns the process exit code (0 clean drain, 1 transport failure,
-  /// 3 drain deadline hit with work still in flight).
-  int serveStdio(std::istream &In, std::ostream &Out);
+  /// Serves NDJSON over \p InFd/\p OutFd, as one connection, until EOF or
+  /// a shutdown request. Returns the process exit code (0 clean drain,
+  /// 1 a reply could not be written, 3 drain deadline hit with work still
+  /// in flight).
+  int serveStdio(int InFd = 0, int OutFd = 1);
 
   /// Binds \p Path and serves until a shutdown request. An existing socket
-  /// at \p Path is probed first: unlinked and rebound only if dead
-  /// (ECONNREFUSED); if a live server answers, this fails with a
-  /// `socket-in-use` error and exit code 1 instead of hijacking it. One
-  /// thread per connection, joined by the accept loop once it finishes; the
-  /// accept and read loops poll at ~50ms so a drain is observed promptly.
-  /// Same exit code contract as serveStdio.
+  /// at \p Path is probed first with a connect bounded by ConnectTimeoutMs
+  /// (server/Wire.h): unlinked and rebound only if refused (ECONNREFUSED);
+  /// a live server, a probe that times out in a full backlog, or any other
+  /// failure refuses with a `socket-in-use` error and exit code 1 instead
+  /// of hijacking it. One thread per connection, joined by the serve loop
+  /// once it finishes. Exit code 0 or 3, as for serveStdio.
   int serveSocket(const std::string &Path);
 
   /// One request line -> one response line (no trailing newline). Handles
@@ -106,7 +108,8 @@ public:
   bool shutdownRequested() const {
     if (Shutdown.load(std::memory_order_acquire))
       return true;
-    return Config.StopFlag && *Config.StopFlag != 0;
+    return Config.StopFlag &&
+           Config.StopFlag->load(std::memory_order_relaxed);
   }
 
   /// True once the drain deadline passed with requests still in flight
@@ -126,31 +129,23 @@ public:
 
 private:
   json::Value dispatch(const json::Value &Parsed);
-  /// Thread-safe countdown on the transport-layer chaos sites (parse /
-  /// mid-request shutdown); shares the plan with the service's injector but
-  /// counts its own sites.
-  bool chaosFires(FaultSite S);
   /// Wires DrainKill in as the service's stop token (must run after
   /// DrainKill exists, hence the helper called from the init list).
   const ServiceConfig &patchedServiceConfig();
-
-  /// The drain protocol, shared by both serve loops: a watcher thread
-  /// sleeps until shutdownRequested(), gives in-flight requests DrainMs,
-  /// then cancels DrainKill and marks the drain degraded. RAII-stopped.
-  class DrainWatcher {
-  public:
-    explicit DrainWatcher(Server &S);
-    ~DrainWatcher();
-
-  private:
-    void run();
-    Server &S;
-    std::thread T;
-  };
+  /// One connection: the banner, then a line read, handleLine, the reply
+  /// written, until EOF or shutdown. False when a write failed.
+  bool serveConnection(int InFd, int OutFd);
+  /// The serve loop of one serve*() call. Stdio (\p Listen < 0) serves
+  /// \p InFd/\p OutFd as its one connection; a socket accepts on \p
+  /// Listen, and closes it and unlinks \p Path once shutdown is requested.
+  /// Each tick joins finished connections; after a shutdown request the
+  /// loop runs the drain window, then joins every connection.
+  int serveLoop(int InFd, int OutFd, int Listen = -1,
+                const std::string &Path = "");
 
   ServerConfig Config;
-  /// Parent of every request token: cancelled exactly once, by the drain
-  /// watcher, when the drain deadline passes. Declared before Service so
+  /// Parent of every request token: cancelled exactly once, by the serve
+  /// loop, when the drain deadline passes. Declared before Service so
   /// its address is valid when the service config is patched.
   CancelToken DrainKill;
   CompileService Service;
@@ -161,13 +156,6 @@ private:
   std::atomic<bool> DrainDegradedFlag{false};
   mutable std::mutex StatsM;
   AllocStats TotalAlloc;
-  std::mutex ChaosM;
-  FaultInjector Chaos;
-  // Drain-watcher parking: the serve loop notifies on exit so the watcher
-  // never outlives it.
-  std::mutex WatcherM;
-  std::condition_variable WatcherCV;
-  bool WatcherExit = false;
 };
 
 } // namespace server

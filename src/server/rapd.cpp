@@ -36,15 +36,15 @@
 ///                             object the `stats` op answers (text ->
 ///                             stderr as one `server:` line, json -> stdout)
 ///
-/// SIGTERM and SIGINT start a graceful drain: admission stops, in-flight
-/// requests get --drain-ms to finish, then the drain-kill token cancels
-/// whatever remains (those requests answer "cancelled" — no response is
-/// ever lost). Exit codes: 0 clean drain (EOF, "shutdown" op, or signal
-/// with nothing left running), 1 transport/I-O failure, 2 usage error,
-/// 3 the drain deadline passed with requests still in flight (served
-/// degraded — the same convention as rapcc's degraded exit). Compile errors
-/// never change the exit code — they are responses, not failures of the
-/// server.
+/// SIGTERM and SIGINT start a graceful drain: admission stops within one
+/// poll tick, in-flight requests get --drain-ms to finish, then the
+/// drain-kill token cancels whatever remains (those requests answer
+/// "cancelled" — no response is ever lost). Exit codes: 0 clean drain
+/// (EOF, "shutdown" op, or signal with nothing left running), 1 transport
+/// or I/O failure, 2 usage error, 3 the drain deadline passed with
+/// requests still in flight (served degraded — the same convention as
+/// rapcc's degraded exit). Compile errors never change the exit code —
+/// they are responses, not failures of the server.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,10 +52,10 @@
 #include "server/Server.h"
 #include "support/CmdLine.h"
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <string>
 
 using namespace rap;
@@ -63,21 +63,21 @@ using namespace rap::server;
 
 namespace {
 
-/// The only thing a strict-ISO signal handler may write. The serve loops
-/// poll it; the drain watcher turns it into a cooperative cancellation.
-volatile std::sig_atomic_t StopFlag = 0;
+/// Raised by the SIGTERM/SIGINT handler (a lock-free atomic store is
+/// async-signal-safe). Every connection and the serve loop poll it on their
+/// tick; the serve loop turns it into the drain.
+std::atomic<bool> StopFlag{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void onStopSignal(int) { StopFlag = 1; }
+void onStopSignal(int) { StopFlag.store(true, std::memory_order_relaxed); }
 
-/// Installed WITHOUT SA_RESTART on purpose: a signal must make blocked
-/// reads (stdio getline, socket poll) return EINTR so the serve loops
-/// re-check the flag instead of sleeping through the drain window.
+/// No serve loop needs the signal to interrupt a blocked call (EINTR):
+/// every wait is a poll() tick that re-checks the flag.
 void installStopHandlers() {
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = onStopSignal;
   sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0; // no SA_RESTART
   sigaction(SIGTERM, &SA, nullptr);
   sigaction(SIGINT, &SA, nullptr);
 }
@@ -169,8 +169,7 @@ int main(int argc, char **argv) {
   Config.StopFlag = &StopFlag;
 
   Server S(Config);
-  int Code = SocketPath.empty() ? S.serveStdio(std::cin, std::cout)
-                                : S.serveSocket(SocketPath);
+  int Code = SocketPath.empty() ? S.serveStdio() : S.serveSocket(SocketPath);
 
   if (!StatsMode.empty()) {
     // The final report: the rap-stats-v1 document over everything served.

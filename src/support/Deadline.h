@@ -91,9 +91,9 @@ public:
   explicit CancelToken(Deadline D, const CancelToken *Parent = nullptr)
       : D(D), Parent(Parent) {}
 
-  /// Sticky; safe from any thread, including a signal-adjacent drain
-  /// watcher. (Not async-signal-safe itself — real handlers flip a
-  /// sig_atomic_t and a watcher thread calls this.)
+  /// Sticky; safe from any thread. (rapd's signal handlers only raise a
+  /// flag; its serve loop sees the flag on its tick and calls this when the
+  /// drain window runs out.)
   void cancel() { Cancelled.store(true, std::memory_order_release); }
 
   /// Explicit cancellation, own or inherited.

@@ -181,14 +181,6 @@ private:
   uint64_t Trips = 0;
 };
 
-// Historical home of the pool; the server code still refers to these names
-// through its own namespace.
-namespace server {
-using rap::ShardPool;
-using rap::TaskGroup;
-using rap::WatchdogConfig;
-} // namespace server
-
 } // namespace rap
 
 #endif // RAP_SUPPORT_SHARDPOOL_H

@@ -82,6 +82,19 @@ struct DiamondBuilder {
   }
 };
 
+/// Runs the cleanup over \p F and returns the counts it made.
+AllocStats cleanup(IlocFunction &F) {
+  AllocStats Stats;
+  globalSpillCleanup(F, Stats);
+  return Stats;
+}
+
+/// The loads the cleanup deleted outright (CleanupRemovedLoads also counts
+/// those it rewrote to copies).
+unsigned deletedLoads(const AllocStats &S) {
+  return S.CleanupRemovedLoads - S.CleanupLoadsToCopies;
+}
+
 TEST(GlobalCleanup, CrossBlockRedundantReloadRemoved) {
   DiamondBuilder B;
   // entry: r1 = ldm s0 ; cbr r0
@@ -92,8 +105,8 @@ TEST(GlobalCleanup, CrossBlockRedundantReloadRemoved) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0);
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.RemovedLoads, 1u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(deletedLoads(R), 1u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
 }
 
@@ -105,8 +118,8 @@ TEST(GlobalCleanup, ReloadKeptWhenOnePathInvalidates) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0); // must stay
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.RemovedLoads, 0u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(deletedLoads(R), 0u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 2u);
 }
 
@@ -118,8 +131,8 @@ TEST(GlobalCleanup, ReloadKeptWhenRegisterClobberedOnOnePath) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0); // must stay
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.RemovedLoads, 0u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(deletedLoads(R), 0u);
 }
 
 TEST(GlobalCleanup, DeadStoreRemoved) {
@@ -129,8 +142,8 @@ TEST(GlobalCleanup, DeadStoreRemoved) {
   B.emit(B.Entry, Opcode::StSpill, NoReg, {1}, 2);
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.RemovedStores, 1u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(R.CleanupRemovedStores, 1u);
   EXPECT_EQ(B.countOps(Opcode::StSpill), 0u);
 }
 
@@ -141,7 +154,7 @@ TEST(GlobalCleanup, StoreKeptWhenAnyPathReads) {
   B.emit(B.Then, Opcode::LdSpill, 3, {}, 2); // reads on the then path
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  AllocStats R = cleanup(B.F);
   EXPECT_EQ(B.countOps(Opcode::StSpill), 1u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
   (void)R;
@@ -154,11 +167,11 @@ TEST(GlobalCleanup, OverwrittenStoreIsDead) {
   B.emit(B.Join, Opcode::LdSpill, 3, {}, 2);
   B.emit(B.Join, Opcode::Ret, NoReg, {3});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  AllocStats R = cleanup(B.F);
   // The first store dies; the second feeds the load... which then makes r3
   // a copy of r2 (the value is still in a register), freeing the second
   // store too on the next fixpoint round. Net: at most one spill op left.
-  EXPECT_GE(R.RemovedStores, 1u);
+  EXPECT_GE(R.CleanupRemovedStores, 1u);
   EXPECT_LE(B.countOps(Opcode::StSpill), 1u);
 }
 
@@ -168,8 +181,8 @@ TEST(GlobalCleanup, LoadBecomesCopyWhenValueInOtherRegister) {
   B.emit(B.Join, Opcode::LdSpill, 3, {}, 1); // value still in r2
   B.emit(B.Join, Opcode::Ret, NoReg, {3});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.LoadsToCopies, 1u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(R.CleanupLoadsToCopies, 1u);
   EXPECT_EQ(B.countOps(Opcode::Mv), 1u);
 }
 
@@ -192,11 +205,12 @@ TEST(GlobalCleanup, FactsAcrossTheWordBoundaryOfARegistersSlots) {
   Instr *Split = B.emit(B.Join, Opcode::LdSpill, 4, {}, 64);
   B.emit(B.Join, Opcode::Ret, NoReg, {6});
   B.F.setAllocated(9);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
-  EXPECT_EQ(R.RemovedLoads, 1u);
-  EXPECT_EQ(R.LoadsToCopies, 1u);
-  EXPECT_EQ(R.RemovedStores, 1u); // s69's store: its one reader is a copy
-  EXPECT_EQ(R.Iterations, 2u);
+  AllocStats R = cleanup(B.F);
+  EXPECT_EQ(deletedLoads(R), 1u);
+  EXPECT_EQ(R.CleanupLoadsToCopies, 1u);
+  // s69's store: its one reader is a copy.
+  EXPECT_EQ(R.CleanupRemovedStores, 1u);
+  EXPECT_EQ(R.CleanupIterations, 2u);
   std::vector<Instr *> Code = linearize(B.F).Instrs;
   for (Instr *Gone : {Held, Dead})
     EXPECT_EQ(std::count(Code.begin(), Code.end(), Gone), 0);

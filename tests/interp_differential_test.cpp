@@ -10,11 +10,11 @@
 /// pre-decoded threaded engine must be observationally identical to the
 /// reference switch engine. "Observationally identical" is the full
 /// RunResult: success flag, error text, every trap field, return value, all
-/// eight ExecStats counters, the per-function breakdown, and global memory
-/// afterwards. Fuel is swept across values that land inside basic-block
-/// stretches and fused superinstructions, where the threaded engine's bulk
-/// cycle charging and mid-flight bail-out to the switch engine have to
-/// reproduce per-instruction accounting exactly.
+/// eight ExecStats counters, and global memory afterwards. Fuel is swept
+/// across values that land inside basic-block stretches and fused
+/// superinstructions, where the threaded engine's bulk cycle charging and
+/// mid-flight bail-out to the switch engine have to reproduce
+/// per-instruction accounting exactly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,17 +51,6 @@ void expectSameRun(const RunResult &S, const RunResult &T,
   EXPECT_EQ(S.Stats.Copies, T.Stats.Copies) << What;
   EXPECT_EQ(S.Stats.Calls, T.Stats.Calls) << What;
   EXPECT_EQ(S.Stats.MaxCallDepth, T.Stats.MaxCallDepth) << What;
-  ASSERT_EQ(S.PerFunction.size(), T.PerFunction.size()) << What;
-  for (size_t I = 0; I != S.PerFunction.size(); ++I) {
-    EXPECT_EQ(S.PerFunction[I].first, T.PerFunction[I].first) << What;
-    const ExecStats &A = S.PerFunction[I].second;
-    const ExecStats &B = T.PerFunction[I].second;
-    EXPECT_EQ(A.Cycles, B.Cycles) << What << " fn " << S.PerFunction[I].first;
-    EXPECT_EQ(A.Loads, B.Loads) << What << " fn " << S.PerFunction[I].first;
-    EXPECT_EQ(A.Stores, B.Stores) << What << " fn " << S.PerFunction[I].first;
-    EXPECT_EQ(A.Copies, B.Copies) << What << " fn " << S.PerFunction[I].first;
-    EXPECT_EQ(A.Calls, B.Calls) << What << " fn " << S.PerFunction[I].first;
-  }
 }
 
 /// Runs both engines over one compiled program at an unlimited budget plus
@@ -75,8 +64,8 @@ void diffProgram(const IlocProgram &Prog, const std::string &What) {
   Interpreter Th(Prog, ThOpts);
 
   const uint64_t Budget = 2'000'000; // generous; traps compare equal too
-  RunResult S = Sw.run("main", Budget, /*CollectPerFunction=*/true);
-  RunResult T = Th.run("main", Budget, /*CollectPerFunction=*/true);
+  RunResult S = Sw.run("main", Budget);
+  RunResult T = Th.run("main", Budget);
   expectSameRun(S, T, What + " (full)");
   EXPECT_EQ(Sw.globalMemory().size(), Th.globalMemory().size()) << What;
   for (size_t I = 0; I != Sw.globalMemory().size(); ++I)

@@ -140,7 +140,11 @@ struct LoopFunction {
 
   void color(Reg R, int C) { Final.node(Final.getOrCreateNode(R)).Color = C; }
 
-  MovementResult run() { return moveSpillCodeOutOfLoops(F, Final); }
+  AllocStats run() {
+    AllocStats Stats;
+    moveSpillCodeOutOfLoops(F, Final, Stats);
+    return Stats;
+  }
 
   /// The spill loads (or stores) of \p Slot in \p N's subtree.
   static unsigned spillOps(const PdgNode *N, Opcode Op, int Slot) {
@@ -161,9 +165,9 @@ TEST(SpillMovementRule, SlotsWhoseAccessorsShareAColorStay) {
   for (auto [R, C] :
        {std::pair{10u, 0}, {11u, 0}, {12u, 1}, {13u, 1}, {20u, 2}})
     B.color(R, C);
-  MovementResult R = B.run();
+  AllocStats R = B.run();
   EXPECT_EQ(R.HoistedLoads, 0u);
-  EXPECT_EQ(R.removedOps(), 0u);
+  EXPECT_EQ(R.MovementRemovedLoads + R.MovementRemovedStores, 0u);
   EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 0), 1u);
   EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 1), 1u);
 }
@@ -176,9 +180,9 @@ TEST(SpillMovementRule, AnotherInLoopRegisterOfTheColorBlocksTheMove) {
   B.emit(S, Opcode::Add, 11, {10, 10}); // r11 is no accessor of s0
   for (auto [R, C] : {std::pair{10u, 0}, {11u, 0}, {20u, 2}})
     B.color(R, C);
-  MovementResult R = B.run();
+  AllocStats R = B.run();
   EXPECT_EQ(R.HoistedLoads, 0u);
-  EXPECT_EQ(R.removedOps(), 0u);
+  EXPECT_EQ(R.MovementRemovedLoads + R.MovementRemovedStores, 0u);
   EXPECT_EQ(LoopFunction::spillOps(L, Opcode::LdSpill, 0), 1u);
 }
 
@@ -196,11 +200,11 @@ TEST(SpillMovementRule, TheColorUsedOnlyOutsideTheLoopLetsTheSlotMove) {
   for (auto [R, C] : {std::pair{10u, 0}, {11u, 0}, {15u, 0}, {12u, 1},
                       {20u, 2}})
     B.color(R, C);
-  MovementResult R = B.run();
+  AllocStats R = B.run();
   EXPECT_EQ(R.HoistedLoads, 1u);
   EXPECT_EQ(R.SunkStores, 1u);
-  EXPECT_EQ(R.RemovedLoads, 1u);
-  EXPECT_EQ(R.RemovedStores, 1u);
+  EXPECT_EQ(R.MovementRemovedLoads, 1u);
+  EXPECT_EQ(R.MovementRemovedStores, 1u);
   // The accessors are renamed to the lowest one; code outside is untouched.
   EXPECT_EQ(Piece->Dst, 10u);
   EXPECT_EQ(Use->Src[0], 11u);
@@ -235,9 +239,9 @@ TEST(SpillMovementRule, AnInnerLoopIsDecidedOnTheCodeTheOuterMoveLeft) {
   for (auto [R, C] : {std::pair{10u, 0}, {12u, 1}, {16u, 1}, {13u, 2},
                       {20u, 2}, {21u, 2}})
     B.color(R, C);
-  MovementResult R = B.run();
+  AllocStats R = B.run();
   EXPECT_EQ(R.HoistedLoads, 2u);
-  EXPECT_EQ(R.RemovedLoads, 2u);
+  EXPECT_EQ(R.MovementRemovedLoads, 2u);
   EXPECT_EQ(R.SunkStores, 0u);
   // One load of s0, before the outer loop; one of s2, before the inner.
   ASSERT_EQ(Outer->loopPredicateIndex(), 1u);

@@ -74,9 +74,11 @@ struct FuncBuilder {
     return I;
   }
 
-  PeepholeResult finish(unsigned K = 4) {
+  AllocStats finish(unsigned K = 4) {
     F.setAllocated(K);
-    return peepholeSpillCleanup(F);
+    AllocStats Stats;
+    peepholeSpillCleanup(F, Stats);
+    return Stats;
   }
 
   std::vector<Opcode> opcodes() {
@@ -93,8 +95,8 @@ TEST(PeepholeFig6, Pattern1DuplicateLoadRemoved) {
   B.add(3, 2, 2); // uses r2, no redef
   B.ldm(2, 0);    // redundant
   B.ret(2);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads, 1u);
   EXPECT_EQ(B.opcodes(), (std::vector<Opcode>{Opcode::LdSpill, Opcode::Add,
                                               Opcode::Ret}));
 }
@@ -105,8 +107,8 @@ TEST(PeepholeFig6, Pattern2LoadToOtherRegisterBecomesCopy) {
   B.ldm(3, 0); // same slot, different register -> mv r3, r2
   B.add(1, 2, 3);
   B.ret(1);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.LoadsToCopies, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeLoadsToCopies, 1u);
   auto Ops = B.opcodes();
   ASSERT_EQ(Ops.size(), 4u);
   EXPECT_EQ(Ops[1], Opcode::Mv);
@@ -118,8 +120,8 @@ TEST(PeepholeFig6, Pattern3StoreBackRemoved) {
   B.add(3, 2, 2);
   B.stm(0, 2); // stores the value the slot already has
   B.ret(3);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedStores, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedStores, 1u);
 }
 
 TEST(PeepholeFig6, Pattern4ReloadAfterStoreRemoved) {
@@ -128,8 +130,8 @@ TEST(PeepholeFig6, Pattern4ReloadAfterStoreRemoved) {
   B.add(3, 2, 2);
   B.ldm(2, 0); // r2 still holds the stored value
   B.ret(2);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads, 1u);
 }
 
 TEST(PeepholeFig6, Pattern5StoreThroughCopyRemoved) {
@@ -138,8 +140,8 @@ TEST(PeepholeFig6, Pattern5StoreThroughCopyRemoved) {
   B.mv(3, 2); // r3 = r2: both hold the slot's value
   B.stm(0, 3);
   B.ret(3);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedStores, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedStores, 1u);
 }
 
 TEST(PeepholeFig6, RedefinitionBlocksLoadRemoval) {
@@ -148,9 +150,9 @@ TEST(PeepholeFig6, RedefinitionBlocksLoadRemoval) {
   B.add(2, 2, 2); // redefines r2
   B.ldm(2, 0);    // must stay
   B.ret(2);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads, 0u);
-  EXPECT_EQ(R.LoadsToCopies, 0u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads, 0u);
+  EXPECT_EQ(R.PeepholeLoadsToCopies, 0u);
 }
 
 TEST(PeepholeFig6, InterveningStoreBlocksRemoval) {
@@ -159,8 +161,8 @@ TEST(PeepholeFig6, InterveningStoreBlocksRemoval) {
   B.stm(0, 3); // the slot changes; r2 is stale
   B.ldm(2, 0); // must stay
   B.ret(2);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads, 0u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads, 0u);
 }
 
 TEST(PeepholeFig6, DifferentSlotsDoNotAlias) {
@@ -169,8 +171,10 @@ TEST(PeepholeFig6, DifferentSlotsDoNotAlias) {
   B.ldm(3, 1); // a different slot: no rewrite possible
   B.add(1, 2, 3);
   B.ret(1);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads + R.LoadsToCopies + R.RemovedStores, 0u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads + R.PeepholeLoadsToCopies +
+                R.PeepholeRemovedStores,
+            0u);
 }
 
 TEST(PeepholeFig6, CopyChainPropagatesEquivalence) {
@@ -180,8 +184,8 @@ TEST(PeepholeFig6, CopyChainPropagatesEquivalence) {
   B.mv(1, 3);
   B.ldm(1, 0); // r1 already holds the value via the copy chain
   B.ret(1);
-  PeepholeResult R = B.finish();
-  EXPECT_EQ(R.RemovedLoads, 1u);
+  AllocStats R = B.finish();
+  EXPECT_EQ(R.PeepholeRemovedLoads, 1u);
 }
 
 TEST(PeepholeFig6, FactsAcrossTheWordBoundaryOfARegistersSlots) {
@@ -211,10 +215,10 @@ TEST(PeepholeFig6, FactsAcrossTheWordBoundaryOfARegistersSlots) {
   B.stm(69, 5);                 // only r5 holds s69 now
   Instr *From5 = B.ldm(8, 69);  // -> mv r8, r5
   B.ret(8);
-  PeepholeResult R = B.finish(9);
-  EXPECT_EQ(R.RemovedLoads, 2u);
-  EXPECT_EQ(R.RemovedStores, 1u);
-  EXPECT_EQ(R.LoadsToCopies, 6u);
+  AllocStats R = B.finish(9);
+  EXPECT_EQ(R.PeepholeRemovedLoads, 2u);
+  EXPECT_EQ(R.PeepholeRemovedStores, 1u);
+  EXPECT_EQ(R.PeepholeLoadsToCopies, 6u);
   std::vector<Instr *> Code = linearize(B.F).Instrs;
   for (Instr *Gone : {Dup1, Dup7, Same})
     EXPECT_EQ(std::count(Code.begin(), Code.end(), Gone), 0);

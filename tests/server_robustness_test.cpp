@@ -20,30 +20,33 @@
 ///  * the ShardPool watchdog — a worker that ignores its token trips the
 ///    watchdog, degrades the shard, and the shard recovers on completion;
 ///  * Server — the NDJSON line cap, the new stats counters, and graceful
-///    drain end-to-end over serveStdio (clean exit 0, degraded exit 3,
-///    signal-flag admission stop) driven by the deterministic mid-request
-///    shutdown chaos site rather than real signals;
+///    drain end-to-end over serveStdio on pipes (clean exit 0, degraded
+///    exit 3, stop-flag admission stop, an idle serve that stops within a
+///    tick of the flag) driven by the deterministic mid-request shutdown
+///    chaos site rather than real signals; the line cap applied while a
+///    stdio line is read;
 ///  * serveSocket — a client that hangs up before its reply is written
-///    costs its connection, never the server process.
+///    costs its connection, never the server process; a stale-socket probe
+///    that times out in a live listener's full backlog refuses to start.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "server/Client.h"
 #include "server/Server.h"
+#include "server/Wire.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -92,6 +95,38 @@ std::string heavyModule(unsigned N) {
     S += "  acc = acc + hot" + std::to_string(I) + "(7);\n";
   S += "  return acc; }\n";
   return S;
+}
+
+/// Serves \p Input through serveStdio over two pipes, the way rapd serves
+/// its stdin and stdout, and returns everything the server wrote; \p Code
+/// gets serveStdio's exit code.
+std::string serveOverPipes(Server &S, const std::string &Input, int &Code) {
+  int In[2], Out[2];
+  EXPECT_EQ(::pipe(In), 0);
+  EXPECT_EQ(::pipe(Out), 0);
+  std::thread Writer([&] {
+    for (size_t Off = 0; Off < Input.size();) {
+      ssize_t N = ::write(In[1], Input.data() + Off, Input.size() - Off);
+      if (N <= 0)
+        break;
+      Off += static_cast<size_t>(N);
+    }
+    ::close(In[1]);
+  });
+  std::string Output;
+  std::thread Reader([&] {
+    char Buf[4096];
+    ssize_t N;
+    while ((N = ::read(Out[0], Buf, sizeof(Buf))) > 0)
+      Output.append(Buf, static_cast<size_t>(N));
+  });
+  Code = S.serveStdio(In[0], Out[1]);
+  ::close(Out[1]);
+  Reader.join();
+  Writer.join();
+  ::close(In[0]);
+  ::close(Out[0]);
+  return Output;
 }
 
 //===----------------------------------------------------------------------===//
@@ -384,12 +419,13 @@ TEST(ServerDrain, CleanDrainViaShutdownOpExitsZero) {
   Config.Service.Shards = 1;
   Config.Hello = false;
   Server S(Config);
-  std::istringstream In("{\"op\":\"ping\",\"id\":1}\n"
-                        "{\"op\":\"shutdown\",\"id\":2}\n"
-                        "{\"op\":\"ping\",\"id\":3}\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.serveStdio(In, Out), 0);
-  std::string Text = Out.str();
+  int Code = -1;
+  std::string Text = serveOverPipes(S,
+                                    "{\"op\":\"ping\",\"id\":1}\n"
+                                    "{\"op\":\"shutdown\",\"id\":2}\n"
+                                    "{\"op\":\"ping\",\"id\":3}\n",
+                                    Code);
+  EXPECT_EQ(Code, 0);
   EXPECT_NE(Text.find("pong"), std::string::npos);
   EXPECT_NE(Text.find("shutting-down"), std::string::npos);
   // The third line was never admitted: drain stops admission.
@@ -398,18 +434,69 @@ TEST(ServerDrain, CleanDrainViaShutdownOpExitsZero) {
 }
 
 TEST(ServerDrain, SignalFlagStopsAdmissionBeforeServing) {
-  static volatile std::sig_atomic_t Flag = 0;
-  Flag = 1;
+  std::atomic<bool> Flag{true};
   ServerConfig Config;
   Config.Service.Shards = 1;
   Config.Hello = false;
   Config.StopFlag = &Flag;
   Server S(Config);
-  std::istringstream In("{\"op\":\"ping\",\"id\":1}\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.serveStdio(In, Out), 0);
-  EXPECT_TRUE(Out.str().empty());
-  Flag = 0;
+  int Code = -1;
+  EXPECT_TRUE(serveOverPipes(S, "{\"op\":\"ping\",\"id\":1}\n", Code).empty());
+  EXPECT_EQ(Code, 0);
+}
+
+TEST(ServerDrain, IdleStdioServeStopsWithinATickOfTheStopFlag) {
+  // Nothing arrives and the input stays open: only the flag, raised with
+  // no signal sent, can end the serve.
+  std::atomic<bool> Flag{false};
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Config.Hello = false;
+  Config.StopFlag = &Flag;
+  Server S(Config);
+  int In[2], Out[2];
+  ASSERT_EQ(::pipe(In), 0);
+  ASSERT_EQ(::pipe(Out), 0);
+  std::atomic<bool> Returned{false};
+  int Code = -1;
+  std::thread Serving([&] {
+    Code = S.serveStdio(In[0], Out[1]);
+    Returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(3 * TickMs));
+  EXPECT_FALSE(Returned.load());
+  auto Raised = std::chrono::steady_clock::now();
+  Flag.store(true);
+  Serving.join();
+  auto Took = std::chrono::steady_clock::now() - Raised;
+  EXPECT_EQ(Code, 0);
+  // One tick for the reader and the loop to see the flag; the bound leaves
+  // room for a loaded or instrumented run.
+  EXPECT_LT(Took, std::chrono::milliseconds(10 * TickMs))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(Took).count()
+      << " ms";
+  for (int Fd : {In[0], In[1], Out[0], Out[1]})
+    ::close(Fd);
+}
+
+TEST(ServerStdio, OversizedLineIsCutWhileRead) {
+  // A 4 MB newline-less line against a 128-byte cap answers bad-request
+  // from the Cap + 1 bytes the reader kept, and the next line still serves.
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Config.Hello = false;
+  Config.MaxLineBytes = 128;
+  Server S(Config);
+  int Code = -1;
+  std::string Text = serveOverPipes(
+      S, std::string(4u << 20, 'x') + "\n{\"op\":\"ping\",\"id\":2}\n", Code);
+  EXPECT_EQ(Code, 0);
+  size_t NL = Text.find('\n');
+  ASSERT_NE(NL, std::string::npos) << Text;
+  EXPECT_NE(Text.find("\"kind\":\"bad-request\""), std::string::npos) << Text;
+  EXPECT_NE(Text.find("line of 129+ bytes"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("pong", NL), std::string::npos) << Text;
+  EXPECT_EQ(S.counters().RejectedRequests, 1u);
 }
 
 TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
@@ -417,7 +504,7 @@ TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
   // dispatch flips the stop flag (as if SIGTERM landed mid-compile), the
   // first allocation task stalls for 500ms so the 25ms drain window passes
   // while the big compile is still running however fast the allocator is,
-  // the drain watcher cancels it, and the request answers "cancelled" — no
+  // the serve loop cancels it, and the request answers "cancelled" — no
   // response lost, exit code 3.
   ServerConfig Config;
   Config.Service.Shards = 2;
@@ -426,14 +513,15 @@ TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
   Config.Service.Chaos = FaultPlan::fromString("shutdown:1,stall:1");
   Config.Service.ChaosStallMs = 500;
   Server S(Config);
-  std::istringstream In(
+  int Code = -1;
+  std::string Text = serveOverPipes(
+      S,
       "{\"op\":\"compile\",\"id\":1,\"source\":" +
-      json::Value(heavyModule(48)).str() +
-      ",\"options\":{\"alloc\":\"rap\",\"k\":3}}\n"
-      "{\"op\":\"ping\",\"id\":2}\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.serveStdio(In, Out), 3);
-  std::string Text = Out.str();
+          json::Value(heavyModule(48)).str() +
+          ",\"options\":{\"alloc\":\"rap\",\"k\":3}}\n"
+          "{\"op\":\"ping\",\"id\":2}\n",
+      Code);
+  EXPECT_EQ(Code, 3);
   EXPECT_NE(Text.find("\"id\":1"), std::string::npos) << Text;
   EXPECT_NE(Text.find("\"kind\":\"cancelled\""), std::string::npos) << Text;
   EXPECT_EQ(Text.find("\"id\":2"), std::string::npos) << Text;
@@ -451,7 +539,7 @@ TEST(ServerSocket, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
   // must fail with EPIPE, not raise SIGPIPE (which would end this whole
   // process): the server then answers a ping on a new connection, and a
   // shutdown op makes serveSocket return 0.
-  static volatile std::sig_atomic_t Stop = 0;
+  std::atomic<bool> Stop{false};
   ServerConfig Config;
   Config.Service.Shards = 2;
   Config.Hello = false;
@@ -466,13 +554,14 @@ TEST(ServerSocket, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
   // On an early exit from the test, stop the server before joining it.
   struct StopAndJoin {
     std::thread &T;
+    std::atomic<bool> &Stop;
     ~StopAndJoin() {
       if (T.joinable()) {
-        Stop = 1;
+        Stop.store(true);
         T.join();
       }
     }
-  } Guard{Serving};
+  } Guard{Serving, Stop};
 
   // Client retries its connect until the server has bound the path.
   ClientConfig CC;
@@ -486,17 +575,12 @@ TEST(ServerSocket, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
   };
   ASSERT_EQ(kindOf("{\"op\":\"ping\",\"id\":1}"), "pong");
 
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  std::snprintf(Addr.sun_path, sizeof(Addr.sun_path), "%s", Path.c_str());
-  int Gone = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_EQ(
-      ::connect(Gone, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+  int Gone = connectUnix(Path, ConnectTimeoutMs);
+  ASSERT_GE(Gone, 0);
   const std::string Line = "{\"op\":\"compile\",\"id\":2,\"source\":" +
                            json::Value(heavyModule(200)).str() +
                            ",\"options\":{\"alloc\":\"rap\",\"k\":3}}\n";
-  ASSERT_EQ(::send(Gone, Line.data(), Line.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(Line.size()));
+  ASSERT_TRUE(writeAll(Gone, Line));
   ::close(Gone);
 
   // The server folds a compile's ledger in right before it writes the
@@ -509,6 +593,55 @@ TEST(ServerSocket, ClientThatHangsUpBeforeItsReplyCostsOnlyItsConnection) {
   EXPECT_EQ(kindOf("{\"op\":\"shutdown\",\"id\":4}"), "shutting-down");
   Serving.join();
   EXPECT_EQ(Code, 0);
+}
+
+TEST(ServerSocket, ProbeThatTimesOutInAFullBacklogRefusesSocketInUse) {
+  // A live listener that does not accept, with a full backlog: the
+  // stale-socket probe can neither connect nor be refused. It must give up
+  // after ConnectTimeoutMs and refuse the path, not hang or steal it.
+  const std::string Path =
+      (std::filesystem::temp_directory_path() /
+       ("rap_backlog_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  ::unlink(Path.c_str());
+  sockaddr_un Addr;
+  ASSERT_TRUE(unixAddress(Path, Addr));
+  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_EQ(
+      ::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+  ASSERT_EQ(::listen(Listen, 0), 0);
+  // Non-blocking connects queue until the backlog is full (EAGAIN).
+  std::vector<int> Held;
+  for (;;) {
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr))) {
+      EXPECT_EQ(errno, EAGAIN);
+      ::close(Fd);
+      break;
+    }
+    Held.push_back(Fd);
+    ASSERT_LT(Held.size(), 64u);
+  }
+
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Config.Hello = false;
+  Server S(Config);
+  testing::internal::CaptureStderr();
+  auto Start = std::chrono::steady_clock::now();
+  int Code = S.serveSocket(Path);
+  auto Took = std::chrono::steady_clock::now() - Start;
+  std::string Err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(Code, 1);
+  EXPECT_NE(Err.find("socket-in-use"), std::string::npos) << Err;
+  EXPECT_LT(Took, std::chrono::milliseconds(ConnectTimeoutMs + 1000));
+  // Refused, not stolen: the listener's file is still there.
+  struct stat St;
+  EXPECT_EQ(::lstat(Path.c_str(), &St), 0);
+  for (int Fd : Held)
+    ::close(Fd);
+  ::close(Listen);
+  ::unlink(Path.c_str());
 }
 
 } // namespace

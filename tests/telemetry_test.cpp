@@ -335,45 +335,6 @@ TEST(Telemetry, Table1DynamicSpillsConsistent) {
   }
 }
 
-TEST(Telemetry, PerFunctionBreakdownSumsToTotals) {
-  CompileResult CR = compileWith(SpillySource, AllocatorKind::Rap, 3);
-  ASSERT_TRUE(CR.ok()) << CR.Errors;
-  RunResult R = Interpreter(*CR.Prog).run("main", 500'000'000,
-                                          /*CollectPerFunction=*/true);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  ASSERT_FALSE(R.PerFunction.empty());
-  ExecStats Sum;
-  for (const auto &[Function, S] : R.PerFunction) {
-    bool Known = false;
-    for (const auto &F : CR.Prog->functions())
-      Known |= F->name() == Function;
-    EXPECT_TRUE(Known) << "unknown function in breakdown: " << Function;
-    EXPECT_GT(S.Cycles, 0u) << Function;
-    Sum.Cycles += S.Cycles;
-    Sum.Loads += S.Loads;
-    Sum.Stores += S.Stores;
-    Sum.SpillLoads += S.SpillLoads;
-    Sum.SpillStores += S.SpillStores;
-    Sum.Copies += S.Copies;
-    Sum.Calls += S.Calls;
-  }
-  EXPECT_EQ(Sum.Cycles, R.Stats.Cycles);
-  EXPECT_EQ(Sum.Loads, R.Stats.Loads);
-  EXPECT_EQ(Sum.Stores, R.Stats.Stores);
-  EXPECT_EQ(Sum.SpillLoads, R.Stats.SpillLoads);
-  EXPECT_EQ(Sum.SpillStores, R.Stats.SpillStores);
-  EXPECT_EQ(Sum.Copies, R.Stats.Copies);
-  EXPECT_EQ(Sum.Calls, R.Stats.Calls);
-}
-
-TEST(Telemetry, PerFunctionBreakdownOffByDefault) {
-  CompileResult CR = compileWith(SpillySource, AllocatorKind::Rap, 3);
-  ASSERT_TRUE(CR.ok()) << CR.Errors;
-  RunResult R = Interpreter(*CR.Prog).run();
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_TRUE(R.PerFunction.empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Disabled telemetry is invisible
 //===----------------------------------------------------------------------===//
