@@ -3,7 +3,9 @@
 # k in {3,5,7,9} with --verify (independent assignment verification before
 # the physical rewrite), asserting zero spill-everything fallbacks, then a
 # fault-injection end-to-end check that the rapcc degradation path works
-# (exit code 3, correct result), then that rapcc rejects a k, a thread
+# (exit code 3, correct result), then that an array index near INT64_MAX
+# traps out-of-bounds (exit 4) on both interpreter engines instead of
+# reaching a neighboring global, then that rapcc rejects a k, a thread
 # count or a fuel budget past its bound or with trailing junk, and rapfuzz
 # a --max-seconds that is not whole seconds, as a usage error (exit 2).
 #
@@ -51,6 +53,27 @@ if [ "$GOT" != "$WANT" ]; then
   exit 1
 fi
 
+# Array bounds at the edge of int64: a's base + INT64_MAX overflows, and a
+# check that adds them reads pad[2] (result 5). Both engines must trap.
+OOB_MC="$(mktemp --suffix=.mc)"
+trap 'rm -f "$TMP_MC" "$OOB_MC"' EXIT
+cat > "$OOB_MC" <<'EOF'
+int pad[3]; int a[4];
+int main() { pad[2] = 5; int i = 9223372036854775807; return a[i]; }
+EOF
+for ENGINE in threaded switch; do
+  set +e
+  ERR="$("$BUILD_DIR/src/driver/rapcc" "$OOB_MC" --alloc=rap -k 3 \
+         --interp="$ENGINE" 2>&1 >/dev/null)"
+  STATUS=$?
+  set -e
+  if [ "$STATUS" -ne 4 ] || [[ "$ERR" != *out-of-bounds* ]]; then
+    echo "FAIL: index INT64_MAX under --interp=$ENGINE exited $STATUS" \
+         "('$ERR'), want 4 with out-of-bounds" >&2
+    exit 1
+  fi
+done
+
 # k comes from outside the program: a value past the bound (256) or one
 # that is not a whole number is a usage error, never a different k.
 for K in 257 5x; do
@@ -93,4 +116,5 @@ for FLAG in --max-seconds=1x --max-seconds=abc; do
 done
 
 echo "checked-mode smoke OK (37 routines verified; fallback path exits 3;" \
-     "bad -k, --threads, --fuel and --max-seconds exit 2)"
+     "index INT64_MAX traps on both engines; bad -k, --threads, --fuel and" \
+     "--max-seconds exit 2)"

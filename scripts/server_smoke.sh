@@ -13,6 +13,8 @@
 #      ping with --max-line-bytes=1024, stdio rapd must answer bad-request
 #      and then pong with a VmHWM (/proc/<pid>/status) under 64 MB: the
 #      line cap applies while the line is read, not after it is buffered;
+#      fed a 1 MB line of '[' and then a ping, it must answer bad-request
+#      (the JSON parser's nesting bound), then pong, and exit 0;
 #   2. replays a shorter trace over a unix-domain socket (the second
 #      transport) with the same assertions; a client that sends a compile
 #      and hangs up before its reply must not kill rapd (a ping on a new
@@ -171,7 +173,8 @@ print(f"stdio trace OK: {len(by_id)} responses, 0 protocol errors, "
       f"stats reply ({len(final)} keys)")
 PYEOF
 
-# --- 1b. the line cap on stdio: a 200 MB line costs bounded memory ---------
+# --- 1b. hostile lines on stdio -------------------------------------------
+# The line cap: a 200 MB line costs bounded memory.
 python3 - "$RAPD" <<'PYEOF'
 import json, os, subprocess, sys, threading
 
@@ -208,6 +211,25 @@ finally:
         proc.kill()
 hwm = "no /proc: VmHWM unchecked" if hwm is None else f"VmHWM {hwm:.1f} MB"
 print(f"stdio line cap OK: 200 MB line answered bad-request, then pong, {hwm}")
+PYEOF
+
+# The parser's nesting bound: a 1 MB line of '[' (far below the 8 MiB line
+# cap) is one bad-request, not a stack overflow, and rapd serves on.
+python3 - "$RAPD" <<'PYEOF'
+import json, subprocess, sys
+
+rapd = sys.argv[1]
+line = b"[" * (1 << 20) + b'\n{"id":2,"op":"ping"}\n'
+proc = subprocess.run([rapd, "--no-hello"], input=line, capture_output=True,
+                      timeout=60)
+assert proc.returncode == 0, f"rapd exited {proc.returncode}"
+replies = [json.loads(l) for l in proc.stdout.splitlines()]
+assert len(replies) == 2, replies
+assert replies[0].get("kind") == "bad-request", replies[0]
+assert "nesting deeper than" in replies[0].get("error", ""), replies[0]
+assert replies[1].get("kind") == "pong", replies[1]
+print("stdio nesting bound OK: 1 MB line of '[' answered bad-request, "
+      "then pong, exit 0")
 PYEOF
 
 # --- 2. unix-domain socket transport --------------------------------------

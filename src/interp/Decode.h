@@ -7,9 +7,11 @@
 /// \file
 /// The decoded-op execution format of the direct-threaded interpreter
 /// (DESIGN.md §11). Each linearized function is translated once into a flat
-/// buffer of fixed-size DecOps: operands resolved to register slots,
-/// immediates interned into a constant pool, branch targets pre-mapped to
-/// buffer indices, and common idioms fused into superinstructions:
+/// buffer of fixed-size DecOps whose operand fields decodeFunction writes in
+/// final form where it builds each op: registers, constants (interned into a
+/// pool) and spill slots as byte offsets, branch targets as byte offsets
+/// into the buffer, resolved from one fixup list once every op's position is
+/// known. Common idioms are fused into superinstructions:
 ///
 ///   * cmp + cbr            (the branch shape every predicate emits)
 ///   * loadI + cmp + cbr    (bounded-loop exit tests)
@@ -38,11 +40,13 @@
 /// is only fused when no label can target its interior.
 ///
 /// Fuel bookkeeping is hoisted out of the per-op path: SuffixCycles gives,
-/// for every op, the cycle cost from it through its stretch's terminator
-/// (branch/call/ret/halt). The engine debits that in bulk at each control
-/// transfer; when the remaining budget cannot cover a stretch, the run is
-/// guaranteed to end inside it, and execution falls back to the reference
-/// switch engine for an exactly-per-instruction finish.
+/// for every op, the cycle cost from it through its stretch's terminator,
+/// which is an op that writes a branch target, or a call, return or halt
+/// (the decoder marks it where it writes the target or translates the
+/// call, return or halt). The engine debits that cost in bulk at each
+/// control transfer; when the remaining budget cannot cover a stretch, the
+/// run is guaranteed to end inside it, and execution falls back to the
+/// reference switch engine for an exactly-per-instruction finish.
 ///
 /// Each DecodedFunc owns its buffers; they are built once per Interpreter
 /// and never grow during execution.
@@ -60,96 +64,97 @@
 
 namespace rap::interp {
 
-/// Decoded opcodes. The X-macro keeps the enum and the threaded engine's
-/// jump table in one authoritative order.
+/// Decoded opcodes, one row each: the enumerator and its stable mnemonic.
+/// The X-macro is the one list of decoded ops; the enum, dopName and the
+/// threaded engine's jump table all expand it, in one authoritative order.
 #define RAP_DOP_LIST(X)                                                        \
   /* one-to-one translations of Opcode */                                      \
-  X(LoadImm)                                                                   \
-  X(Mv)                                                                        \
-  X(Add)                                                                       \
-  X(Sub)                                                                       \
-  X(Mul)                                                                       \
-  X(Div)                                                                       \
-  X(Mod)                                                                       \
-  X(Neg)                                                                       \
-  X(And)                                                                       \
-  X(Or)                                                                        \
-  X(Not)                                                                       \
-  X(FAdd)                                                                      \
-  X(FSub)                                                                      \
-  X(FMul)                                                                      \
-  X(FDiv)                                                                      \
-  X(FNeg)                                                                      \
-  X(CmpEQ)                                                                     \
-  X(CmpNE)                                                                     \
-  X(CmpLT)                                                                     \
-  X(CmpLE)                                                                     \
-  X(CmpGT)                                                                     \
-  X(CmpGE)                                                                     \
-  X(I2F)                                                                       \
-  X(F2I)                                                                       \
-  X(LdSpill)                                                                   \
-  X(StSpill)                                                                   \
-  X(LdGlob)                                                                    \
-  X(StGlob)                                                                    \
-  X(LdIdx)                                                                     \
-  X(StIdx)                                                                     \
-  X(Jmp)                                                                       \
-  X(Cbr)                                                                       \
-  X(Call)                                                                      \
-  X(BadCall) /* call whose arity mismatches: traps when executed */            \
-  X(Ret)                                                                       \
-  X(Halt)                                                                      \
-  X(ImplicitRet) /* sentinel appended after the last op: fell off the end */   \
+  X(LoadImm, "load_imm")                                                       \
+  X(Mv, "mv")                                                                  \
+  X(Add, "add")                                                                \
+  X(Sub, "sub")                                                                \
+  X(Mul, "mul")                                                                \
+  X(Div, "div")                                                                \
+  X(Mod, "mod")                                                                \
+  X(Neg, "neg")                                                                \
+  X(And, "and")                                                                \
+  X(Or, "or")                                                                  \
+  X(Not, "not")                                                                \
+  X(FAdd, "fadd")                                                              \
+  X(FSub, "fsub")                                                              \
+  X(FMul, "fmul")                                                              \
+  X(FDiv, "fdiv")                                                              \
+  X(FNeg, "fneg")                                                              \
+  X(CmpEQ, "cmp_eq")                                                           \
+  X(CmpNE, "cmp_ne")                                                           \
+  X(CmpLT, "cmp_lt")                                                           \
+  X(CmpLE, "cmp_le")                                                           \
+  X(CmpGT, "cmp_gt")                                                           \
+  X(CmpGE, "cmp_ge")                                                           \
+  X(I2F, "i2f")                                                                \
+  X(F2I, "f2i")                                                                \
+  X(LdSpill, "ldm")                                                            \
+  X(StSpill, "stm")                                                            \
+  X(LdGlob, "ldg")                                                             \
+  X(StGlob, "stg")                                                             \
+  X(LdIdx, "ldx")                                                              \
+  X(StIdx, "stx")                                                              \
+  X(Jmp, "jmp")                                                                \
+  X(Cbr, "cbr")                                                                \
+  X(Call, "call")                                                              \
+  X(BadCall, "bad_call") /* arity mismatch: traps when executed */             \
+  X(Ret, "ret")                                                                \
+  X(Halt, "halt")                                                              \
+  X(ImplicitRet, "implicit_ret") /* sentinel after the last op */              \
   /* superinstructions: cmp + cbr */                                           \
-  X(CmpEQCbr)                                                                  \
-  X(CmpNECbr)                                                                  \
-  X(CmpLTCbr)                                                                  \
-  X(CmpLECbr)                                                                  \
-  X(CmpGTCbr)                                                                  \
-  X(CmpGECbr)                                                                  \
+  X(CmpEQCbr, "cmp_eq_cbr")                                                    \
+  X(CmpNECbr, "cmp_ne_cbr")                                                    \
+  X(CmpLTCbr, "cmp_lt_cbr")                                                    \
+  X(CmpLECbr, "cmp_le_cbr")                                                    \
+  X(CmpGTCbr, "cmp_gt_cbr")                                                    \
+  X(CmpGECbr, "cmp_ge_cbr")                                                    \
   /* superinstructions: loadI + int op */                                      \
-  X(LoadIAdd)                                                                  \
-  X(LoadISub)                                                                  \
-  X(LoadIMul)                                                                  \
-  X(LoadIDiv)                                                                  \
-  X(LoadIMod)                                                                  \
+  X(LoadIAdd, "loadi_add")                                                     \
+  X(LoadISub, "loadi_sub")                                                     \
+  X(LoadIMul, "loadi_mul")                                                     \
+  X(LoadIDiv, "loadi_div")                                                     \
+  X(LoadIMod, "loadi_mod")                                                     \
   /* superinstructions: ldm + int op + stm (spill triple) */                   \
-  X(LdAddSt)                                                                   \
-  X(LdSubSt)                                                                   \
-  X(LdMulSt)                                                                   \
+  X(LdAddSt, "ld_add_st")                                                      \
+  X(LdSubSt, "ld_sub_st")                                                      \
+  X(LdMulSt, "ld_mul_st")                                                      \
   /* superinstructions: loadI + cmp + cbr (bounded-loop back edges) */         \
-  X(LoadICmpEQCbr)                                                             \
-  X(LoadICmpNECbr)                                                             \
-  X(LoadICmpLTCbr)                                                             \
-  X(LoadICmpLECbr)                                                             \
-  X(LoadICmpGTCbr)                                                             \
-  X(LoadICmpGECbr)                                                             \
+  X(LoadICmpEQCbr, "loadi_cmp_eq_cbr")                                         \
+  X(LoadICmpNECbr, "loadi_cmp_ne_cbr")                                         \
+  X(LoadICmpLTCbr, "loadi_cmp_lt_cbr")                                         \
+  X(LoadICmpLECbr, "loadi_cmp_le_cbr")                                         \
+  X(LoadICmpGTCbr, "loadi_cmp_gt_cbr")                                         \
+  X(LoadICmpGECbr, "loadi_cmp_ge_cbr")                                         \
   /* superinstructions: hot adjacent pairs of the Table 1 corpus */            \
-  X(MulAdd)      /* mul feeding one add operand (array address math) */        \
-  X(AddLdIdx)    /* add feeding an indexed load's offset */                    \
-  X(AddMv)       /* add, then any register copy */                             \
-  X(MvJmp)       /* loop-latch copy + back edge; ends a stretch */             \
-  X(LdIdxLoadI)  /* indexed load, then any immediate load */                   \
-  X(LoadILdSpill) /* immediate load, then a spill reload */                    \
-  X(LoadIStIdx)  /* immediate load, then an indexed store */                   \
-  X(StIdxLoadI)  /* indexed store, then any immediate load */                  \
-  X(LoadImm2)    /* two adjacent immediate loads */                            \
-  X(LdSpillAdd)  /* spill reload, then an add */                               \
-  X(LdSpillMul)  /* spill reload, then a mul */                                \
+  X(MulAdd, "mul_add") /* mul feeding one add operand (array address math) */  \
+  X(AddLdIdx, "add_ldx") /* add feeding an indexed load's offset */            \
+  X(AddMv, "add_mv") /* add, then any register copy */                         \
+  X(MvJmp, "mv_jmp") /* loop-latch copy + back edge; ends a stretch */         \
+  X(LdIdxLoadI, "ldx_loadi") /* indexed load, then any immediate load */       \
+  X(LoadILdSpill, "loadi_ldm") /* immediate load, then a spill reload */       \
+  X(LoadIStIdx, "loadi_stx") /* immediate load, then an indexed store */       \
+  X(StIdxLoadI, "stx_loadi") /* indexed store, then any immediate load */      \
+  X(LoadImm2, "loadi_loadi") /* two adjacent immediate loads */                \
+  X(LdSpillAdd, "ldm_add") /* spill reload, then an add */                     \
+  X(LdSpillMul, "ldm_mul") /* spill reload, then a mul */                      \
   /* superinstructions: longer chains; intermediates stay in host registers */ \
-  X(LoadIAddMvJmp)     /* loop latch: i' = i + c ; i = i' ; jmp head */        \
-  X(LoadILdSpillMulAdd) /* addr math: c * spilled ; + base */                  \
-  X(MulAddLdIdx)       /* a[i*w + j] indexed load */                           \
-  X(AddMvJmp)          /* add, copy, back edge; ends a stretch */              \
-  X(LdGlobLoadIAddStGlob) /* global increment: g' = g + c */                   \
-  X(LdGlobCmpLTCbr)    /* global load feeding a < test; ends a stretch */      \
-  X(LdIdx2)            /* two adjacent indexed loads */                        \
-  X(LdIdxStIdx)        /* indexed load, then indexed store */                  \
-  X(StIdx2)            /* two adjacent indexed stores */
+  X(LoadIAddMvJmp, "loadi_add_mv_jmp") /* latch: i' = i + c; i = i'; jmp */    \
+  X(LoadILdSpillMulAdd, "loadi_ldm_mul_add") /* c * spilled + base */          \
+  X(MulAddLdIdx, "mul_add_ldx") /* a[i*w + j] indexed load */                  \
+  X(AddMvJmp, "add_mv_jmp") /* add, copy, back edge; ends a stretch */         \
+  X(LdGlobLoadIAddStGlob, "ldg_loadi_add_stg") /* g' = g + c */                \
+  X(LdGlobCmpLTCbr, "ldg_cmp_lt_cbr") /* global load feeding a < test */       \
+  X(LdIdx2, "ldx_ldx") /* two adjacent indexed loads */                        \
+  X(LdIdxStIdx, "ldx_stx") /* indexed load, then indexed store */              \
+  X(StIdx2, "stx_stx") /* two adjacent indexed stores */
 
 enum class DOp : uint8_t {
-#define RAP_DOP_ENUM(N) N,
+#define RAP_DOP_ENUM(N, Mnemonic) N,
   RAP_DOP_LIST(RAP_DOP_ENUM)
 #undef RAP_DOP_ENUM
 };
@@ -157,77 +162,21 @@ enum class DOp : uint8_t {
 /// Stable mnemonic ("cmp_lt_cbr", "ld_add_st", ...) for tests and dumps.
 const char *dopName(DOp Op);
 
-/// One decoded operation. Field roles by opcode (unlisted fields unused):
+/// One decoded operation. Its operand fields (Dst, A, B, Aux, X, Y, Z) take
+/// their roles per op: decodeFunction states each op's roles where it
+/// builds the op, and the op's handler in Threaded.cpp where it reads them.
+/// Every field holds one of:
 ///
-///   LoadImm        Dst; Aux = constant-pool index
-///   unary ops      Dst, A
-///   binary ops     Dst, A, B
-///   LdSpill        Dst; X = slot          StSpill   A; X = slot
-///   LdGlob         Dst; X = addr          StGlob    A; X = addr
-///   LdIdx          Dst, A = index; X = addr
-///   StIdx          A = index, B = value; X = addr
-///   Jmp            Aux = target
-///   Cbr            A = cond; Aux = true target, B = false target
-///   Call           Dst = return dst; X = callee id; Aux = arg-pair offset,
-///                  B = arg-pair count
-///   BadCall        X = callee id; B = argument count (for the message)
-///   Ret            A = value reg, or NoReg for void
-///   CmpXXCbr       Dst, A, B (the compare); Aux = true target, X = false
-///                  target
-///   LoadIOpXX      Dst, A, B (the op); Aux = constant-pool index,
-///                  X = the loadI's dst reg
-///   LdOpStXX       Dst, A, B (the op); Aux = the ldm's dst reg,
-///                  X = load slot, Y = store slot
-///   LoadICmpXXCbr  Dst = cmp dst, A = non-constant cmp operand; Aux = true
-///                  target, B = false target; X = the loadI's dst reg
-///                  (holds the constant operand), Y = constant-pool index.
-///                  Decode normalizes the constant to the right operand,
-///                  mirroring the compare (LT<->GT, LE<->GE) when needed.
-///   MulAdd         Dst = add dst; A, B = mul operands; X = mul dst,
-///                  Y = the add's other operand
-///   AddLdIdx       Dst = load dst; A, B = add operands; X = addr,
-///                  Y = add dst (the load's offset)
-///   AddMv          Dst = mv dst; A, B = add operands; X = add dst,
-///                  Aux = mv src
-///   MvJmp          Dst, A (the mv); Aux = target
-///   LdIdxLoadI     Dst, A = index; X = addr; Y = loadI dst,
-///                  Aux = constant-pool index
-///   LoadILdSpill   Dst = ldm dst; X = slot; Y = loadI dst,
-///                  Aux = constant-pool index
-///   LoadIStIdx     A = index, B = value; X = addr; Y = loadI dst,
-///                  Aux = constant-pool index
-///   StIdxLoadI     A = index, B = value; X = addr; Y = loadI dst,
-///                  Aux = constant-pool index
-///   LoadImm2       Dst; Aux = constant-pool index (first load);
-///                  Y = second dst, B = second constant-pool index
-///   LdSpillOpXX    Dst, A, B (the op); Aux = the ldm's dst reg, X = slot
-///   LoadIAddMvJmp  Aux = constant-pool index, X = loadI dst; A = the add's
-///                  other operand (the add must use the loadI dst),
-///                  Dst = add dst; Y = mv dst (mv src == add dst);
-///                  B = jump target
-///   LoadILdSpillMulAdd
-///                  Aux = constant-pool index, X = loadI dst; B = spill
-///                  slot, Z = ldm dst; Y = mul dst (mul operands are
-///                  exactly {loadI dst, ldm dst}, which must differ);
-///                  A = the add's other operand, Dst = add dst
-///   MulAddLdIdx    A, B = mul operands, X = mul dst; Y = the add's other
-///                  operand, Z = add dst (the load's offset); Aux = addr,
-///                  Dst = load dst
-///   AddMvJmp       A, B = add operands, X = add dst; Aux = mv src,
-///                  Dst = mv dst; Z = jump target
-///   LdGlobLoadIAddStGlob
-///                  X = ldg address, Z = ldg dst; Aux = constant-pool
-///                  index, Y = loadI dst; Dst = add dst (add operands are
-///                  exactly {ldg dst, loadI dst}, which must differ);
-///                  B = stg address (stg src == add dst)
-///   LdGlobCmpLTCbr Y = ldg address, Z = ldg dst; Dst, A, B (the compare);
-///                  Aux = true target, X = false target
-///   LdIdx2         Dst, A (off), X (addr) = first load;
-///                  Y, B (off), Aux (addr) = second load
-///   LdIdxStIdx     Dst, A (off), X (addr) = the load;
-///                  B (off), Z (value), Aux (addr) = the store
-///   StIdx2         A (off), B (value), X (addr) = first store;
-///                  Y (off), Z (value), Aux (addr) = second store
+///   register       byte offset of the register in the frame window
+///   constant       byte offset of the constant in DecodedFunc::Consts
+///   spill slot     byte offset of the slot in the frame's spill area
+///   branch target  byte offset of the target op in DecodedFunc::Ops
+///   global address cell index into global memory
+///
+/// so every operand access is one add, with no scaling on the address
+/// path. The fields the reference engine shares stay plain indexes: Call's
+/// return register, callee id, ArgPairs index and pair count; BadCall's
+/// callee id and argument count; Ret's value register (NoReg for void).
 struct DecOp {
   DOp Op = DOp::Halt;
   /// Original instructions this op covers (1..4; 0 for the sentinel).
@@ -238,8 +187,7 @@ struct DecOp {
   uint32_t Aux = 0;
   int32_t X = 0;
   int32_t Y = 0;
-  /// Seventh operand field, used only by the four-instruction chains and
-  /// MulAddLdIdx/AddMvJmp above.
+  /// Seventh operand field, for the superinstructions that need it.
   int32_t Z = 0;
   /// Linear position of the first covered instruction (== LinearCode size
   /// for the sentinel). Traps report LinPos + component index; the fuel
@@ -253,19 +201,17 @@ struct DecOp {
 struct DecodedFunc {
   /// Decoded ops, ending with the ImplicitRet sentinel.
   std::vector<DecOp> Ops;
-  /// Interned LoadI/LoadF immediates (DecOp::Aux indexes).
+  /// Interned LoadI/LoadF immediates, in decode order.
   std::vector<RtValue> Consts;
   /// Call argument marshalling plan: flattened (calleeReg, callerReg)
   /// pairs; params the callee never reads (NoReg) are already dropped.
   std::vector<uint32_t> ArgPairs;
 };
 
-/// Decodes \p Code (the linearization of \p F under \p Prog).
-/// The program must outlive the decoded form; callee paramReg maps are
-/// resolved at decode time, so the program must not be reallocated between
-/// decoding and execution (the Interpreter's existing contract).
-DecodedFunc decodeFunction(const IlocProgram &Prog, const IlocFunction &F,
-                           const LinearCode &Code);
+/// Decodes \p Code, the linearization of one function of \p Prog. Callee
+/// paramReg maps are resolved at decode time, so the program must not be
+/// reallocated between decoding and execution (the Interpreter's contract).
+DecodedFunc decodeFunction(const IlocProgram &Prog, const LinearCode &Code);
 
 /// One cached function of the interpreter: the linearized stream (reference
 /// engine, trap rendering) plus the decoded buffer (threaded engine) and

@@ -47,6 +47,16 @@ struct Frame {
 /// Call stack depth cap: the StackOverflow trap threshold.
 inline constexpr size_t MaxCallStack = 100000;
 
+/// The array bounds check of both engines' indexed loads and stores: true
+/// when cell \p Addr + \p Off lies inside the global whose base is \p Addr.
+/// \p GlobalEnd maps a base to its global's end (-1 for a cell that is no
+/// global's base, which makes End - Addr negative). \p Off is compared with
+/// the global's size rather than added to \p Addr, so an index near
+/// INT64_MAX cannot overflow into a cell of a neighboring global.
+inline bool inBounds(const int *GlobalEnd, int Addr, int64_t Off) {
+  return Off >= 0 && Off < GlobalEnd[Addr] - Addr;
+}
+
 /// One run's mutable state plus the immutable program context it executes
 /// against. Constructed per run() by the Interpreter; the engine entry
 /// points drive it to completion and leave the outcome in Res.

@@ -74,7 +74,7 @@ Interpreter::Interpreter(const IlocProgram &Prog, InterpOptions Opts)
     C.RegCount = F->isAllocated() ? F->numPhysRegs() : F->numVRegs();
     C.SpillCount = static_cast<uint32_t>(F->numSpillSlots());
     if (Dispatch == DispatchKind::Threaded)
-      C.Dec = decodeFunction(Prog, *F, C.Code);
+      C.Dec = decodeFunction(Prog, C.Code);
     Funcs.push_back(std::move(C));
   }
   GlobalEnd.assign(static_cast<size_t>(Prog.globalMemorySize()), -1);
@@ -290,8 +290,7 @@ void Engine::runSwitch() {
       break;
     case Opcode::LdIdx: {
       int64_t Off = R(0).asInt();
-      int End = GlobalEnd[I->Addr];
-      if (Off < 0 || End < 0 || I->Addr + Off >= End)
+      if (!inBounds(GlobalEnd.data(), I->Addr, Off))
         return Fail(TrapKind::OutOfBounds, I,
                     "array load out of bounds (index " + std::to_string(Off) +
                         ")");
@@ -300,8 +299,7 @@ void Engine::runSwitch() {
     }
     case Opcode::StIdx: {
       int64_t Off = R(0).asInt();
-      int End = GlobalEnd[I->Addr];
-      if (Off < 0 || End < 0 || I->Addr + Off >= End)
+      if (!inBounds(GlobalEnd.data(), I->Addr, Off))
         return Fail(TrapKind::OutOfBounds, I,
                     "array store out of bounds (index " + std::to_string(Off) +
                         ")");

@@ -82,13 +82,13 @@ using namespace rap::interp;
     Spill = Frm + C_.RegCount;                                                 \
   } while (0)
 
-/// Operand accessors. Decoded operand fields are pre-scaled byte offsets
-/// (Decode.cpp scaleOffsets): register and spill-slot fields are offsets
-/// into the frame window / spill area, constant-pool fields are offsets
-/// into the pool, so the address computation here is a plain add — no
-/// shift on the operand path. Fields the reference engine shares (Ret's
-/// value register, Call's marshalling pairs, global addresses) stay plain
-/// indexes and are accessed directly.
+/// Operand accessors. decodeFunction writes operand fields as byte offsets
+/// (Decode.h): register and spill-slot fields are offsets into the frame
+/// window / spill area, constant-pool fields are offsets into the pool, so
+/// the address computation here is a plain add — no shift on the operand
+/// path. Fields the reference engine shares (Ret's value register, Call's
+/// marshalling pairs) and global addresses stay plain indexes and are
+/// accessed directly.
 #define VM_REG(Off)                                                            \
   (*reinterpret_cast<RtValue *>(reinterpret_cast<char *>(Frm) + (Off)))
 #define VM_SPILL(Off)                                                          \
@@ -135,7 +135,7 @@ void runLoop(Engine &E) {
   RtValue RetV;
 
   static const void *JumpTable[] = {
-#define RAP_DOP_LABEL(N) &&lbl_##N,
+#define RAP_DOP_LABEL(N, Mnemonic) &&lbl_##N,
       RAP_DOP_LIST(RAP_DOP_LABEL)
 #undef RAP_DOP_LABEL
   };
@@ -289,8 +289,7 @@ void runLoop(Engine &E) {
     VM_CASE(LdIdx) {
       ++S.Loads;
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array load out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -300,8 +299,7 @@ void runLoop(Engine &E) {
     VM_CASE(StIdx) {
       ++S.Stores;
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array store out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -523,8 +521,7 @@ void runLoop(Engine &E) {
       ++S.Loads;
       const int64_t Off = wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt());
       VM_REG(D->Y) = RtValue::makeInt(Off); // the add's own def
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos + 1,
                 "array load out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -546,8 +543,7 @@ void runLoop(Engine &E) {
     VM_CASE(LdIdxLoadI) {
       ++S.Loads;
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array load out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -566,8 +562,7 @@ void runLoop(Engine &E) {
       ++S.Stores;
       VM_REG(D->Y) = VM_CONST(D->Aux); // the loadI's own def
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos + 1,
                 "array store out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -577,8 +572,7 @@ void runLoop(Engine &E) {
     VM_CASE(StIdxLoadI) {
       ++S.Stores;
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
+      if (!inBounds(GEnd, D->X, Off))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array store out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -640,8 +634,7 @@ void runLoop(Engine &E) {
       VM_REG(D->X) = RtValue::makeInt(M); // the mul's own def
       const int64_t Off = wrapAdd(M, VM_REG(D->Y).rawInt());
       VM_REG(D->Z) = RtValue::makeInt(Off); // the add's own def
-      const int End = GEnd[D->Aux];
-      if (Off < 0 || End < 0 || D->Aux + Off >= End)
+      if (!inBounds(GEnd, D->Aux, Off))
         VM_FAIL(OutOfBounds, D->LinPos + 2,
                 "array load out of bounds (index " + std::to_string(Off) +
                     ")");
@@ -677,16 +670,14 @@ void runLoop(Engine &E) {
     VM_CASE(LdIdx2) {
       ++S.Loads;
       const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
+      if (!inBounds(GEnd, D->X, Off1))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array load out of bounds (index " + std::to_string(Off1) +
                     ")");
       VM_REG(D->Dst) = GlobV[D->X + Off1];
       ++S.Loads;
       const int64_t Off2 = VM_REG(D->B).rawInt(); // may be the first load's dst
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
+      if (!inBounds(GEnd, D->Aux, Off2))
         VM_FAIL(OutOfBounds, D->LinPos + 1,
                 "array load out of bounds (index " + std::to_string(Off2) +
                     ")");
@@ -696,8 +687,7 @@ void runLoop(Engine &E) {
     VM_CASE(LdIdxStIdx) {
       ++S.Loads;
       const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
+      if (!inBounds(GEnd, D->X, Off1))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array load out of bounds (index " + std::to_string(Off1) +
                     ")");
@@ -705,8 +695,7 @@ void runLoop(Engine &E) {
       ++S.Stores;
       const int64_t Off2 = VM_REG(D->B).rawInt(); // store operands may be the
       const RtValue Val = VM_REG(D->Z);           // load's dst
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
+      if (!inBounds(GEnd, D->Aux, Off2))
         VM_FAIL(OutOfBounds, D->LinPos + 1,
                 "array store out of bounds (index " + std::to_string(Off2) +
                     ")");
@@ -716,16 +705,14 @@ void runLoop(Engine &E) {
     VM_CASE(StIdx2) {
       ++S.Stores;
       const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
+      if (!inBounds(GEnd, D->X, Off1))
         VM_FAIL(OutOfBounds, D->LinPos,
                 "array store out of bounds (index " + std::to_string(Off1) +
                     ")");
       GlobV[D->X + Off1] = VM_REG(D->B);
       ++S.Stores;
       const int64_t Off2 = VM_REG(D->Y).rawInt();
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
+      if (!inBounds(GEnd, D->Aux, Off2))
         VM_FAIL(OutOfBounds, D->LinPos + 1,
                 "array store out of bounds (index " + std::to_string(Off2) +
                     ")");

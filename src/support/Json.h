@@ -16,14 +16,17 @@
 ///   exactly; non-finite doubles refuse to serialize (the schema forbids
 ///   NaN/Inf) and fail parsing.
 /// * The parser is a strict recursive-descent over the JSON grammar
-///   (RFC 8259 minus \u escapes beyond Latin-1); it exists for tests and
-///   tools, not for hostile input.
+///   (RFC 8259 minus \u escapes beyond Latin-1). rapd feeds it every request
+///   line, so it takes hostile input: nesting deeper than MaxNesting and
+///   integers outside int64 are parse errors, not a stack overflow or a
+///   silently clamped value.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAP_SUPPORT_JSON_H
 #define RAP_SUPPORT_JSON_H
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -205,11 +208,19 @@ private:
 // Parsing
 //===----------------------------------------------------------------------===//
 
+/// The deepest nesting of arrays and objects the parser accepts. It bounds
+/// the parser's recursion, so a line of a million '[' fails to parse instead
+/// of overflowing the stack. The deepest document the repository writes
+/// nests about five levels.
+inline constexpr unsigned MaxNesting = 64;
+
 namespace detail {
 
 struct Parser {
   const char *P, *End;
   std::string Error;
+  /// Arrays and objects open around the current position.
+  unsigned Depth = 0;
 
   void skipWs() {
     while (P != End && (*P == ' ' || *P == '\t' || *P == '\n' || *P == '\r'))
@@ -287,66 +298,78 @@ struct Parser {
     return true;
   }
 
+  bool parseObject(Value &Out) {
+    ++P; // '{'
+    Object O;
+    skipWs();
+    if (P != End && *P == '}') {
+      ++P;
+      Out = Value(std::move(O));
+      return true;
+    }
+    while (true) {
+      std::string Key;
+      if (!parseString(Key) || !expect(':'))
+        return false;
+      Value V;
+      if (!parseValue(V))
+        return false;
+      O[Key] = std::move(V);
+      skipWs();
+      if (P != End && *P == ',') {
+        ++P;
+        skipWs();
+        continue;
+      }
+      break;
+    }
+    if (!expect('}'))
+      return false;
+    Out = Value(std::move(O));
+    return true;
+  }
+
+  bool parseArray(Value &Out) {
+    ++P; // '['
+    Array A;
+    skipWs();
+    if (P != End && *P == ']') {
+      ++P;
+      Out = Value(std::move(A));
+      return true;
+    }
+    while (true) {
+      Value V;
+      if (!parseValue(V))
+        return false;
+      A.push_back(std::move(V));
+      skipWs();
+      if (P != End && *P == ',') {
+        ++P;
+        continue;
+      }
+      break;
+    }
+    if (!expect(']'))
+      return false;
+    Out = Value(std::move(A));
+    return true;
+  }
+
   bool parseValue(Value &Out) {
     skipWs();
     if (P == End)
       return fail("unexpected end of input");
     switch (*P) {
-    case '{': {
-      ++P;
-      Object O;
-      skipWs();
-      if (P != End && *P == '}') {
-        ++P;
-        Out = Value(std::move(O));
-        return true;
-      }
-      while (true) {
-        std::string Key;
-        if (!parseString(Key) || !expect(':'))
-          return false;
-        Value V;
-        if (!parseValue(V))
-          return false;
-        O[Key] = std::move(V);
-        skipWs();
-        if (P != End && *P == ',') {
-          ++P;
-          skipWs();
-          continue;
-        }
-        break;
-      }
-      if (!expect('}'))
-        return false;
-      Out = Value(std::move(O));
-      return true;
-    }
+    case '{':
     case '[': {
-      ++P;
-      Array A;
-      skipWs();
-      if (P != End && *P == ']') {
-        ++P;
-        Out = Value(std::move(A));
-        return true;
-      }
-      while (true) {
-        Value V;
-        if (!parseValue(V))
-          return false;
-        A.push_back(std::move(V));
-        skipWs();
-        if (P != End && *P == ',') {
-          ++P;
-          continue;
-        }
-        break;
-      }
-      if (!expect(']'))
-        return false;
-      Out = Value(std::move(A));
-      return true;
+      if (Depth == MaxNesting)
+        return fail("nesting deeper than " + std::to_string(MaxNesting) +
+                    " levels");
+      ++Depth;
+      const bool Ok = *P == '{' ? parseObject(Out) : parseArray(Out);
+      --Depth;
+      return Ok;
     }
     case '"': {
       std::string S;
@@ -391,9 +414,12 @@ struct Parser {
         Out = Value(D);
       } else {
         char *EndPtr = nullptr;
+        errno = 0;
         long long I = std::strtoll(Num.c_str(), &EndPtr, 10);
         if (EndPtr != Num.c_str() + Num.size())
           return fail("bad number '" + Num + "'");
+        if (errno == ERANGE) // strtoll would clamp it
+          return fail("integer '" + Num + "' outside int64");
         Out = Value(static_cast<int64_t>(I));
       }
       return true;

@@ -14,7 +14,9 @@
 ///
 /// A second suite pins what the allocators report about that output: per
 /// Table 1 routine, one hash over its rap-stats-v1 documents and Chrome
-/// traces, with the wall-clock fields normalized away.
+/// traces, with the wall-clock fields normalized away. A third pins the
+/// interpreter's decoded buffers of the same programs (GoldenDecode), so a
+/// decoder refactor is checked to leave every decoded op unchanged.
 ///
 /// A mismatch prints the observed hash. Update a recorded value only when
 /// the output is meant to change, and say why in the change description.
@@ -27,15 +29,19 @@
 #include "driver/Report.h"
 #include "fuzz/RandomProgram.h"
 #include "fuzz/ScaleProgram.h"
+#include "interp/Decode.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 
 #include "gtest/gtest.h"
 
+#include <bit>
+#include <initializer_list>
 #include <iterator>
 #include <ostream>
 #include <string>
+#include <vector>
 
 using namespace rap;
 
@@ -342,11 +348,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(Info.param.Name);
     });
 
-TEST(GoldenOutput, Table1CoversEveryRoutine) {
-  EXPECT_EQ(std::size(Table1Hashes), benchPrograms().size());
-  EXPECT_EQ(std::size(Table1StatsHashes), benchPrograms().size());
-}
-
 //===----------------------------------------------------------------------===//
 // Random programs through the spill-code passes
 //===----------------------------------------------------------------------===//
@@ -423,6 +424,151 @@ INSTANTIATE_TEST_SUITE_P(
       return "seeds_" + std::to_string(Info.param.FirstSeed) + "_" +
              std::to_string(Info.param.FirstSeed + 9);
     });
+
+//===----------------------------------------------------------------------===//
+// The interpreter's decoded buffers
+//===----------------------------------------------------------------------===//
+
+/// Adds decodeFunction's output for every function of \p Prog to \p H:
+/// each DecOp member by name (the struct has padding, so not its bytes),
+/// each constant by kind and bits, and the argument pairs.
+void hashDecoded(Hasher &H, const IlocProgram &Prog) {
+  for (const auto &F : Prog.functions()) {
+    const LinearCode Code = linearize(*F);
+    const interp::DecodedFunc Dec = interp::decodeFunction(Prog, Code);
+    H.u64(Dec.Ops.size());
+    for (const interp::DecOp &D : Dec.Ops) {
+      H.u32(static_cast<uint32_t>(D.Op));
+      H.u32(D.NumInstrs);
+      for (uint32_t Field : {D.Dst, D.A, D.B, D.Aux})
+        H.u32(Field);
+      for (int32_t Field : {D.X, D.Y, D.Z})
+        H.u32(static_cast<uint32_t>(Field));
+      H.u32(D.LinPos);
+      H.u32(D.SuffixCycles);
+    }
+    H.u64(Dec.Consts.size());
+    for (const RtValue &V : Dec.Consts) {
+      H.boolean(V.isFloat());
+      H.u64(V.isFloat() ? std::bit_cast<uint64_t>(V.rawFloat())
+                        : static_cast<uint64_t>(V.rawInt()));
+    }
+    H.u64(Dec.ArgPairs.size());
+    for (uint32_t P : Dec.ArgPairs)
+      H.u32(P);
+  }
+}
+
+/// FNV hash of the decoded buffers of \p Sources: unallocated, and under
+/// RAP and GRA at every k in \p Ks.
+std::string decodedHash(const std::vector<std::string> &Sources,
+                        std::initializer_list<unsigned> Ks) {
+  Hasher H;
+  for (const std::string &Source : Sources) {
+    for (AllocatorKind Kind :
+         {AllocatorKind::None, AllocatorKind::Rap, AllocatorKind::Gra}) {
+      for (unsigned K : Ks) {
+        CompileOptions Options;
+        Options.Allocator = Kind;
+        Options.Alloc.K = K;
+        CompileResult CR = compileMiniC(Source, Options);
+        EXPECT_TRUE(CR.ok() && !CR.degraded()) << CR.Errors;
+        if (!CR.ok())
+          return "";
+        hashDecoded(H, *CR.Prog);
+        if (Kind == AllocatorKind::None)
+          break; // k does not change unallocated code
+      }
+    }
+  }
+  return hashHex(H.value());
+}
+
+/// One Table 1 routine at k in {3, 5, 7, 9}, or (Routine null) the random
+/// programs of seeds [FirstSeed, FirstSeed + 10) at k in {3, 5}, the block
+/// that GoldenRandom pins.
+struct GoldenDecoded {
+  const char *Routine;
+  unsigned FirstSeed;
+  const char *Hash;
+};
+
+/// Prints the routine or the seed block, for stable test names (see
+/// Golden's PrintTo).
+void PrintTo(const GoldenDecoded &G, std::ostream *OS) {
+  if (G.Routine)
+    *OS << G.Routine;
+  else
+    *OS << "seeds " << G.FirstSeed << "-" << G.FirstSeed + 9;
+}
+
+// clang-format off
+const GoldenDecoded Table1DecodeHashes[] = {
+  {"loop1", 0, "b597e5e3bb117a3e"}, {"loop2", 0, "cb074cc2c669d4d2"},
+  {"loop3", 0, "98b8f5a15d614b97"}, {"loop4", 0, "56629a2f7cc466a4"},
+  {"loop5", 0, "94a83c4ebd8186ad"}, {"loop6", 0, "b257e41d15c1662d"},
+  {"loop7", 0, "8a02524a4a891aac"}, {"loop9", 0, "3931bd812fb0a637"},
+  {"loop10", 0, "20b6687c6a28d3ca"}, {"loop11", 0, "09a224697959d744"},
+  {"loop12", 0, "66a64616ee5b4a48"}, {"loop21", 0, "288d70fc3b7f1e09"},
+  {"loop22", 0, "3b97e64ac6e12653"}, {"daxpy", 0, "9070648c5166d70d"},
+  {"ddot", 0, "9cc13037806f1de9"}, {"dscal", 0, "402d3e22f1728f25"},
+  {"idamax", 0, "faaf276b9b86c9be"}, {"dmxpy", 0, "b1fe48b01596e68e"},
+  {"hsort", 0, "f4448bb290e404cd"}, {"hanoi", 0, "15550eae2a75b825"},
+  {"nsieve", 0, "291606afd61705f7"}, {"sieve", 0, "b3b02ae5bda30247"},
+  {"initmatrix", 0, "0fb72b12e9a79ccb"}, {"innerproduct", 0, "e213e3edd85815a2"},
+  {"intmm", 0, "9cc9528e6226362b"}, {"permute", 0, "b4ab6cffd25443e9"},
+  {"swap", 0, "891c29de70561398"}, {"initialize", 0, "093f4c3250b26ac0"},
+  {"perm", 0, "f1273fba3e1a8e99"}, {"fit", 0, "b1d84fc6aeaaa2d6"},
+  {"place", 0, "48a9c06fc9e84171"}, {"trial", 0, "c1c1a69763cb8a84"},
+  {"remove", 0, "c1624e6b77c60177"}, {"puzzle", 0, "43e77ae844b829ac"},
+  {"queens", 0, "0e8d049ceef7671c"}, {"try", 0, "58cd1c82da4c4768"},
+  {"doit", 0, "e6893463ece7562f"},
+};
+const GoldenDecoded RandomDecodeHashes[] = {
+  {nullptr, 0, "b1a0ebbf4468d5c4"}, {nullptr, 10, "6c17d37cfae88030"},
+  {nullptr, 20, "3ac61efca13c4735"}, {nullptr, 30, "b66db3438c94f3bb"},
+  {nullptr, 40, "1cf1dd370dd46259"}, {nullptr, 50, "1ae9263f8efb8855"},
+  {nullptr, 60, "fb4ad138313a5d7d"}, {nullptr, 70, "d5dcf8ac8448d3a3"},
+  {nullptr, 80, "a05fd14742e3ccad"}, {nullptr, 90, "a0f0616b01191c73"},
+};
+// clang-format on
+
+class GoldenDecode : public ::testing::TestWithParam<GoldenDecoded> {};
+
+TEST_P(GoldenDecode, DecodedBuffersMatchRecordedHash) {
+  const GoldenDecoded &G = GetParam();
+  if (G.Routine) {
+    const BenchProgram *P = findBenchProgram(G.Routine);
+    ASSERT_NE(P, nullptr) << G.Routine;
+    EXPECT_EQ(decodedHash({P->Source}, {3, 5, 7, 9}), G.Hash) << G.Routine;
+    return;
+  }
+  std::vector<std::string> Sources;
+  for (unsigned Seed = G.FirstSeed; Seed != G.FirstSeed + 10; ++Seed)
+    Sources.push_back(fuzz::RandomProgramBuilder(Seed).build());
+  EXPECT_EQ(decodedHash(Sources, {3, 5}), G.Hash)
+      << "seeds " << G.FirstSeed << "-" << G.FirstSeed + 9;
+}
+
+std::string decodeTestName(const ::testing::TestParamInfo<GoldenDecoded> &I) {
+  if (I.param.Routine)
+    return I.param.Routine;
+  return "seeds_" + std::to_string(I.param.FirstSeed) + "_" +
+         std::to_string(I.param.FirstSeed + 9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, GoldenDecode,
+                         ::testing::ValuesIn(Table1DecodeHashes),
+                         decodeTestName);
+INSTANTIATE_TEST_SUITE_P(Seeds, GoldenDecode,
+                         ::testing::ValuesIn(RandomDecodeHashes),
+                         decodeTestName);
+
+TEST(GoldenOutput, Table1CoversEveryRoutine) {
+  EXPECT_EQ(std::size(Table1Hashes), benchPrograms().size());
+  EXPECT_EQ(std::size(Table1StatsHashes), benchPrograms().size());
+  EXPECT_EQ(std::size(Table1DecodeHashes), benchPrograms().size());
+}
 
 TEST(GoldenOutput, SpillHeavyDeepFunction) {
   // Many regions under k=3 pressure: thousands of spill decisions, region

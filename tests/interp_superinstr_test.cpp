@@ -23,6 +23,8 @@
 
 #include "gtest/gtest.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 using namespace rap;
@@ -303,6 +305,55 @@ TEST(InterpSuperinstr, GlobalCompareChain) {
                "ldg_cmp_lt_cbr");
 }
 
+// ---- array bounds at the edge of int64 ----------------------------------
+
+/// \p Main behind `int pad[3]; int a[4];`, with every `IDX` replaced by
+/// \p Index. a's base is cell 3, so base + index overflows int64 for the
+/// indexes below, and a check that adds them wraps into pad.
+std::string besidePad(std::string Main, int64_t Index) {
+  for (size_t P; (P = Main.find("IDX")) != std::string::npos;)
+    Main.replace(P, 3, std::to_string(Index));
+  return "int pad[3]; int a[4];\nint main() { " + Main + " }";
+}
+
+/// Both engines trap out-of-bounds at the same PC (checkPattern compares
+/// the runs, at every fuel value too, and asserts \p Mnemonic decoded).
+void checkIndexTraps(const std::string &Source, const char *Mnemonic) {
+  checkPattern(Source, Mnemonic);
+  EnginePair E(Source);
+  ASSERT_TRUE(E.Sw);
+  RunResult S = E.Sw->run();
+  EXPECT_EQ(S.TrapInfo.Kind, TrapKind::OutOfBounds) << Source << S.Error;
+  expectSameRun(S, E.Th->run(), Source);
+}
+
+constexpr int64_t Int64Max = std::numeric_limits<int64_t>::max();
+
+TEST(InterpSuperinstr, IndexNearInt64MaxTrapsOnLoadAndStore) {
+  for (int64_t Index : {Int64Max, Int64Max - 2}) {
+    checkIndexTraps(
+        besidePad("pad[2] = 5; int i = IDX; return a[i];", Index), "ldx");
+    checkIndexTraps(
+        besidePad("int i = IDX; int v = pad[1]; a[i] = v; return v;", Index),
+        "stx");
+  }
+}
+
+TEST(InterpSuperinstr, IndexNearInt64MaxTrapsInFusedHandlers) {
+  for (int64_t Index : {Int64Max, Int64Max - 2}) {
+    checkIndexTraps(besidePad("pad[2] = 5; int i = IDX; int j = 1; "
+                              "return a[i + j];",
+                              Index - 1),
+                    "add_ldx");
+    checkIndexTraps(besidePad("int i = IDX; a[i] = 7; return pad[2];", Index),
+                    "loadi_stx");
+    checkIndexTraps(
+        besidePad("int i = IDX; int v = pad[1]; a[i] = v; return pad[2];",
+                  Index),
+        "stx_loadi");
+  }
+}
+
 // ---- decode-level invariants -------------------------------------------
 
 TEST(InterpSuperinstr, FusionTelemetryIsConsistent) {
@@ -316,7 +367,7 @@ TEST(InterpSuperinstr, FusionTelemetryIsConsistent) {
   )");
   ASSERT_TRUE(E.Th);
   static const interp::DOp AllOps[] = {
-#define RAP_DOP_VALUE(N) interp::DOp::N,
+#define RAP_DOP_VALUE(N, Mnemonic) interp::DOp::N,
       RAP_DOP_LIST(RAP_DOP_VALUE)
 #undef RAP_DOP_VALUE
   };

@@ -14,8 +14,10 @@
 ///  * parseRequest — accepts the documented schema, rejects each malformed
 ///    field with a stable diagnostic;
 ///  * Server::handleLine — single requests, ordered batch arrays, the
-///    bad-request path, stats counters, and byte-budget admission turning
-///    oversized lines into "overloaded" + retry_after_ms rejections;
+///    bad-request path (nesting past the parser's bound and integers
+///    outside int64 included), stats counters, and byte-budget admission
+///    turning oversized lines into "overloaded" + retry_after_ms
+///    rejections;
 ///  * the one counter record — the `stats` reply is serverStatsJson of
 ///    Server::counters(), with every key it and rapd --stats' `server`
 ///    section ever carried.
@@ -29,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -303,6 +306,55 @@ TEST(ServerHandleLine, AdmissionRejectsOversizedLinesWithRetryAfter) {
   json::Value Pong = parseJson(S.handleLine("{\"id\":2,\"op\":\"ping\"}"));
   EXPECT_TRUE(Pong["ok"].asBool());
   EXPECT_EQ(Pong["kind"].asString(), "pong");
+}
+
+/// A ping whose ignored "pad" member nests \p Arrays arrays inside the
+/// request object.
+std::string pingNestedIn(unsigned Arrays) {
+  return "{\"id\":3,\"op\":\"ping\",\"pad\":" + std::string(Arrays, '[') +
+         std::string(Arrays, ']') + "}";
+}
+
+TEST(ServerHandleLine, DeepNestingIsABadRequestNotACrash) {
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Server S(Config);
+
+  // A 1 MB line of '[' is far below the line cap; the parser's nesting
+  // bound turns it into one bad-request instead of a stack overflow.
+  json::Value Deep = parseJson(S.handleLine(std::string(1u << 20, '[')));
+  EXPECT_EQ(Deep["kind"].asString(), "bad-request");
+  EXPECT_NE(Deep["error"].asString().find("nesting deeper than 64 levels"),
+            std::string::npos)
+      << Deep["error"].asString();
+  json::Value Pong = parseJson(S.handleLine("{\"id\":2,\"op\":\"ping\"}"));
+  EXPECT_EQ(Pong["kind"].asString(), "pong");
+
+  // The request object is one level: 63 arrays inside it nest exactly at
+  // the bound and parse; one more does not.
+  EXPECT_EQ(parseJson(S.handleLine(pingNestedIn(63)))["kind"].asString(),
+            "pong");
+  EXPECT_EQ(parseJson(S.handleLine(pingNestedIn(64)))["kind"].asString(),
+            "bad-request");
+}
+
+TEST(ServerHandleLine, IntegerOutsideInt64IsABadRequest) {
+  ServerConfig Config;
+  Config.Service.Shards = 1;
+  Server S(Config);
+
+  // strtoll would clamp the id to INT64_MAX and answer with a different id.
+  for (const char *Id : {"99999999999999999999", "-99999999999999999999"}) {
+    json::Value R = parseJson(
+        S.handleLine(std::string("{\"id\":") + Id + ",\"op\":\"ping\"}"));
+    EXPECT_EQ(R["kind"].asString(), "bad-request") << Id;
+    EXPECT_NE(R["error"].asString().find("outside int64"), std::string::npos)
+        << R["error"].asString();
+  }
+  json::Value Max = parseJson(
+      S.handleLine("{\"id\":9223372036854775807,\"op\":\"ping\"}"));
+  EXPECT_EQ(Max["kind"].asString(), "pong");
+  EXPECT_EQ(Max["id"].asInt(), INT64_MAX);
 }
 
 //===----------------------------------------------------------------------===//
