@@ -195,14 +195,7 @@ inline std::string fmtPct(double V, bool Blank) {
 /// One Measurement as a JSON object: the dynamic counters plus the
 /// allocator ledger (allocStatsJson's shape, shared with rap-stats-v1).
 inline json::Object measurementJson(const Measurement &M) {
-  json::Object O;
-  O["cycles"] = M.Stats.Cycles;
-  O["loads"] = M.Stats.Loads;
-  O["spill_loads"] = M.Stats.SpillLoads;
-  O["stores"] = M.Stats.Stores;
-  O["spill_stores"] = M.Stats.SpillStores;
-  O["copies"] = M.Stats.Copies;
-  O["calls"] = M.Stats.Calls;
+  json::Object O = execStatsJson(M.Stats);
   O["checksum"] = static_cast<int64_t>(M.Checksum);
   O["has_spill_code"] = M.HasSpillCode;
   O["alloc"] = allocStatsJson(M.Alloc);

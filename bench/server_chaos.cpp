@@ -448,7 +448,6 @@ int main(int argc, char **argv) {
   // not latency.
   Base.Service.ChaosStallMs = 30;
   Base.Service.Watchdog.Factor = 2;
-  Base.Service.Watchdog.PollMs = 2;
 
   Trace T = buildTrace(Flags.Requests, Flags.Functions, Flags.Seed,
                        MaxLineBytes);

@@ -5,7 +5,8 @@
 # fault-injection end-to-end check that the rapcc degradation path works
 # (exit code 3, correct result), then that an array index near INT64_MAX
 # traps out-of-bounds (exit 4) on both interpreter engines instead of
-# reaching a neighboring global, then that rapcc rejects a k, a thread
+# reaching a neighboring global, then that a float past int64 converts to
+# INT64_MAX on both engines, then that rapcc rejects a k, a thread
 # count or a fuel budget past its bound or with trailing junk, and rapfuzz
 # a --max-seconds that is not whole seconds, as a usage error (exit 2).
 #
@@ -74,6 +75,23 @@ for ENGINE in threaded switch; do
   fi
 done
 
+# f2i saturates: 1e300 has no int64 value, so both engines define it as
+# INT64_MAX instead of whatever the host's conversion happens to return.
+F2I_MC="$(mktemp --suffix=.mc)"
+trap 'rm -f "$TMP_MC" "$OOB_MC" "$F2I_MC"' EXIT
+cat > "$F2I_MC" <<'EOF'
+int main() { float f = 1.0e300; int i = f; return i; }
+EOF
+for ENGINE in threaded switch; do
+  GOT="$("$BUILD_DIR/src/driver/rapcc" "$F2I_MC" --alloc=none \
+         --interp="$ENGINE" | head -1)"
+  if [ "$GOT" != "result: 9223372036854775807" ]; then
+    echo "FAIL: f2i of 1e300 under --interp=$ENGINE printed '$GOT'," \
+         "want 'result: 9223372036854775807'" >&2
+    exit 1
+  fi
+done
+
 # k comes from outside the program: a value past the bound (256) or one
 # that is not a whole number is a usage error, never a different k.
 for K in 257 5x; do
@@ -116,5 +134,5 @@ for FLAG in --max-seconds=1x --max-seconds=abc; do
 done
 
 echo "checked-mode smoke OK (37 routines verified; fallback path exits 3;" \
-     "index INT64_MAX traps on both engines; bad -k, --threads, --fuel and" \
-     "--max-seconds exit 2)"
+     "index INT64_MAX traps and f2i of 1e300 saturates on both engines;" \
+     "bad -k, --threads, --fuel and --max-seconds exit 2)"

@@ -6,12 +6,15 @@
 #     full suite. The robustness layer converts allocator failures into
 #     exceptions that cross module boundaries, so an instrumented run is the
 #     cheapest way to prove the error paths neither leak nor touch freed IR.
+#     float-cast-overflow is named on its own: GCC's -fsanitize=undefined
+#     leaves it out, and the interpreter's f2i must never reach that cast.
 #   tsan — ThreadSanitizer over the concurrency-bearing subset (shard pool,
 #     compile service, server drain, the client, parallel allocation).
 #     The crash-only serving layer (DESIGN.md §13) lives and dies by the
-#     ordering between workers, the watchdog, the connection threads, and
-#     the serve loop that runs the drain window on its tick; TSan is the
-#     referee.
+#     ordering between the pool's workers and its submitters (the exact
+#     sleep predicate, the watchdog verdict taken under each shard's lock),
+#     the connection threads, and the serve loop that runs the drain window
+#     on its tick; TSan is the referee.
 #
 # Usage: scripts/sanitize.sh [asan|tsan] [build-dir]
 set -euo pipefail
@@ -22,7 +25,8 @@ BUILD_DIR="${2:-$REPO_ROOT/build-$MODE}"
 
 case "$MODE" in
 asan)
-  SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+  SAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
+  SAN_FLAGS="$SAN_FLAGS -fno-sanitize-recover=all"
   ;;
 tsan)
   SAN_FLAGS="-fsanitize=thread"

@@ -19,6 +19,18 @@ json::Value rap::allocStatsJson(const AllocStats &S) {
   return json::Value(std::move(A));
 }
 
+json::Object rap::execStatsJson(const ExecStats &S) {
+  json::Object O;
+  O["cycles"] = S.Cycles;
+  O["loads"] = S.Loads;
+  O["spill_loads"] = S.SpillLoads;
+  O["stores"] = S.Stores;
+  O["spill_stores"] = S.SpillStores;
+  O["copies"] = S.Copies;
+  O["calls"] = S.Calls;
+  return O;
+}
+
 json::Value rap::statsJson(const CompileResult &R, const ReportMeta &Meta) {
   json::Object Root;
   Root["schema"] = "rap-stats-v1";

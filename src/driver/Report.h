@@ -42,6 +42,12 @@ std::string statsText(const CompileResult &R, const ReportMeta &Meta);
 /// bench harnesses' --json emitters).
 json::Value allocStatsJson(const AllocStats &S);
 
+/// A run's execution counters (cycles, loads, stores, their spill shares,
+/// copies, calls) as a JSON object: rapcc's `--stats=json` "exec" object,
+/// rapd's compile-response "exec" object and the Table 1 bench rows. Each
+/// caller adds its own keys.
+json::Object execStatsJson(const ExecStats &S);
+
 } // namespace rap
 
 #endif // RAP_DRIVER_REPORT_H

@@ -89,10 +89,6 @@ void usage() {
       "trap\n");
 }
 
-bool startsWith(const char *S, const char *Prefix) {
-  return std::strncmp(S, Prefix, std::strlen(Prefix)) == 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -309,15 +305,8 @@ int main(int argc, char **argv) {
     // The machine-readable path: one JSON document on stdout, with the
     // run's dynamic counters embedded instead of the result lines.
     json::Value Doc = statsJson(CR, Meta);
-    json::Object Exec;
+    json::Object Exec = execStatsJson(R.Stats);
     Exec["result"] = R.ReturnValue.str();
-    Exec["cycles"] = R.Stats.Cycles;
-    Exec["loads"] = R.Stats.Loads;
-    Exec["spill_loads"] = R.Stats.SpillLoads;
-    Exec["stores"] = R.Stats.Stores;
-    Exec["spill_stores"] = R.Stats.SpillStores;
-    Exec["copies"] = R.Stats.Copies;
-    Exec["calls"] = R.Stats.Calls;
     Doc.asObject()["exec"] = json::Value(std::move(Exec));
     std::printf("%s\n", Doc.str(2).c_str());
     return Degraded ? 3 : 0;

@@ -136,7 +136,10 @@ FuzzReport rap::fuzz::runContract(const std::string &Source,
       Opts.Allocator = Kind;
       Opts.Alloc.K = K;
       Opts.Alloc.VerifyAssignments = true;
-      Opts.Alloc.MaxAllocSeconds = Limits.MaxAllocSeconds;
+      CancelToken Budget(Limits.MaxAllocSeconds > 0
+                             ? Deadline::afterSeconds(Limits.MaxAllocSeconds)
+                             : Deadline());
+      Opts.Alloc.Cancel = &Budget;
       if (Limits.Faults.empty()) {
         Opts.Alloc.FallbackOnError = true;
       } else {

@@ -41,8 +41,10 @@ struct FuzzLimits {
   /// instructions, never 8x more.
   uint64_t Fuel = 2'000'000;
 
-  /// Per-function allocation wall-clock budget (AllocOptions::MaxAllocSeconds)
-  /// — the anti-hang guard for the allocators themselves.
+  /// Wall-clock budget of one configuration's compile, armed as the
+  /// deadline of its AllocOptions::Cancel token — the anti-hang guard for
+  /// the allocators themselves. A breach degrades the functions still
+  /// allocating with deadline-exceeded. 0 = no budget.
   double MaxAllocSeconds = 5.0;
 
   /// Inputs larger than this are clean-rejected before compilation.

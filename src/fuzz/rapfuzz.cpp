@@ -38,7 +38,6 @@
 #include "fuzz/Runner.h"
 #include "support/CmdLine.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -58,10 +57,6 @@ void usage() {
       "               [--max-seconds=S] [--fault=SPEC] [--replay=FILE]\n"
       "               [--no-reduce] [-q]\n"
       "exit codes: 0 clean sweep, 1 failures found, 2 usage error\n");
-}
-
-bool startsWith(const char *S, const char *Prefix) {
-  return std::strncmp(S, Prefix, std::strlen(Prefix)) == 0;
 }
 
 struct Tally {
@@ -184,14 +179,8 @@ int main(int argc, char **argv) {
     return R.failing() ? 1 : 0;
   }
 
-  auto StartTime = std::chrono::steady_clock::now();
-  auto outOfTime = [&] {
-    if (MaxSeconds == 0)
-      return false;
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         StartTime)
-               .count() >= MaxSeconds;
-  };
+  const Deadline Box =
+      MaxSeconds ? Deadline::afterSeconds(MaxSeconds) : Deadline();
 
   Tally T;
   bool Stopped = false;
@@ -247,7 +236,7 @@ int main(int argc, char **argv) {
     std::string Base = RandomProgramBuilder(Seed).build();
     handleInput(Base, Seed, -1, "none");
     for (unsigned M = 0; M != Mutations; ++M) {
-      if (outOfTime()) {
+      if (Box.expired()) {
         Stopped = true;
         break;
       }
@@ -261,7 +250,7 @@ int main(int argc, char **argv) {
       std::string Mutant = mutate(Base, L, MutSeed);
       handleInput(Mutant, Seed, static_cast<int>(M), mutationLevelName(L));
     }
-    if (outOfTime())
+    if (Box.expired())
       Stopped = true;
   }
 

@@ -274,7 +274,7 @@ void Engine::runSwitch() {
       Regs[I->Dst] = RtValue::makeFloat(static_cast<double>(R(0).asInt()));
       break;
     case Opcode::F2I:
-      Regs[I->Dst] = RtValue::makeInt(static_cast<int64_t>(R(0).asFloat()));
+      Regs[I->Dst] = RtValue::makeInt(saturatingF2I(R(0).asFloat()));
       break;
     case Opcode::LdSpill:
       Regs[I->Dst] = Spill[I->Slot];

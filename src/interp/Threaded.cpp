@@ -260,8 +260,7 @@ void runLoop(Engine &E) {
       VM_NEXT();
     }
     VM_CASE(F2I) {
-      VM_REG(D->Dst) =
-          RtValue::makeInt(static_cast<int64_t>(VM_REG(D->A).rawFloat()));
+      VM_REG(D->Dst) = RtValue::makeInt(saturatingF2I(VM_REG(D->A).rawFloat()));
       VM_NEXT();
     }
     VM_CASE(LdSpill) {

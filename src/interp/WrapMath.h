@@ -7,17 +7,20 @@
 /// \file
 /// MiniC integer semantics shared by the reference switch engine and the
 /// direct-threaded engine: a 64-bit two's-complement machine word whose
-/// arithmetic wraps on overflow. Computing through uint64_t keeps the
-/// wraparound well-defined (signed overflow is UB and aborts sanitized
-/// builds). Both engines must agree bit-for-bit — the differential test
-/// compares their results over the fuzz corpus.
+/// arithmetic wraps on overflow, and a float-to-int conversion that
+/// saturates. Computing through uint64_t keeps the wraparound well-defined
+/// (signed overflow is UB and aborts sanitized builds). Both engines must
+/// agree bit-for-bit — the differential test compares their results over
+/// the fuzz corpus.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAP_INTERP_WRAPMATH_H
 #define RAP_INTERP_WRAPMATH_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace rap::interp {
 
@@ -44,6 +47,19 @@ inline int64_t wrapMod(int64_t A, int64_t B) {
   if (B == -1)
     return 0;
   return A % B;
+}
+// f2i: casting a double that is NaN or outside int64 is undefined, so define
+// it: NaN -> 0, >= 2^63 -> INT64_MAX, < -2^63 -> INT64_MIN, otherwise
+// truncate toward zero.
+inline int64_t saturatingF2I(double D) {
+  constexpr double TwoTo63 = 9223372036854775808.0;
+  if (std::isnan(D))
+    return 0;
+  if (D >= TwoTo63)
+    return std::numeric_limits<int64_t>::max();
+  if (D < -TwoTo63)
+    return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(D);
 }
 
 } // namespace rap::interp

@@ -28,11 +28,11 @@ enum class AllocErrorKind {
   InvariantViolation, ///< a paper/bookkeeping invariant did not hold
   NonConvergence,     ///< the spill/color loop exceeded its round budget
   Unallocatable,      ///< only unspillable pressure left (k too small)
-  ResourceLimit,      ///< a guard (graph bytes, spill actions, wall clock) hit
+  ResourceLimit,      ///< a guard (graph bytes, spill actions) hit
   VerifierReject,     ///< checked mode: AssignmentVerifier found violations
   InjectedFault,      ///< deterministic fault injection fired (testing)
-  DeadlineExceeded,   ///< the request's CancelToken deadline passed
-  Cancelled,          ///< the request's CancelToken was cancelled (drain)
+  DeadlineExceeded,   ///< the compile's CancelToken deadline passed
+  Cancelled,          ///< the compile's CancelToken was cancelled (drain)
 };
 
 inline const char *allocErrorKindName(AllocErrorKind K) {

@@ -7,20 +7,18 @@
 #include "regalloc/AllocSupport.h"
 
 #include "regalloc/AllocError.h"
+#include "support/Stats.h"
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 using namespace rap;
 
 Liveness CodeInfo::timedLiveness(CodeInfo &CI, unsigned NumVRegs,
                                  Liveness *Prev) {
-  auto Start = std::chrono::steady_clock::now();
+  auto Start = telemetry::Clock::now();
   Liveness L(CI.Code, CI.Graph, NumVRegs, Prev);
-  CI.LivenessSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  CI.LivenessSeconds = telemetry::secondsSince(Start);
   return L;
 }
 

@@ -19,7 +19,8 @@
 /// delete copies whose operands received the same register.
 ///
 /// Failures (invariant violations, resource-guard breaches, verifier
-/// rejections in checked mode, injected faults) surface as AllocError.
+/// rejections in checked mode, injected faults, a stop requested through
+/// AllocOptions::Cancel) surface as AllocError.
 /// allocateFunction is the one per-function fault-isolation boundary, used
 /// by rapcc through allocateProgramChecked and by rapd's pool tasks: with
 /// AllocOptions::FallbackOnError the failing function alone degrades to a
@@ -37,7 +38,6 @@
 #include "regalloc/FaultInjection.h"
 #include "support/Deadline.h"
 
-#include <chrono>
 #include <string>
 
 namespace rap {
@@ -99,21 +99,18 @@ struct AllocOptions {
   /// AllocError(ResourceLimit) instead of growing without bound.
   size_t MaxGraphBytes = 0;
 
-  /// Per-function wall-clock budget in seconds; 0 = unlimited. Checked at
-  /// round boundaries; raises AllocError(ResourceLimit). Note: wall-clock
-  /// triggering is inherently machine-dependent, so runs relying on
-  /// byte-identical determinism should leave this off or pair it with
-  /// FallbackOnError (the fallback itself is deterministic).
-  double MaxAllocSeconds = 0;
-
-  /// Cooperative cancellation for server requests: checked at the same
-  /// round boundaries as MaxAllocSeconds. An expired deadline raises
+  /// The compile's one stop condition: a cooperative cancel token checked
+  /// by both allocators at their round boundaries. Its deadline bounds the
+  /// wall clock of everything that shares the token (a rapd request, one
+  /// fuzz configuration's compile). An expired deadline raises
   /// AllocError(DeadlineExceeded), an explicit cancel (graceful drain)
   /// raises AllocError(Cancelled); both degrade cleanly through the
-  /// spill-everything fallback. Null (the default, and the rapcc path)
-  /// costs one pointer test per check. Excluded from cache fingerprints:
-  /// like Threads, it never steers allocation decisions, only whether the
-  /// run finishes.
+  /// spill-everything fallback. Wall-clock triggering is machine-dependent,
+  /// so runs relying on byte-identical output leave it null or pair it with
+  /// FallbackOnError (the fallback itself is deterministic). Null (the
+  /// default, and the rapcc path) costs one pointer test per check.
+  /// Excluded from cache fingerprints: like Threads, it never steers
+  /// allocation decisions, only whether the run finishes.
   const CancelToken *Cancel = nullptr;
 
   /// Checked mode: run the independent AssignmentVerifier on the coloring
@@ -155,13 +152,11 @@ struct AllocOptions {
   telemetry::FunctionScope *Scope = nullptr;
 };
 
-/// Round-boundary guard shared by GRA and RAP: one call enforcing both the
-/// per-function wall-clock budget (MaxAllocSeconds) and the cooperative
-/// cancel token (per-request deadline / graceful drain). Throws AllocError
-/// on breach; the throw leaves the function at an IR-consistent boundary so
-/// the spill-everything fallback applies.
+/// Round-boundary guard shared by GRA and RAP: throws AllocError once the
+/// cancel token requests a stop (its deadline expired, or a drain cancel).
+/// The throw leaves the function at an IR-consistent boundary so the
+/// spill-everything fallback applies.
 inline void checkAllocBudget(const AllocOptions &Options,
-                             std::chrono::steady_clock::time_point Start,
                              const std::string &Function, int Region = -1) {
   if (Options.Cancel && Options.Cancel->stopRequested()) {
     bool DeadlineHit = Options.Cancel->expired();
@@ -171,14 +166,6 @@ inline void checkAllocBudget(const AllocOptions &Options,
                                 : "request cancelled (server drain)",
                     Function, Region);
   }
-  if (Options.MaxAllocSeconds > 0 &&
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-              .count() > Options.MaxAllocSeconds)
-    throwAllocError(AllocErrorKind::ResourceLimit,
-                    "wall-clock budget of " +
-                        std::to_string(Options.MaxAllocSeconds) +
-                        "s exceeded",
-                    Function, Region);
 }
 
 /// Allocates registers for \p F with the baseline allocator. \p F must be

@@ -9,53 +9,33 @@
 #include "support/Env.h"
 
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 using namespace rap;
 
+namespace {
+/// Each site's name in a plan spec, indexed by FaultSite.
+constexpr const char *SiteNames[] = {"color",  "spill",        "rewrite",
+                                     "region", "parse",        "cache-insert",
+                                     "stall",  "shutdown"};
+static_assert(std::size(SiteNames) ==
+              static_cast<size_t>(FaultSite::MidShutdown) + 1);
+} // namespace
+
 const char *rap::faultSiteName(FaultSite S) {
-  switch (S) {
-  case FaultSite::Coloring:
-    return "color";
-  case FaultSite::SpillInsert:
-    return "spill";
-  case FaultSite::PhysicalRewrite:
-    return "rewrite";
-  case FaultSite::RegionAlloc:
-    return "region";
-  case FaultSite::ProtocolParse:
-    return "parse";
-  case FaultSite::CacheInsert:
-    return "cache-insert";
-  case FaultSite::WorkerStall:
-    return "stall";
-  case FaultSite::MidShutdown:
-    return "shutdown";
-  }
-  return "unknown";
+  return SiteNames[static_cast<size_t>(S)];
 }
 
 static FaultSite parseSite(const std::string &Name) {
-  if (Name == "color")
-    return FaultSite::Coloring;
-  if (Name == "spill")
-    return FaultSite::SpillInsert;
-  if (Name == "rewrite")
-    return FaultSite::PhysicalRewrite;
-  if (Name == "region")
-    return FaultSite::RegionAlloc;
-  if (Name == "parse")
-    return FaultSite::ProtocolParse;
-  if (Name == "cache-insert")
-    return FaultSite::CacheInsert;
-  if (Name == "stall")
-    return FaultSite::WorkerStall;
-  if (Name == "shutdown")
-    return FaultSite::MidShutdown;
-  throw std::invalid_argument(
-      "unknown fault site '" + Name +
-      "' (expected color|spill|rewrite|region|parse|cache-insert|stall|"
-      "shutdown)");
+  std::string Expected;
+  for (size_t I = 0; I != std::size(SiteNames); ++I) {
+    if (Name == SiteNames[I])
+      return static_cast<FaultSite>(I);
+    Expected += (I ? "|" : "") + std::string(SiteNames[I]);
+  }
+  throw std::invalid_argument("unknown fault site '" + Name + "' (expected " +
+                              Expected + ")");
 }
 
 FaultPlan FaultPlan::fromString(const std::string &Spec) {

@@ -42,6 +42,8 @@
 
 namespace rap {
 
+/// Each site's spec name sits at its position in SiteNames
+/// (FaultInjection.cpp), so a new site goes at the same place in both.
 enum class FaultSite {
   Coloring,        ///< immediately before a colorGraph call
   SpillInsert,     ///< immediately before spill-code insertion

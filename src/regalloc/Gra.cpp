@@ -29,7 +29,6 @@
 #include "support/Stats.h"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
 #include <set>
@@ -39,12 +38,6 @@ using namespace rap;
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
 constexpr double InfiniteCost = 1e18;
 
 class GraAllocator {
@@ -52,24 +45,23 @@ public:
   GraAllocator(IlocFunction &F, const AllocOptions &Options)
       : F(F), Options(Options),
         Injector(Options.Faults.empty() ? envFaultPlan() : Options.Faults,
-                 F.name()),
-        StartTime(std::chrono::steady_clock::now()) {}
+                 F.name()) {}
 
   AllocStats run() {
     telemetry::FunctionScope *TS = Options.Scope;
     std::unique_ptr<CodeInfo> CI;
     for (unsigned Round = 0; Round != Options.MaxSpillRounds; ++Round) {
-      // Unified guard: wall-clock budget + request cancel token (deadline /
-      // drain), checked once per spill/color round.
-      checkAllocBudget(Options, StartTime, F.name());
+      // The cancel token (deadline / drain), checked once per spill/color
+      // round.
+      checkAllocBudget(Options, F.name());
       telemetry::ScopedPhase RoundPhase(TS, "gra_round");
       // Warm-start liveness from the previous round's solution.
       CI = std::make_unique<CodeInfo>(F, CI.get());
       Stats.LivenessSeconds += CI->LivenessSeconds;
       RefInfo Refs(CI->Code, F.numVRegs());
-      auto BuildStart = std::chrono::steady_clock::now();
+      auto BuildStart = telemetry::Clock::now();
       InterferenceGraph G = buildGraph(*CI, Refs);
-      Stats.GraphBuildSeconds += secondsSince(BuildStart);
+      Stats.GraphBuildSeconds += telemetry::secondsSince(BuildStart);
       if (Options.Coalesce)
         coalesceConservatively(G, CI->Code.Instrs, Options.K);
       accountGraph(G, Options, Stats, F.name());
@@ -217,7 +209,6 @@ private:
   const AllocOptions &Options;
   AllocStats Stats;
   FaultInjector Injector;
-  std::chrono::steady_clock::time_point StartTime;
   std::set<Reg> NoSpill;
   std::map<Reg, int> SlotOf;
 };

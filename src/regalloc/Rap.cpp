@@ -17,17 +17,10 @@
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace rap;
 
 namespace {
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
 constexpr double LocalOrSpilledCost = 999999.0; // paper Figure 5
 constexpr double InfiniteCost = 1e18;           // atomic spill temporaries
 constexpr unsigned MaxSpillActions = 50000;
@@ -50,14 +43,8 @@ RapAllocator::RapAllocator(IlocFunction &F, const AllocOptions &Options)
     : F(F), Options(Options),
       Injector(Options.Faults.empty() ? envFaultPlan() : Options.Faults,
                F.name()),
-      StartTime(std::chrono::steady_clock::now()), Editor(F, Stats) {
+      Editor(F, Stats) {
   refresh();
-}
-
-void RapAllocator::checkTimeBudget(int Region) {
-  // One unified guard: MaxAllocSeconds and the request's cancel token
-  // (deadline / drain) share the same round-boundary check points.
-  checkAllocBudget(Options, StartTime, F.name(), Region);
 }
 
 void RapAllocator::refresh() {
@@ -464,11 +451,11 @@ const InterferenceGraph &RapAllocator::allocRegion(PdgNode *V) {
     allocRegion(S);
 
   for (unsigned Round = 0; Round != Options.MaxSpillRounds; ++Round) {
-    checkTimeBudget(V->Id);
+    checkAllocBudget(Options, F.name(), V->Id);
     telemetry::ScopedPhase Phase(Options.Scope, "rap_region", V->Id);
-    auto BuildStart = std::chrono::steady_clock::now();
+    auto BuildStart = telemetry::Clock::now();
     InterferenceGraph &G = buildRegionGraph(V);
-    Stats.GraphBuildSeconds += secondsSince(BuildStart);
+    Stats.GraphBuildSeconds += telemetry::secondsSince(BuildStart);
     accountGraph(G, Options, Stats, F.name(), V->Id);
     calcSpillCosts(V, G);
     Injector.hit(FaultSite::Coloring);
@@ -546,7 +533,7 @@ void RapAllocator::spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue) {
                       "spill storm: more than " +
                           std::to_string(MaxSpillActions) + " spill actions",
                       F.name(), R->Id);
-    checkTimeBudget(R->Id);
+    checkAllocBudget(Options, F.name(), R->Id);
     // Spill rewrites edit only the spilled register's references (plus
     // fresh temporaries that never re-enter this queue), so the analysis
     // snapshot stays exact for every other register. Refresh lazily: only

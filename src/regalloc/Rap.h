@@ -29,7 +29,6 @@
 #include "regalloc/Coloring.h"
 #include "regalloc/InterferenceGraph.h"
 
-#include <chrono>
 #include <functional>
 #include <initializer_list>
 #include <map>
@@ -224,17 +223,12 @@ private:
   unsigned globalOrigins(const InterferenceGraph &G, const PdgNode *V,
                          std::initializer_list<unsigned> Nodes) const;
 
-  /// Raises AllocError(ResourceLimit) once the wall-clock budget
-  /// (Options.MaxAllocSeconds) is spent. Checked at round boundaries.
-  void checkTimeBudget(int Region);
-
   IlocFunction &F;
   AllocOptions Options;
   AllocStats Stats;
 
   /// This run's fault-injection state (disarmed unless a plan names us).
   FaultInjector Injector;
-  std::chrono::steady_clock::time_point StartTime;
 
   std::unique_ptr<CodeInfo> CI;
   std::unique_ptr<RefInfo> Refs;

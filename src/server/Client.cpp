@@ -6,6 +6,8 @@
 
 #include "server/Client.h"
 
+#include "support/Deadline.h"
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -53,20 +55,16 @@ bool Client::call(const json::Value &Request, json::Value &Response,
 
 bool Client::call(const std::string &RequestLine, json::Value &Response,
                   std::string &Error) {
-  using Clock = std::chrono::steady_clock;
-  const auto Start = Clock::now();
-  auto remainingMs = [&]() -> long long {
-    if (Config.RequestTimeoutMs == 0)
-      return 1u << 30; // effectively unbounded
-    auto Elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       Clock::now() - Start)
-                       .count();
-    return static_cast<long long>(Config.RequestTimeoutMs) - Elapsed;
-  };
+  const Deadline Budget = Config.RequestTimeoutMs
+                              ? Deadline::afterMs(Config.RequestTimeoutMs)
+                              : Deadline();
+  // Ms may come from the server (retry_after_ms): cap it before it becomes
+  // a clock duration.
   auto sleepBounded = [&](long long Ms) {
-    Ms = std::min(Ms, std::max<long long>(remainingMs(), 0));
     if (Ms > 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
+      std::this_thread::sleep_for(std::min<Deadline::Clock::duration>(
+          std::chrono::milliseconds(std::min<long long>(Ms, MaxDeadlineMs)),
+          Budget.remaining()));
   };
   unsigned Attempt = 0;
   uint64_t Backoff = std::max(1u, Config.BackoffMs);
@@ -95,7 +93,7 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
               "): " + LastError;
       return false;
     }
-    if (remainingMs() <= 0) {
+    if (Budget.expired()) {
       Error = "request budget exhausted (" +
               std::to_string(Config.RequestTimeoutMs) + "ms): " + LastError;
       return false;
@@ -119,7 +117,7 @@ bool Client::call(const std::string &RequestLine, json::Value &Response,
     for (;;) {
       std::string Line;
       LineReader::Result R =
-          Reader.next(Line, [&] { return remainingMs() <= 0; });
+          Reader.next(Line, [&] { return Budget.expired(); });
       if (R != LineReader::Line) {
         LastError = R == LineReader::Stopped
                         ? "response timeout after " +

@@ -52,9 +52,8 @@ namespace {
 /// ignoring every cancellation point — the failure mode the ShardPool
 /// watchdog exists to detect.
 void stallIgnoringToken(unsigned Ms) {
-  auto End =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(Ms);
-  while (std::chrono::steady_clock::now() < End)
+  const Deadline End = Deadline::afterMs(Ms);
+  while (!End.expired())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 

@@ -6,6 +6,7 @@
 
 #include "server/Protocol.h"
 
+#include "driver/Report.h"
 #include "support/Deadline.h"
 #include "support/Hash.h"
 
@@ -166,7 +167,7 @@ json::Value server::compileResponse(const Request &Req,
     PerFunction.push_back(json::Value(std::move(FO)));
   }
   O["per_function"] = json::Value(std::move(PerFunction));
-  // The aggregated allocation ledger, same shape as rap-stats-v1's "alloc"
+  // The aggregated allocation ledger: four of rap-stats-v1's "alloc" keys
   // (clients diff warm vs cold ledgers for bit-identity evidence beyond
   // the output hash).
   json::Object Ledger;
@@ -177,21 +178,15 @@ json::Value server::compileResponse(const Request &Req,
   O["alloc"] = json::Value(std::move(Ledger));
   if (Req.Options.Run) {
     json::Object Exec;
-    Exec["ok"] = Res.Exec.Ok;
     if (Res.Exec.Ok) {
+      Exec = execStatsJson(Res.Exec.Stats);
       Exec["result"] = Res.Exec.ReturnValue.str();
-      Exec["cycles"] = Res.Exec.Stats.Cycles;
-      Exec["loads"] = Res.Exec.Stats.Loads;
-      Exec["spill_loads"] = Res.Exec.Stats.SpillLoads;
-      Exec["stores"] = Res.Exec.Stats.Stores;
-      Exec["spill_stores"] = Res.Exec.Stats.SpillStores;
-      Exec["copies"] = Res.Exec.Stats.Copies;
-      Exec["calls"] = Res.Exec.Stats.Calls;
     } else {
       Exec["trap"] = Res.Exec.TrapInfo.Kind != TrapKind::None
                          ? Res.Exec.TrapInfo.str()
                          : Res.Exec.Error;
     }
+    Exec["ok"] = Res.Exec.Ok;
     O["exec"] = json::Value(std::move(Exec));
   }
   if (Req.Dump) {

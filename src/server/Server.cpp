@@ -302,12 +302,11 @@ int Server::serveLoop(int InFd, int OutFd, int Listen,
   // in-flight request aborts at its next cooperative check and answers
   // "cancelled" — and mark the drain degraded, so the serve call exits 3.
   if (shutdownRequested()) {
-    using Clock = std::chrono::steady_clock;
-    auto End = Clock::now() + std::chrono::milliseconds(Config.DrainMs);
+    const Deadline Window = Deadline::afterMs(Config.DrainMs);
     while (ActiveRequests.load(std::memory_order_acquire) > 0 &&
-           Clock::now() < End)
-      std::this_thread::sleep_for(std::min<Clock::duration>(
-          std::chrono::milliseconds(TickMs), End - Clock::now()));
+           !Window.expired())
+      std::this_thread::sleep_for(std::min<Deadline::Clock::duration>(
+          std::chrono::milliseconds(TickMs), Window.remaining()));
     if (ActiveRequests.load(std::memory_order_acquire) > 0) {
       DrainDegradedFlag.store(true, std::memory_order_release);
       DrainKill.cancel();

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one integer parser of the command-line drivers (rapcc, rapfuzz, rapd,
-/// rapc). A flag value is the whole argument or a usage error: "2x", "-1",
-/// " 5" and values past the flag's range are rejected, never truncated or
-/// wrapped into a different number.
+/// Flag parsing shared by the command-line drivers (rapcc, rapfuzz, rapd,
+/// rapc): the one integer parser, where a flag value is the whole argument
+/// or a usage error ("2x", "-1", " 5" and values past the flag's range are
+/// rejected, never truncated or wrapped into a different number), and the
+/// `--name=` prefix test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,11 @@ namespace rap {
 /// rapd --shards). Each worker is an OS thread, so a larger value is a usage
 /// error, rejected before any thread exists.
 constexpr unsigned MaxWorkerThreads = 256;
+
+/// True when \p S begins with \p Prefix.
+inline bool startsWith(const char *S, const char *Prefix) {
+  return std::strncmp(S, Prefix, std::strlen(Prefix)) == 0;
+}
 
 /// Parses all of \p Text as a decimal integer in [\p Min, \p Max] into
 /// \p Out. Rejects an empty string, a sign, whitespace, trailing characters

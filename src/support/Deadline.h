@@ -5,15 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-only serving layer's time substrate: an absolute monotonic
-/// Deadline and a CancelToken that combines it with an explicit cooperative
-/// cancellation flag. One token is created per server request (armed from
-/// the protocol's `deadline_ms`) and threaded — by const pointer — through
-/// CompileService, the ShardPool tasks, and the allocators' round-boundary
-/// guard checks, unifying the per-request deadline with the pre-existing
-/// AllocOptions::MaxAllocSeconds wall-clock guard: both surface as
-/// AllocError and both leave the function recoverable via the
-/// spill-everything fallback.
+/// The one place a time limit is computed: an absolute monotonic Deadline
+/// and a CancelToken that combines it with an explicit cooperative
+/// cancellation flag. Every wall-clock limit in the tree is a Deadline: a
+/// rapd request's budget (armed from the protocol's `deadline_ms`), a fuzz
+/// configuration's allocation budget, rapfuzz's sweep box, a client call's
+/// budget, the serve loop's drain window and the shard pool's watchdog
+/// verdict. Other clock reads are measurements (telemetry, phase seconds).
+///
+/// A compile's one stop condition is the token in AllocOptions::Cancel:
+/// CompileService threads a request's token (by const pointer) through the
+/// ShardPool tasks to the allocators' round-boundary check, and the fuzz
+/// runner arms one per configuration compile. A stop surfaces as AllocError
+/// and leaves the function recoverable via the spill-everything fallback.
 ///
 /// Tokens chain: a request token may name a parent (the server's drain-kill
 /// token), so one cancel() at the server flips every in-flight request at
@@ -29,6 +33,7 @@
 #ifndef RAP_SUPPORT_DEADLINE_H
 #define RAP_SUPPORT_DEADLINE_H
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -63,14 +68,24 @@ public:
   bool armed() const { return Armed; }
   bool expired() const { return Armed && Clock::now() > At; }
 
-  /// Seconds until expiry (negative once past); +inf-ish when unarmed.
-  double remainingSeconds() const {
+  /// Time left until expiry, zero once past; Clock::duration::max() when
+  /// unarmed.
+  Clock::duration remaining() const {
     if (!Armed)
-      return 1e18;
-    return std::chrono::duration<double>(At - Clock::now()).count();
+      return Clock::duration::max();
+    return std::max(At - Clock::now(), Clock::duration::zero());
   }
 
-  Clock::time_point when() const { return At; }
+  /// The deadline of a task that starts now and may run \p Factor times the
+  /// budget this deadline leaves it, the budget floored at \p Floor (so a
+  /// task started at or past this deadline still gets Factor x Floor).
+  /// Unarmed when this one is: there is no budget to scale.
+  Deadline scaledFromNow(unsigned Factor, Clock::duration Floor) const {
+    if (!Armed)
+      return Deadline();
+    Clock::time_point Now = Clock::now();
+    return Deadline(Now + std::max(At - Now, Floor) * Factor);
+  }
 
 private:
   explicit Deadline(Clock::time_point TP) : At(TP), Armed(true) {}

@@ -6,10 +6,12 @@
 
 #include "support/ShardPool.h"
 
-#include <algorithm>
-#include <chrono>
-
 using namespace rap;
+
+namespace {
+/// The least deadline budget the watchdog scales (WatchdogConfig::Factor).
+constexpr std::chrono::milliseconds WatchdogFloor(5);
+} // namespace
 
 ShardPool::ShardPool(unsigned NumShards, const WatchdogConfig &Watchdog)
     : Watchdog(Watchdog) {
@@ -21,8 +23,6 @@ ShardPool::ShardPool(unsigned NumShards, const WatchdogConfig &Watchdog)
   Workers.reserve(NumShards);
   for (unsigned I = 0; I != NumShards; ++I)
     Workers.emplace_back([this, I] { workerLoop(I); });
-  if (Watchdog.Factor > 0)
-    WatchdogThread = std::thread([this] { watchdogLoop(); });
 }
 
 ShardPool::~ShardPool() {
@@ -33,8 +33,6 @@ ShardPool::~ShardPool() {
   SleepCV.notify_all();
   for (std::thread &W : Workers)
     W.join();
-  if (WatchdogThread.joinable())
-    WatchdogThread.join();
 }
 
 void ShardPool::submit(size_t Hint, Task T, TaskGroup *Group,
@@ -46,149 +44,102 @@ void ShardPool::submit(size_t Hint, Task T, TaskGroup *Group,
     if (S.Q.size() > S.DepthMax)
       S.DepthMax = S.Q.size();
   }
+  // Counted only once it is queued, so a claim always finds a task.
+  {
+    std::lock_guard<std::mutex> Lock(SleepM);
+    ++Unclaimed;
+  }
   SleepCV.notify_one();
 }
 
-bool ShardPool::takeOwn(unsigned Self, QueueItem &Out) {
-  Shard &S = *Shards[Self];
+bool ShardPool::take(unsigned From, bool Owner, QueueItem &Out) {
+  Shard &S = *Shards[From];
   std::lock_guard<std::mutex> Lock(S.M);
   if (S.Q.empty())
     return false;
-  Out = std::move(S.Q.front()); // owner drains FIFO
-  S.Q.pop_front();
+  if (Owner) { // the owner drains FIFO
+    Out = std::move(S.Q.front());
+    S.Q.pop_front();
+  } else { // thieves take the opposite end
+    Out = std::move(S.Q.back());
+    S.Q.pop_back();
+  }
   return true;
 }
 
-bool ShardPool::stealFrom(unsigned Victim, QueueItem &Out) {
-  Shard &S = *Shards[Victim];
-  std::lock_guard<std::mutex> Lock(S.M);
-  if (S.Q.empty())
-    return false;
-  Out = std::move(S.Q.back()); // thieves take the opposite end
-  S.Q.pop_back();
-  return true;
+bool ShardPool::tripped(Shard &S) {
+  if (!S.Tripped && S.Overstay.expired()) {
+    S.Tripped = true;
+    ++S.Trips;
+  }
+  return S.Tripped;
 }
 
 void ShardPool::workerLoop(unsigned Self) {
-  const unsigned N = static_cast<unsigned>(Shards.size());
+  const unsigned N = shards();
   Shard &Own = *Shards[Self];
   QueueItem Item;
   while (true) {
-    bool Got = takeOwn(Self, Item);
-    bool Stole = false;
-    if (!Got) {
-      // Scan siblings round-robin starting after ourselves so thieves
-      // spread over victims instead of mobbing shard 0.
-      for (unsigned D = 1; D != N && !Got; ++D) {
-        Got = stealFrom((Self + D) % N, Item);
-        Stole = Got;
-      }
+    {
+      // Park until a queued task is unclaimed, then claim it. On shutdown
+      // the queue drains first: a worker leaves once nothing is unclaimed.
+      std::unique_lock<std::mutex> Lock(SleepM);
+      SleepCV.wait(Lock, [&] { return Unclaimed != 0 || Stopping; });
+      if (Unclaimed == 0)
+        return;
+      --Unclaimed;
     }
-    if (Got) {
-      // Backstop skip: a task whose request already stopped (deadline hit
-      // or drain cancel while it sat queued) is not worth starting — the
-      // allocator would only throw at its first round boundary anyway.
-      bool Skip = Item.Token && Item.Token->stopRequested();
-      if (!Skip) {
-        // Register for the watchdog. Runs in the executing worker's own
-        // shard slot regardless of which deque the task came from.
-        {
-          std::lock_guard<std::mutex> Lock(Own.M);
-          Own.RunningSet = true;
-          Own.RunningToken = Item.Token;
-          Own.RunningSince = std::chrono::steady_clock::now();
-          Own.Tripped = false;
-        }
-        try {
-          Item.Work();
-        } catch (...) {
-          // Tasks own their failures (the service catches per function); a
-          // leak here must not take down the worker or hang the barrier.
-        }
-        {
-          // Clear the registration *before* releasing the barrier: the
-          // token lives at least until the barrier releases, so the
-          // watchdog (which reads under this same mutex) can never see a
-          // dangling pointer.
-          std::lock_guard<std::mutex> Lock(Own.M);
-          Own.RunningSet = false;
-          Own.RunningToken = nullptr;
-          Own.Degraded = false; // the wedged task, if any, just completed
-          Own.Tripped = false;
-        }
+    // Every queued task is claimed once before anyone pops it, so one of
+    // the deques holds a task for this claim: the own deque first, then the
+    // siblings round-robin starting after ourselves, so thieves spread over
+    // victims instead of mobbing shard 0. A pass can miss it while other
+    // claimants pop and producers push, so the scan goes round until it
+    // finds one.
+    unsigned From = Self;
+    while (!take(From, From == Self, Item))
+      From = (From + 1) % N;
+    bool Stole = From != Self;
+
+    // Backstop skip: a task whose request already stopped (deadline hit
+    // or drain cancel while it sat queued) is not worth starting — the
+    // allocator would only throw at its first round boundary anyway.
+    bool Skip = Item.Token && Item.Token->stopRequested();
+    if (!Skip) {
+      // Stamp the watchdog's overstay deadline in the executing worker's
+      // own shard, whichever deque the task came from.
+      {
+        std::lock_guard<std::mutex> Lock(Own.M);
+        Own.Overstay = Watchdog.Factor && Item.Token
+                           ? Item.Token->deadline().scaledFromNow(
+                                 Watchdog.Factor, WatchdogFloor)
+                           : Deadline();
+      }
+      try {
+        Item.Work();
+      } catch (...) {
+        // Tasks own their failures (the service catches per function); a
+        // leak here must not take down the worker or hang the barrier.
       }
       {
-        // Fold stats *before* releasing the barrier so a waiter that reads
-        // the counters right after wait() sees this task accounted for.
-        std::lock_guard<std::mutex> Lock(StatsM);
-        Run += !Skip;
-        Skipped += Skip;
-        Stolen += Stole && !Skip;
+        // The verdict on the finished task, then the shard recovers.
+        std::lock_guard<std::mutex> Lock(Own.M);
+        tripped(Own);
+        Own.Overstay = Deadline();
+        Own.Tripped = false;
       }
-      if (Item.Group)
-        Item.Group->done();
-      Item.Work = nullptr;
-      Item.Token = nullptr;
-      continue;
     }
-    // Nothing anywhere: park until a submit or shutdown. Re-check the
-    // deques under the sleep lock via predicate re-poll (a submit between
-    // our scan and the wait would otherwise be missed — notify_one with no
-    // waiter is lost, so the predicate must look at queue state).
-    std::unique_lock<std::mutex> Lock(SleepM);
-    if (Stopping)
-      return;
-    SleepCV.wait_for(Lock, std::chrono::milliseconds(10), [&] {
-      if (Stopping)
-        return true;
-      for (const auto &S : Shards) {
-        std::lock_guard<std::mutex> QL(S->M);
-        if (!S->Q.empty())
-          return true;
-      }
-      return false;
-    });
-    if (Stopping)
-      return;
-  }
-}
-
-void ShardPool::watchdogLoop() {
-  using Clock = std::chrono::steady_clock;
-  const auto Poll = std::chrono::milliseconds(
-      Watchdog.PollMs ? Watchdog.PollMs : 1);
-  while (true) {
     {
-      // Reuse the sleep channel for a cancellable wait; a spurious wake
-      // just means one extra scan.
-      std::unique_lock<std::mutex> Lock(SleepM);
-      if (Stopping)
-        return;
-      SleepCV.wait_for(Lock, Poll, [&] { return Stopping; });
-      if (Stopping)
-        return;
+      // Fold stats *before* releasing the barrier so a waiter that reads
+      // the counters right after wait() sees this task accounted for.
+      std::lock_guard<std::mutex> Lock(StatsM);
+      Run += !Skip;
+      Skipped += Skip;
+      Stolen += Stole && !Skip;
     }
-    Clock::time_point Now = Clock::now();
-    for (const auto &SP : Shards) {
-      Shard &S = *SP;
-      std::lock_guard<std::mutex> Lock(S.M);
-      if (!S.RunningSet || S.Tripped || !S.RunningToken)
-        continue;
-      const Deadline &D = S.RunningToken->deadline();
-      if (!D.armed())
-        continue; // no budget to scale: never tripped
-      // Budget = what the request had left when the task started, floored
-      // at one poll tick so a task admitted moments before (or after) its
-      // deadline cannot false-trip while it runs its cooperative checks.
-      auto Budget = std::max<Clock::duration>(D.when() - S.RunningSince,
-                                              Poll);
-      if (Now - S.RunningSince > Budget * Watchdog.Factor) {
-        S.Tripped = true;
-        S.Degraded = true;
-        std::lock_guard<std::mutex> SL(StatsM);
-        ++Trips;
-      }
-    }
+    if (Item.Group)
+      Item.Group->done();
+    Item.Work = nullptr;
+    Item.Token = nullptr;
   }
 }
 
@@ -218,15 +169,20 @@ uint64_t ShardPool::tasksSkipped() const {
 }
 
 uint64_t ShardPool::watchdogTrips() const {
-  std::lock_guard<std::mutex> Lock(StatsM);
-  return Trips;
+  uint64_t N = 0;
+  for (const auto &S : Shards) {
+    std::lock_guard<std::mutex> Lock(S->M);
+    tripped(*S);
+    N += S->Trips;
+  }
+  return N;
 }
 
 unsigned ShardPool::shardsDegraded() const {
   unsigned N = 0;
   for (const auto &S : Shards) {
     std::lock_guard<std::mutex> Lock(S->M);
-    N += S->Degraded;
+    N += tripped(*S);
   }
   return N;
 }

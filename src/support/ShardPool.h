@@ -20,19 +20,28 @@
 /// discipline allocateProgramChecked established — so any interleaving
 /// produces identical output. TaskGroup provides the wait barrier.
 ///
+/// The pool runs exactly one thread per shard. Idle workers block on one
+/// condition variable whose predicate is exact: a count of queued tasks no
+/// worker has claimed yet, kept under the sleep mutex. A submit adds one and
+/// wakes one worker; a worker claims one before it pops, so it never wakes
+/// to an empty pool and never polls.
+///
 /// Crash-only serving (DESIGN.md §13) adds two pieces:
 ///
 ///   * Tasks may register the request's CancelToken at submit time. A
 ///     skipped task (token already stopped when a worker picks it up) is
 ///     never run — the submitter's own pre-checks make the common case
 ///     cheap, this is the backstop — but its TaskGroup is always released.
-///   * A watchdog thread samples every shard's running task. A task that
-///     overstays WatchdogFactor x its token's deadline budget has, by
-///     definition, ignored its cooperative cancellation points; the
-///     watchdog cannot preempt it, but it marks the shard degraded (sticky
-///     until that task finally completes) and counts a trip, so operators
-///     see wedged workers in the `server` stats section instead of
-///     wondering where their capacity went.
+///   * The watchdog: a task that overstays WatchdogConfig::Factor x its
+///     token's deadline budget has, by definition, ignored its cooperative
+///     cancellation points. The pool cannot preempt it, but it marks the
+///     shard degraded (until that task finally completes) and counts one
+///     trip, so operators see wedged workers in the `server` stats section
+///     instead of wondering where their capacity went. No thread samples
+///     the workers: a worker stamps its task's overstay Deadline when it
+///     starts it, and the verdict is computed under the shard's lock when
+///     watchdogTrips() or shardsDegraded() is read and when the task
+///     finishes, so an overstay counts exactly once even if nobody reads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,25 +89,23 @@ private:
   size_t Pending = 0;
 };
 
-/// Watchdog tuning. Factor 0 disables the watchdog thread entirely (unit
-/// tests and benches that want a quiet pool).
+/// Watchdog tuning.
 struct WatchdogConfig {
   /// A running task trips the watchdog once it has been running longer than
   /// Factor x its deadline budget (deadline minus task start, floored at
-  /// one poll interval so an already-expired token cannot false-trip).
-  /// Tasks without an armed deadline are never tripped — there is no
-  /// budget to scale.
+  /// 5 ms so a task admitted at its deadline cannot false-trip while it
+  /// runs its cooperative checks). Tasks without an armed deadline never
+  /// trip: there is no budget to scale. 0 disables the watchdog.
   unsigned Factor = 4;
-  /// Sampling cadence of the watchdog thread.
-  unsigned PollMs = 5;
 };
 
 class ShardPool {
 public:
   using Task = std::function<void()>;
 
-  /// Spawns \p NumShards workers (at least 1). Shard count is the server's
-  /// --shards knob; the deterministic-output contract holds at any value.
+  /// Spawns \p NumShards workers (at least 1) and no other thread. Shard
+  /// count is the server's --shards knob; the deterministic-output contract
+  /// holds at any value.
   explicit ShardPool(unsigned NumShards,
                      const WatchdogConfig &Watchdog = WatchdogConfig());
   ~ShardPool();
@@ -112,8 +119,8 @@ public:
   /// contain their own failures, but a throw must not hang the barrier).
   /// \p Token, when given, must outlive the task (the submitter's barrier
   /// guarantees this): a task whose token already requests stop is skipped
-  /// — its Group still released — and a running task's token deadline is
-  /// what the watchdog measures against.
+  /// — its Group still released — and the token's deadline when the task
+  /// starts is the budget the watchdog scales.
   void submit(size_t Hint, Task T, TaskGroup *Group = nullptr,
               const CancelToken *Token = nullptr);
 
@@ -128,9 +135,10 @@ public:
   /// Tasks never run because their cancel token had already stopped when a
   /// worker picked them up (their barriers were still released).
   uint64_t tasksSkipped() const;
-  /// Times the watchdog caught a worker overstaying its deadline budget.
+  /// Tasks that overstayed their watchdog budget, each counted once: the
+  /// running ones as of this call plus every finished one.
   uint64_t watchdogTrips() const;
-  /// Shards currently marked degraded (a tripped task still running).
+  /// Shards whose running task has overstayed its watchdog budget.
   unsigned shardsDegraded() const;
 
 private:
@@ -145,40 +153,37 @@ private:
     std::deque<QueueItem> Q;
     uint64_t DepthMax = 0;
 
-    // Running-task registration, written by the worker and read by the
-    // watchdog, both under M. RunningToken is only valid while RunningSet;
-    // the worker clears it (under M) before releasing the task's barrier,
-    // so the watchdog can never observe a dangling token.
-    bool RunningSet = false;
-    const CancelToken *RunningToken = nullptr;
-    std::chrono::steady_clock::time_point RunningSince{};
-    bool Tripped = false;  ///< this running task already counted a trip
-    bool Degraded = false; ///< sticky until the tripped task completes
+    // The watchdog's view of the task this shard's worker runs, under M.
+    Deadline Overstay;    ///< when the running task trips; unarmed: never
+    bool Tripped = false; ///< the running task overstayed: shard degraded
+    uint64_t Trips = 0;   ///< tasks run here that overstayed
   };
 
   void workerLoop(unsigned Self);
-  void watchdogLoop();
-  bool takeOwn(unsigned Self, QueueItem &Out);
-  bool stealFrom(unsigned Victim, QueueItem &Out);
+  /// Pops a task of shard \p From: its front for the owner, its back for
+  /// a thief.
+  bool take(unsigned From, bool Owner, QueueItem &Out);
+  /// The watchdog verdict on \p S's running task, under S.M: the first
+  /// call past its overstay point counts its trip.
+  static bool tripped(Shard &S);
 
   std::vector<std::unique_ptr<Shard>> Shards;
   std::vector<std::thread> Workers;
 
   WatchdogConfig Watchdog;
-  std::thread WatchdogThread;
 
-  // One pool-wide sleep channel: workers park here when every deque is
-  // empty. Simpler than per-shard wakeups and plenty for the server's
+  // One pool-wide sleep channel: workers park here until a queued task is
+  // unclaimed. Simpler than per-shard wakeups and plenty for the server's
   // task granularity (one task = one function allocation).
   std::mutex SleepM;
   std::condition_variable SleepCV;
+  size_t Unclaimed = 0; ///< queued tasks no worker has claimed yet
   bool Stopping = false;
 
   mutable std::mutex StatsM;
   uint64_t Stolen = 0;
   uint64_t Run = 0;
   uint64_t Skipped = 0;
-  uint64_t Trips = 0;
 };
 
 } // namespace rap

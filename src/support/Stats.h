@@ -53,6 +53,12 @@ namespace telemetry {
 
 using Clock = std::chrono::steady_clock;
 
+/// Wall seconds since \p Start (a measurement, never a limit: limits are
+/// Deadlines, support/Deadline.h).
+inline double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
 /// One closed phase slice: \p Phase ran over [StartUs, StartUs + DurUs)
 /// within one function, optionally attributed to a PDG region and carrying
 /// small deterministic arguments (graph node counts, spill counts, ...).
@@ -159,9 +165,6 @@ public:
   Telemetry() : Epoch(Clock::now()) {}
 
   Clock::time_point epoch() const { return Epoch; }
-
-  /// Hands a worker a fresh scope sharing the registry epoch.
-  FunctionScope makeScope() const { return FunctionScope(Epoch); }
 
   /// Folds one function's telemetry in. \p Index is the function's position
   /// in the program (the deterministic sort key); \p Worker the lane the

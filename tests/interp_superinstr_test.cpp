@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 using namespace rap;
 
@@ -351,6 +352,38 @@ TEST(InterpSuperinstr, IndexNearInt64MaxTrapsInFusedHandlers) {
         besidePad("int i = IDX; int v = pad[1]; a[i] = v; return pad[2];",
                   Index),
         "stx_loadi");
+  }
+}
+
+// ---- float-to-int conversion ------------------------------------------
+
+TEST(InterpF2I, SaturatesOnBothEnginesAtEveryFuel) {
+  // NaN and values outside int64 have no integer value; both engines define
+  // f2i to saturate (NaN -> 0) and truncate toward zero inside the range.
+  constexpr int64_t Int64Min = std::numeric_limits<int64_t>::min();
+  const std::string Inf = "1.0e300 * 1.0e300";
+  struct Case {
+    std::string Value;
+    int64_t Want;
+  };
+  for (const Case &C : std::vector<Case>{
+           {Inf + " - " + Inf, 0}, // NaN
+           {Inf, Int64Max},
+           {"-(" + Inf + ")", Int64Min},
+           {"1.0e300", Int64Max},
+           {"-1.0e300", Int64Min},
+           {"9223372036854775808.0", Int64Max},
+           {"-9223372036854775808.0", Int64Min},
+           {"1.5", 1},
+           {"-1.5", -1}}) {
+    std::string Source =
+        "int main() { float f = " + C.Value + "; int i = f; return i; }";
+    checkPattern(Source, "f2i");
+    EnginePair E(Source);
+    ASSERT_TRUE(E.Sw);
+    RunResult S = E.Sw->run();
+    ASSERT_TRUE(S.Ok) << C.Value << ": " << S.Error;
+    EXPECT_EQ(S.ReturnValue.asInt(), C.Want) << C.Value;
   }
 }
 

@@ -224,20 +224,22 @@ TEST_P(ResourceGuards, GraphByteBudgetDegrades) {
 }
 
 TEST_P(ResourceGuards, WallClockBudgetDegrades) {
-  // A sub-nanosecond budget is exceeded by the time the first round-boundary
-  // check runs (liveness alone takes longer), so every function degrades.
+  // A cancel token whose deadline is already past stops every function at
+  // its first round-boundary check, so every function degrades.
   int64_t Want = referenceValue(MultiFunctionSource);
+  CancelToken Expired(
+      Deadline::at(Deadline::Clock::now() - std::chrono::milliseconds(1)));
   CompileOptions Opts;
   Opts.Allocator = GetParam();
   Opts.Alloc.K = 3;
-  Opts.Alloc.MaxAllocSeconds = 1e-12;
+  Opts.Alloc.Cancel = &Expired;
   Opts.Alloc.FallbackOnError = true;
   Opts.Alloc.VerifyAssignments = true;
   CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
   EXPECT_TRUE(CR.degraded());
   for (const AllocOutcome &O : CR.AllocOutcomes) {
     if (O.degraded()) {
-      EXPECT_EQ(O.ErrorKind, AllocErrorKind::ResourceLimit) << O.Error;
+      EXPECT_EQ(O.ErrorKind, AllocErrorKind::DeadlineExceeded) << O.Error;
     }
   }
 }

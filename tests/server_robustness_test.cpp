@@ -16,9 +16,11 @@
 ///    the cache (the determinism contract under wall-clock races);
 ///  * ShardPool submission racing the barrier — deterministic
 ///    interleavings built from cancel-token gates and single-shard FIFO
-///    order, never sleeps;
+///    order, never sleeps — and several threads waking an idle pool with
+///    thousands of tasks, none of them lost;
 ///  * the ShardPool watchdog — a worker that ignores its token trips the
 ///    watchdog, degrades the shard, and the shard recovers on completion;
+///    an overstay nobody reads counts as one trip when the task finishes;
 ///  * Server — the NDJSON line cap, the new stats counters, and graceful
 ///    drain end-to-end over serveStdio on pipes (clean exit 0, degraded
 ///    exit 3, stop-flag admission stop, an idle serve that stops within a
@@ -276,7 +278,7 @@ TEST(ShardPoolRaces, SubmissionRacesCompletionSafely) {
   // expect() everything up front, then let early tasks complete (and call
   // done()) while later submits are still in flight — the barrier must
   // neither release early nor lose a count.
-  ShardPool Pool(4, WatchdogConfig{0, 0});
+  ShardPool Pool(4, WatchdogConfig{0});
   TaskGroup Group;
   constexpr unsigned N = 200;
   Group.expect(N);
@@ -290,7 +292,7 @@ TEST(ShardPoolRaces, SubmissionRacesCompletionSafely) {
 }
 
 TEST(ShardPoolRaces, StoppedTokenSkipsQueuedTasksButReleasesBarrier) {
-  ShardPool Pool(2, WatchdogConfig{0, 0});
+  ShardPool Pool(2, WatchdogConfig{0});
   CancelToken Stopped;
   Stopped.cancel();
   TaskGroup Group;
@@ -308,7 +310,7 @@ TEST(ShardPoolRaces, StoppedTokenSkipsQueuedTasksButReleasesBarrier) {
 TEST(ShardPoolRaces, MidstreamCancelSkipsTheTail) {
   // One shard = FIFO order: the first task cancels the token the remaining
   // seven were submitted with, so the tail is deterministically skipped.
-  ShardPool Pool(1, WatchdogConfig{0, 0});
+  ShardPool Pool(1, WatchdogConfig{0});
   CancelToken Token;
   TaskGroup Group;
   Group.expect(8);
@@ -330,10 +332,43 @@ TEST(ShardPoolRaces, MidstreamCancelSkipsTheTail) {
   EXPECT_EQ(Pool.tasksSkipped(), 7u);
 }
 
+TEST(ShardPoolRaces, SubmittersWakeAnIdlePoolForEveryTask) {
+  // Four threads submit 4,000 tasks in batches of 4, each batch waiting on
+  // its own TaskGroup, so the workers park and wake again between batches.
+  // A lost wakeup strands a batch and its submitter.
+  ShardPool Pool(4, WatchdogConfig{0});
+  const Deadline Idle = Deadline::afterMs(20); // let every worker park
+  while (!Idle.expired())
+    std::this_thread::yield();
+  constexpr unsigned Threads = 4, Batches = 250, PerBatch = 4;
+  std::atomic<unsigned> Ran{0}, Released{0};
+  std::vector<std::thread> Submitters;
+  for (unsigned T = 0; T != Threads; ++T)
+    Submitters.emplace_back([&, T] {
+      for (unsigned B = 0; B != Batches; ++B) {
+        TaskGroup Group;
+        Group.expect(PerBatch);
+        for (unsigned I = 0; I != PerBatch; ++I)
+          Pool.submit(T + I,
+                      [&] { Ran.fetch_add(1, std::memory_order_relaxed); },
+                      &Group);
+        Group.wait();
+        Released.fetch_add(1);
+      }
+    });
+  bool AllReleased =
+      spinUntil([&] { return Released.load() == Threads * Batches; });
+  EXPECT_TRUE(AllReleased) << Released.load() << " batches released";
+  while (Released.load() != Threads * Batches) // unstrand them to join
+    Pool.submit(0, [] {});
+  for (std::thread &S : Submitters)
+    S.join();
+  EXPECT_EQ(Ran.load(), Threads * Batches * PerBatch);
+}
+
 TEST(ShardPoolWatchdog, TripsOnTokenIgnoringTaskAndRecovers) {
   WatchdogConfig Watchdog;
   Watchdog.Factor = 1;
-  Watchdog.PollMs = 1;
   ShardPool Pool(1, Watchdog);
   // The task's own deadline is short but safely past worker pickup (a
   // pre-expired token would be skipped, not run); the task then ignores it
@@ -353,6 +388,46 @@ TEST(ShardPoolWatchdog, TripsOnTokenIgnoringTaskAndRecovers) {
   // Degradation is sticky only while the wedged task runs.
   EXPECT_TRUE(spinUntil([&] { return Pool.shardsDegraded() == 0; }));
   EXPECT_GE(Pool.watchdogTrips(), 1u);
+}
+
+TEST(ShardPoolWatchdog, UnreadOverstayCountsOneTripWhenItFinishes) {
+  // Nobody reads the counters while the task overstays its 20 ms budget
+  // five times over: the verdict taken when it finishes counts it, once.
+  WatchdogConfig Watchdog;
+  Watchdog.Factor = 1;
+  ShardPool Pool(1, Watchdog);
+  CancelToken Wedged(Deadline::afterMs(20));
+  TaskGroup Group;
+  Group.expect(1);
+  Pool.submit(0, [&] {
+    const Deadline Overstayed = Deadline::afterMs(100);
+    while (!Overstayed.expired())
+      std::this_thread::yield();
+  }, &Group, &Wedged);
+  Group.wait();
+  EXPECT_EQ(Pool.watchdogTrips(), 1u);
+  EXPECT_EQ(Pool.shardsDegraded(), 0u);
+}
+
+TEST(ShardPoolWatchdog, DegradedExactlyWhileTheOverstayingTaskRuns) {
+  WatchdogConfig Watchdog;
+  Watchdog.Factor = 1;
+  ShardPool Pool(1, Watchdog);
+  CancelToken Wedged(Deadline::afterMs(20));
+  CancelToken Release;
+  TaskGroup Group;
+  Group.expect(1);
+  Pool.submit(0, [&] {
+    while (!Release.cancelled())
+      std::this_thread::yield();
+  }, &Group, &Wedged);
+  EXPECT_TRUE(spinUntil([&] { return Pool.shardsDegraded() == 1; }));
+  // Read many times while it runs and once more as it finishes: one trip.
+  EXPECT_EQ(Pool.watchdogTrips(), 1u);
+  Release.cancel();
+  Group.wait();
+  EXPECT_EQ(Pool.shardsDegraded(), 0u);
+  EXPECT_EQ(Pool.watchdogTrips(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
